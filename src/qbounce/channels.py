@@ -173,12 +173,19 @@ def reference_trajectory(params: ScenarioParams) -> ClassicalTrajectory:
                                    params.masses)
 
 
-def _channel_phase(params: ScenarioParams, y_m0: float, t: float) -> tuple[int, int]:
-    """Exact (pair, wall) event counts of one channel at time t."""
-    table = collision_table(params.eps)
-    _, _, n, w = classical.channel_kinematics(t, np.array([y_m0]), params.x_M0,
-                                              params.v_x0, table)
-    return int(n[0]), int(w[0])
+@functools.lru_cache(maxsize=32)
+def _endpoint_pair_times(params: ScenarioParams) -> np.ndarray:
+    """Pair-collision times of the -3 sigma and +3 sigma channels, shape (2, K).
+
+    Each row is non-decreasing, so a searchsorted count equals the exact
+    per-channel count of channel_kinematics.
+    """
+    dsigma_y0, _ = split_width(params)
+    ends = np.array([params.y_M0 - 3 * dsigma_y0, params.y_M0 + 3 * dsigma_y0])
+    times = classical.pair_collision_times(ends, params.x_M0, params.v_x0,
+                                           collision_table(params.eps))
+    times.flags.writeable = False
+    return times
 
 
 def mixed_phase_gate(e: ChannelEnsemble, params: ScenarioParams, t: float) -> bool:
@@ -189,10 +196,8 @@ def mixed_phase_gate(e: ChannelEnsemble, params: ScenarioParams, t: float) -> bo
     separate concern handled by the schedule: use auto_schedule to sample
     midway between consecutive events.
     """
-    dsigma_y0, _ = split_width(params)
-    lo = _channel_phase(params, params.y_M0 - 3 * dsigma_y0, t)
-    hi = _channel_phase(params, params.y_M0 + 3 * dsigma_y0, t)
-    return lo[0] == hi[0]
+    lo, hi = _endpoint_pair_times(params)
+    return bool(np.searchsorted(lo, t, "right") == np.searchsorted(hi, t, "right"))
 
 
 def auto_schedule(params: ScenarioParams) -> list[float]:

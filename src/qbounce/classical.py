@@ -18,6 +18,8 @@ position, so the light particle's initial half-flight is not part of them.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -118,15 +120,20 @@ class ClassicalTrajectory:
     def final(self) -> ClassicalState:
         return self.events[-1].state if self.events else self.initial
 
+    @functools.cached_property
+    def event_times(self) -> tuple[float, ...]:
+        """Event times in order; non-decreasing, since each event follows the last."""
+        return tuple(e.t for e in self.events)
+
     def state_at(self, t: float) -> ClassicalState:
-        """Interpolated state at time t (extrapolates freely past the last event)."""
+        """Interpolated state at time t (extrapolates freely past the last event).
+
+        Starts from the last event with e.t <= t, or the initial state.
+        """
         if t < self.initial.t:
             raise ValueError("t precedes the trajectory start")
-        s = self.initial
-        for e in self.events:
-            if e.t > t:
-                break
-            s = e.state
+        i = bisect.bisect_right(self.event_times, t)
+        s = self.events[i - 1].state if i else self.initial
         dt = t - s.t
         return ClassicalState(x=s.x + s.v_x * dt, y=s.y + s.v_y * dt,
                               v_x=s.v_x, v_y=s.v_y, t=t, n=s.n)
@@ -211,12 +218,15 @@ class CollisionTable:
         return len(self.times) - 1
 
 
-def collision_table(eps: float, n_limit: int | None = None) -> CollisionTable:
-    """Exact positions/times of the collision sequence (unit y0 and v0)."""
+@functools.lru_cache(maxsize=32)
+def collision_table(eps: float) -> CollisionTable:
+    """Exact positions/times of the collision sequence (unit y0 and v0).
+
+    Cached per eps; every caller shares the returned arrays, so they are
+    read-only.
+    """
     phi = collision_angle(eps)
     total = max_collisions(eps) + 1
-    if n_limit is not None:
-        total = min(total, n_limit)
     ks = np.arange(total + 1)
     v_x = np.cos(ks * phi)
     v_y = eps * np.sin(ks * phi)
@@ -231,6 +241,8 @@ def collision_table(eps: float, n_limit: int | None = None) -> CollisionTable:
             break
         times[k + 1] = times[k] + 2 * pos[k] / closing
         pos[k + 1] = pos[k] * (v_x[k] + v_y[k]) / closing
+    for arr in (times, pos, v_x, v_y):
+        arr.flags.writeable = False
     return CollisionTable(eps=eps, times=times, positions=pos, v_x=v_x, v_y=v_y)
 
 

@@ -77,6 +77,47 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict)
 
 
+def _number(kind, text: str, what: str):
+    """text converted by kind (int or float); ConfigError naming `what` if malformed."""
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what}: expected {expected}, got {text!r}") from None
+
+
+def _apply_oracles(cfg: ScenarioConfig, spec: str, where: str) -> None:
+    """Switch on the oracles of a comma-separated spec; errors start with `where`."""
+    for spec_str in (s.strip() for s in spec.split(",") if s.strip()):
+        name, _, arg = spec_str.partition(":")
+        if name == "event_driven":
+            cfg.event_driven = True
+        elif name == "monte_carlo":
+            count = _number(int, arg or "10000", f"{where}: monte_carlo sample count")
+            if count <= 0:
+                raise ConfigError(f"{where}: monte_carlo sample count must be "
+                                  f"positive, got {count}")
+            cfg.monte_carlo = count
+        elif name == "grid":
+            opts = {}
+            for item in arg.split(";"):
+                if not item:
+                    continue
+                k, _, v = item.partition("=")
+                opts[k.strip()] = v.strip()
+            try:
+                cfg.grid_oracle = GridOracleSpec(
+                    n=_number(int, opts["n"], f"{where}: grid n"),
+                    length=_number(float, opts["l"], f"{where}: grid l"),
+                    dt=_number(float, opts["dt"], f"{where}: grid dt"),
+                    t_max=_number(float, opts.get("t_max", "inf"), f"{where}: grid t_max"))
+            except KeyError as exc:
+                raise ConfigError(f"{where}: grid oracle needs {exc} "
+                                  "(grid:n=..;l=..;dt=..[;t_max=..])") from None
+        else:
+            raise ConfigError(f"{where}: unknown oracle {name!r}")
+
+
 def parse_config(path) -> ScenarioConfig:
     """Parse and validate a key=value scenario file; unknown keys are errors."""
     raw: dict[str, str] = {}
@@ -98,10 +139,7 @@ def parse_config(path) -> ScenarioConfig:
         val = raw.get(key, default)
         if val is None:
             raise ConfigError(f"{path}: missing required key {key!r}")
-        try:
-            return float(val)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: key {key!r}: {exc}") from None
+        return _number(float, val, f"{path}: key {key!r}")
 
     try:
         params = ScenarioParams(
@@ -121,7 +159,7 @@ def parse_config(path) -> ScenarioConfig:
         if not instants:
             raise ConfigError(f"{path}: schedule is empty")
         cfg.schedule = instants
-    cfg.seed = int(raw.get("seed", "0"))
+    cfg.seed = _number(int, raw.get("seed", "0"), f"{path}: key 'seed'")
     cfg.out = raw.get("out", "out")
     cfg.formats = tuple(s.strip() for s in raw.get("formats", "csv,json").split(","))
     for fmt in cfg.formats:
@@ -131,28 +169,7 @@ def parse_config(path) -> ScenarioConfig:
     if cfg.purity_source not in ("analytic", "grid"):
         raise ConfigError(f"{path}: purity_source must be analytic or grid")
 
-    for spec_str in (s.strip() for s in raw.get("oracles", "").split(",") if s.strip()):
-        name, _, arg = spec_str.partition(":")
-        if name == "event_driven":
-            cfg.event_driven = True
-        elif name == "monte_carlo":
-            cfg.monte_carlo = int(arg or "10000")
-        elif name == "grid":
-            opts = {}
-            for item in arg.split(";"):
-                if not item:
-                    continue
-                k, _, v = item.partition("=")
-                opts[k.strip()] = v.strip()
-            try:
-                cfg.grid_oracle = GridOracleSpec(
-                    n=int(opts["n"]), length=float(opts["l"]),
-                    dt=float(opts["dt"]), t_max=float(opts.get("t_max", "inf")))
-            except KeyError as exc:
-                raise ConfigError(f"{path}: grid oracle needs {exc} "
-                                  "(grid:n=..;l=..;dt=..[;t_max=..])") from None
-        else:
-            raise ConfigError(f"{path}: unknown oracle {name!r}")
+    _apply_oracles(cfg, raw.get("oracles", ""), f"{path}: oracles")
     if cfg.purity_source == "grid" and cfg.grid_oracle is None:
         raise ConfigError(f"{path}: purity_source=grid requires the grid oracle")
     return cfg
@@ -259,6 +276,9 @@ def write_series(rows: list[dict], out_dir: Path, formats) -> None:
 def cmd_run(args) -> int:
     try:
         cfg = parse_config(args.config)
+        if args.oracles:
+            _apply_oracles(cfg, args.oracles, "--oracles")
+            cfg.raw["oracles"] = args.oracles
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -266,18 +286,6 @@ def cmd_run(args) -> int:
         cfg.out = args.out
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.oracles:
-        cfg.raw["oracles"] = args.oracles
-        for name in args.oracles.split(","):
-            name, _, arg = name.strip().partition(":")
-            if name == "event_driven":
-                cfg.event_driven = True
-            elif name == "monte_carlo":
-                cfg.monte_carlo = int(arg or "10000")
-            else:
-                print(f"--oracles supports event_driven and monte_carlo; "
-                      f"configure {name!r} in the config file", file=sys.stderr)
-                return 2
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()

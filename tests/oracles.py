@@ -9,7 +9,22 @@ differentiating the channel integral under the integral sign.
 import numpy as np
 from scipy.integrate import quad
 
+from qbounce.classical import ClassicalState
 from qbounce.gaussian import QuadraticFormState, evaluate_packet
+
+
+def state_at_linear_scan(traj, t: float) -> ClassicalState:
+    """ClassicalTrajectory.state_at by scanning every event in order."""
+    if t < traj.initial.t:
+        raise ValueError("t precedes the trajectory start")
+    s = traj.initial
+    for e in traj.events:
+        if e.t > t:
+            break
+        s = e.state
+    dt = t - s.t
+    return ClassicalState(x=s.x + s.v_x * dt, y=s.y + s.v_y * dt,
+                          v_x=s.v_x, v_y=s.v_y, t=t, n=s.n)
 
 
 def packet_norm_quadrature(packet, span: float = 40.0) -> float:

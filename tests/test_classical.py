@@ -183,6 +183,13 @@ class TestEventDrivenTrajectory:
 class TestCollisionTableBridge:
     """The exact recursion table must reproduce the event-driven oracle."""
 
+    def test_cached_table_is_shared_and_read_only(self):
+        tab = collision_table(0.05)
+        assert collision_table(0.05) is tab
+        for arr in (tab.times, tab.positions, tab.v_x, tab.v_y):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
     @pytest.mark.parametrize("eps", [0.1, 0.05])
     def test_times_and_positions_match_oracle(self, eps):
         m = MassPair.from_epsilon(eps)

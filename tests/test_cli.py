@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qbounce.cli import (ConfigError, main, parse_config, SERIES_COLUMNS)
+from qbounce.classical import collision_table
+from qbounce.cli import (ConfigError, compute_series, main, parse_config,
+                         SERIES_COLUMNS)
 
 BASE_CONFIG = """\
 # light molecule bouncing off a heavy partner
@@ -131,6 +134,68 @@ class TestRun:
         cfg = write_config(tmp_path, BASE_CONFIG + "bogus = 1\n")
         assert main(["run", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, flags, match", [
+        ("seed = zero", [], "'seed': expected an integer, got 'zero'"),
+        ("oracles = monte_carlo:lots", [], "expected an integer, got 'lots'"),
+        ("oracles = monte_carlo:0", [], "must be positive, got 0"),
+        ("oracles = monte_carlo:-5", [], "must be positive, got -5"),
+        ("oracles = grid:n=abc;l=30;dt=2e-3", [], "grid n: expected an integer"),
+        ("oracles = grid:n=512;l=30;dt=fast", [], "grid dt: expected a number"),
+        ("", ["--oracles", "monte_carlo:x"], "--oracles: monte_carlo sample count"),
+        ("", ["--oracles", "monte_carlo:0"], "--oracles: .* must be positive"),
+        ("", ["--oracles", "bogus"], "--oracles: unknown oracle 'bogus'"),
+    ], ids=["seed", "mc-count", "mc-zero", "mc-negative", "grid-n", "grid-dt",
+            "cli-mc-count", "cli-mc-zero", "cli-unknown"])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, extra, flags, match):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("seed     = 0\n", "")
+                           + extra + "\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: ")
+        assert re.search(match, err)
+        assert not out.exists()
+
+    def test_cli_oracles_share_config_parser(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out),
+                     "--oracles", "event_driven,monte_carlo:300"]) == 0
+        header = (out / "series.csv").read_text().splitlines()[0].split(",")
+        assert header[-2:] == ["mc_dsigma_y", "mc_dsigma_x"]
+
+    def test_series_builds_collision_table_once(self, tmp_path):
+        # one table per scenario, not one per instant: the per-instant
+        # rebuilds made the analytic series O(n_max^2)
+        cfg = parse_config(write_config(tmp_path, BASE_CONFIG.replace(
+            "p_x0     = 190.0", "p_x0     = 191.0")))
+        collision_table.cache_clear()
+        rows, _ = compute_series(cfg)
+        info = collision_table.cache_info()
+        assert len(rows) == 32
+        assert info.misses <= 1
+        assert info.hits + info.misses <= 2
+
+    def test_small_eps_run_returns_to_purity_one(self, tmp_path):
+        # eps = 1e-4: n_max = 7853 and 15,708 auto-schedule instants; each
+        # instant must cost O(log n_max), or this run takes minutes
+        text = (BASE_CONFIG.replace("m_y      = 400.0", "m_y      = 1e8")
+                .replace("sigma0y  = 0.5", "sigma0y  = 5e-4")
+                .replace("p_x0     = 190.0", "p_x0     = 4e4"))
+        cfg = write_config(tmp_path, text)
+        params = parse_config(cfg).params
+        assert params.validity_figure == pytest.approx(1.27, abs=0.01)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        with open(out / "series.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 15708
+        # the last row follows the final collision, past n_cr = 7853.98
+        assert float(rows[-1]["n"]) > params.n_cr
+        assert float(rows[-1]["purity"]) == pytest.approx(1.0, abs=1e-6)
+        assert min(float(r["purity"]) for r in rows) < 0.9
 
 
 class TestCompare:

@@ -1,0 +1,86 @@
+"""The O(log n_max) per-instant lookups against the per-event definitions.
+
+Instants are drawn where a lookup can go wrong: on an event time, one ulp
+either side of it, and midway between neighbouring events.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qbounce.channels import (WIDTH_RATIO_GATE, ScenarioParams, initial_ensemble,
+                              mixed_phase_gate, reference_trajectory, split_width)
+from qbounce.classical import channel_kinematics, collision_table, pair_collision_times
+from qbounce.gaussian import MassPair
+from oracles import state_at_linear_scan
+
+
+@st.composite
+def admissible_params(draw):
+    """ScenarioParams with eps in [1e-3, 0.2] that pass every gate."""
+    eps = draw(st.floats(1e-3, 0.2))
+    x_M0 = draw(st.floats(1.0, 50.0))
+    y_M0 = x_M0 + draw(st.floats(1.0, 50.0))
+    limit = WIDTH_RATIO_GATE * min(x_M0, y_M0 - x_M0)
+    sigma0x = limit * draw(st.floats(0.05, 1.0))
+    # broad-heavy branch: m_y sigma0y^2 > m_x sigma0x^2, i.e. sigma0y > eps sigma0x
+    sigma0y = min(limit, eps * sigma0x
+                  + (limit - eps * sigma0x) * draw(st.floats(0.01, 1.0)))
+    return ScenarioParams(x_M0=x_M0, y_M0=y_M0, sigma0x=sigma0x, sigma0y=sigma0y,
+                          p_x0=draw(st.floats(1.0, 1e4)),
+                          masses=MassPair.from_epsilon(eps))
+
+
+def draw_instant(data, times) -> float:
+    """An event time, its float neighbour on either side, or a midpoint."""
+    i = data.draw(st.integers(0, len(times) - 1))
+    how = data.draw(st.sampled_from(["at", "below", "above", "mid"]))
+    t = float(times[i])
+    if how == "below":
+        t = math.nextafter(t, -math.inf)
+    elif how == "above":
+        t = math.nextafter(t, math.inf)
+    elif how == "mid":
+        t = (t + float(times[min(i + 1, len(times) - 1)])) / 2
+    return max(t, 0.0)
+
+
+def endpoint_offsets(params):
+    dsigma_y0, _ = split_width(params)
+    return params.y_M0 - 3 * dsigma_y0, params.y_M0 + 3 * dsigma_y0
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=admissible_params(), data=st.data())
+def test_state_at_matches_linear_scan(params, data):
+    traj = reference_trajectory(params)
+    for _ in range(8):
+        t = draw_instant(data, [0.0, *traj.event_times])
+        assert traj.state_at(t) == state_at_linear_scan(traj, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=admissible_params(), data=st.data())
+def test_mixed_phase_gate_matches_channel_counts(params, data):
+    lo, hi = endpoint_offsets(params)
+    table = collision_table(params.eps)
+    ends = pair_collision_times(np.array([lo, hi]), params.x_M0, params.v_x0, table)
+    times = np.sort(np.concatenate([[0.0], *ends,
+                                    reference_trajectory(params).event_times]))
+    e0 = initial_ensemble(params)
+    for _ in range(8):
+        t = draw_instant(data, times)
+        n_lo, n_hi = (int(channel_kinematics(t, np.array([y0]), params.x_M0,
+                                             params.v_x0, table)[2][0])
+                      for y0 in (lo, hi))
+        assert mixed_phase_gate(e0, params, t) is (n_lo == n_hi)
+
+
+def test_state_at_before_start_rejected():
+    traj = reference_trajectory(ScenarioParams(
+        x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5, p_x0=190.0,
+        masses=MassPair.from_epsilon(0.05)))
+    with pytest.raises(ValueError, match="precedes"):
+        traj.state_at(-1e-9)
