@@ -86,6 +86,13 @@ def _number(kind, text: str, what: str):
         raise ConfigError(f"{what}: expected {expected}, got {text!r}") from None
 
 
+def _seed(seed: int, what: str) -> int:
+    """seed, checked up front: numpy's generators reject negative seeds."""
+    if seed < 0:
+        raise ConfigError(f"{what}: must be non-negative, got {seed}")
+    return seed
+
+
 def _apply_oracles(cfg: ScenarioConfig, spec: str, where: str) -> None:
     """Switch on the oracles of a comma-separated spec; errors start with `where`."""
     for spec_str in (s.strip() for s in spec.split(",") if s.strip()):
@@ -159,7 +166,8 @@ def parse_config(path) -> ScenarioConfig:
         if not instants:
             raise ConfigError(f"{path}: schedule is empty")
         cfg.schedule = instants
-    cfg.seed = _number(int, raw.get("seed", "0"), f"{path}: key 'seed'")
+    what = f"{path}: key 'seed'"
+    cfg.seed = _seed(_number(int, raw.get("seed", "0"), what), what)
     cfg.out = raw.get("out", "out")
     cfg.formats = tuple(s.strip() for s in raw.get("formats", "csv,json").split(","))
     for fmt in cfg.formats:
@@ -278,14 +286,15 @@ def cmd_run(args) -> int:
         cfg = parse_config(args.config)
         if args.oracles:
             _apply_oracles(cfg, args.oracles, "--oracles")
-            cfg.raw["oracles"] = args.oracles
+            cfg.raw["oracles"] = ",".join(
+                s for s in (cfg.raw.get("oracles", ""), args.oracles) if s)
+        if args.seed is not None:
+            cfg.seed = _seed(args.seed, "--seed")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.out:
         cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()

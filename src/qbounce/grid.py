@@ -8,9 +8,10 @@ transform of a Hermitian tridiagonal operator on its row/column segment, so
 every step is exactly unitary in the discrete norm and the only errors are
 O(dt^2) splitting and O(h^2) dispersion.
 
-Row segments all start at the wall and column segments all end at the top
-boundary, which lets one vectorized Thomas elimination sweep handle every
-row/column at once; numba kernels are used when available.
+Every x-segment starts at the wall node i = 1, so one Thomas elimination along
+axis 0 solves them all at once; the anti-diagonal mirror (x, y) -> (L - y,
+L - x) maps the triangle onto itself and turns the y-segments into such
+x-segments, so the same routine does the y sweep.
 """
 
 from __future__ import annotations
@@ -23,12 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianPacket, MassPair, QuadraticFormState
-
-try:
-    import numba as _nb
-    HAVE_NUMBA = True
-except ImportError:          # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
 
 MIN_POINTS_PER_SIGMA = 8
 MIN_POINTS_PER_WAVELENGTH = 8
@@ -174,83 +169,30 @@ def _cn_coeffs(gamma: complex, n: int):
     return cp, inv
 
 
-def _cn_rhs_x(psi: np.ndarray, gamma: complex) -> np.ndarray:
-    r = (1 - 2j * gamma) * psi
-    r[1:-1, :] += 1j * gamma * (psi[:-2, :] + psi[2:, :])
-    return r
+def _sweep_lines(psi, gamma, cp, inv):
+    """CN solve along axis 0 for every segment [1, j-1] of column j at once.
 
-
-def _cn_rhs_y(psi: np.ndarray, gamma: complex) -> np.ndarray:
-    r = (1 - 2j * gamma) * psi
-    r[:, 1:-1] += 1j * gamma * (psi[:, :-2] + psi[:, 2:])
-    return r
-
-
-def _sweep_x_numpy(psi, gamma, cp, inv, active):
-    """CN solve along x for every row segment [1, j-1] at once."""
-    n = psi.shape[0] - 1
-    r = _cn_rhs_x(psi, gamma)
-    a = -1j * gamma
-    d = np.zeros_like(psi)
-    for i in range(1, n):
-        d[i, :] = (r[i, :] - a * d[i - 1, :]) * inv[i]
-    out = np.zeros_like(psi)
-    for i in range(n - 1, 0, -1):
-        out[i, :] = (d[i, :] - cp[i] * out[i + 1, :]) * active[i, :]
-    return out
-
-def _sweep_y_numpy(psi, gamma, cp, inv, active):
-    """CN solve along y for every column segment [i+1, n-1] at once.
-
-    Elimination runs downward from the shared top boundary; the varying wall
-    end is handled by masking during the upward substitution.
+    Row i takes part only in the segments of columns i+1 ... n-1, so each row
+    of the elimination touches just those.  psi must vanish outside the
+    triangle; the result does too, because no row writes outside it.
     """
     n = psi.shape[0] - 1
-    r = _cn_rhs_y(psi, gamma)
     a = -1j * gamma
-    d = np.zeros_like(psi)
-    for j in range(n - 1, 0, -1):
-        d[:, j] = (r[:, j] - a * d[:, j + 1]) * inv[n - j]
+    d = (1 - 2j * gamma) * psi
+    d[1:-1] += 1j * gamma * (psi[:-2] + psi[2:])
+    for i in range(1, n - 1):
+        s = slice(i + 1, n)
+        d[i, s] = (d[i, s] - a * d[i - 1, s]) * inv[i]
     out = np.zeros_like(psi)
-    for j in range(1, n):
-        out[:, j] = (d[:, j] - cp[n - j] * out[:, j - 1]) * active[:, j]
+    for i in range(n - 2, 0, -1):
+        s = slice(i + 1, n)
+        out[i, s] = d[i, s] - cp[i] * out[i + 1, s]
     return out
 
 
-if HAVE_NUMBA:
-    @_nb.njit(cache=True, parallel=True)
-    def _sweep_x_numba(psi, gamma, cp, inv):    # pragma: no cover - jitted
-        n = psi.shape[0] - 1
-        a = -1j * gamma
-        out = np.zeros_like(psi)
-        for j in _nb.prange(2, n):
-            hi = j - 1                      # segment [1, hi]
-            d = np.zeros(hi + 1, dtype=np.complex128)
-            for i in range(1, hi + 1):
-                r = (1 - 2j * gamma) * psi[i, j] + 1j * gamma * (psi[i - 1, j] + psi[i + 1, j])
-                d[i] = (r - a * d[i - 1]) * inv[i]
-            prev = 0.0 + 0.0j
-            for i in range(hi, 0, -1):
-                prev = d[i] - cp[i] * prev
-                out[i, j] = prev
-        return out
-
-    @_nb.njit(cache=True, parallel=True)
-    def _sweep_y_numba(psi, gamma, cp, inv):    # pragma: no cover - jitted
-        n = psi.shape[0] - 1
-        a = -1j * gamma
-        out = np.zeros_like(psi)
-        for i in _nb.prange(1, n - 1):
-            lo = i + 1                      # segment [lo, n-1]
-            d = np.zeros(n + 1, dtype=np.complex128)
-            for j in range(n - 1, lo - 1, -1):
-                r = (1 - 2j * gamma) * psi[i, j] + 1j * gamma * (psi[i, j - 1] + psi[i, j + 1])
-                d[j] = (r - a * d[j + 1]) * inv[n - j]
-            prev = 0.0 + 0.0j
-            for j in range(lo, n):
-                prev = d[j] - cp[n - j] * prev
-                out[i, j] = prev
-        return out
+def _reflect(psi):
+    """The field under (x, y) -> (L - y, L - x): swaps the axes, keeps the triangle."""
+    return np.ascontiguousarray(psi[::-1, ::-1].T)
 
 
 class _Stepper:
@@ -266,18 +208,11 @@ class _Stepper:
         self.gy = dt / (4 * masses.m_y * h * h)   # full step in y
         self.cpx, self.invx = _cn_coeffs(self.gx, spec.n)
         self.cpy, self.invy = _cn_coeffs(self.gy, spec.n)
-        self.active = spec.domain_mask()
 
     def step(self, psi: np.ndarray) -> np.ndarray:
-        if HAVE_NUMBA:
-            psi = _sweep_x_numba(psi, self.gx, self.cpx, self.invx)
-            psi = _sweep_y_numba(psi, self.gy, self.cpy, self.invy)
-            psi = _sweep_x_numba(psi, self.gx, self.cpx, self.invx)
-        else:
-            psi = _sweep_x_numpy(psi, self.gx, self.cpx, self.invx, self.active)
-            psi = _sweep_y_numpy(psi, self.gy, self.cpy, self.invy, self.active)
-            psi = _sweep_x_numpy(psi, self.gx, self.cpx, self.invx, self.active)
-        return psi
+        psi = _sweep_lines(psi, self.gx, self.cpx, self.invx)
+        psi = _reflect(_sweep_lines(_reflect(psi), self.gy, self.cpy, self.invy))
+        return _sweep_lines(psi, self.gx, self.cpx, self.invx)
 
 
 def evolve(field: GridField, masses: MassPair, dt: float, steps: int,
@@ -308,19 +243,23 @@ def evolve(field: GridField, masses: MassPair, dt: float, steps: int,
 # observables
 # ---------------------------------------------------------------------------
 
+def _gram(psi: np.ndarray) -> np.ndarray:
+    """psi^H psi, whose eigenvalues are the squared singular values of psi."""
+    return psi.conj().T @ psi
+
+
 def schmidt_purity(field: GridField) -> float:
-    """Sum s^4 / (sum s^2)^2 over the singular values of the amplitude matrix."""
-    s = np.linalg.svd(field.psi, compute_uv=False)
-    s2 = s * s
-    return float(np.sum(s2 * s2) / np.sum(s2) ** 2)
+    """Sum s^4 / (sum s^2)^2 over the singular values s of the amplitude
+    matrix, as ||G||_F^2 / (tr G)^2 of its Gram matrix G."""
+    g = _gram(field.psi)
+    return float(np.vdot(g, g).real / np.trace(g).real ** 2)
 
 
 def schmidt_entropy(field: GridField) -> float:
     """Entropy of the normalized Schmidt spectrum."""
-    s = np.linalg.svd(field.psi, compute_uv=False)
-    lam = s * s
+    lam = np.linalg.eigvalsh(_gram(field.psi))
     lam = lam / lam.sum()
-    lam = lam[lam > 0]          # after normalizing: drop underflowed weights
+    lam = lam[lam > 0]          # drop rounding-level negative and underflowed weights
     return float(-np.sum(lam * np.log(lam)))
 
 

@@ -27,6 +27,36 @@ def state_at_linear_scan(traj, t: float) -> ClassicalState:
                           v_x=s.v_x, v_y=s.v_y, t=t, n=s.n)
 
 
+def cn_lines_dense(psi: np.ndarray, gamma: float, axis: int) -> np.ndarray:
+    """One Crank-Nicolson sweep over the triangle, one dense solve per segment.
+
+    Along axis 0 the segment of column j is rows 1 ... j-1, along axis 1 the
+    segment of row i is columns i+1 ... n-1; each solves
+    (I + i gamma T) x = (I - i gamma T) psi with T = tridiag(-1, 2, -1).
+    """
+    n = psi.shape[0] - 1
+    out = np.zeros_like(psi)
+    for k in range(1, n):
+        idx = np.arange(1, k) if axis == 0 else np.arange(k + 1, n)
+        m = len(idx)
+        if m == 0:
+            continue
+        t = 2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+        line = (idx, k) if axis == 0 else (k, idx)
+        rhs = (np.eye(m) - 1j * gamma * t) @ psi[line]
+        out[line] = np.linalg.solve(np.eye(m) + 1j * gamma * t, rhs)
+    return out
+
+
+def schmidt_by_svd(psi: np.ndarray) -> tuple[float, float]:
+    """Purity and entropy of the Schmidt spectrum from the singular values."""
+    s2 = np.linalg.svd(psi, compute_uv=False) ** 2
+    purity = float(np.sum(s2 * s2) / np.sum(s2) ** 2)
+    lam = s2 / s2.sum()
+    lam = lam[lam > 0]
+    return purity, float(-np.sum(lam * np.log(lam)))
+
+
 def packet_norm_quadrature(packet, span: float = 40.0) -> float:
     """Integral of |phi|^2 by adaptive quadrature."""
     c = packet.center

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -145,8 +148,11 @@ class TestRun:
         ("", ["--oracles", "monte_carlo:x"], "--oracles: monte_carlo sample count"),
         ("", ["--oracles", "monte_carlo:0"], "--oracles: .* must be positive"),
         ("", ["--oracles", "bogus"], "--oracles: unknown oracle 'bogus'"),
+        ("seed = -1", [], "'seed': must be non-negative, got -1"),
+        ("", ["--seed", "-1"], "--seed: must be non-negative, got -1"),
     ], ids=["seed", "mc-count", "mc-zero", "mc-negative", "grid-n", "grid-dt",
-            "cli-mc-count", "cli-mc-zero", "cli-unknown"])
+            "cli-mc-count", "cli-mc-zero", "cli-unknown", "seed-negative",
+            "cli-seed-negative"])
     def test_malformed_value_exit_code(self, tmp_path, capsys, extra, flags, match):
         cfg = write_config(tmp_path, BASE_CONFIG.replace("seed     = 0\n", "")
                            + extra + "\n")
@@ -165,6 +171,30 @@ class TestRun:
                      "--oracles", "event_driven,monte_carlo:300"]) == 0
         header = (out / "series.csv").read_text().splitlines()[0].split(",")
         assert header[-2:] == ["mc_dsigma_y", "mc_dsigma_x"]
+
+    def test_manifest_lists_config_and_cli_oracles(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace(
+            "schedule = auto",
+            "schedule = auto\noracles  = monte_carlo:500"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out),
+                     "--oracles", "event_driven"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = {s.partition(":")[0] for s in manifest["config"]["oracles"].split(",")}
+        assert names == {"monte_carlo", "event_driven"}
+        header = (out / "series.csv").read_text().splitlines()[0].split(",")
+        assert header[-2:] == ["mc_dsigma_y", "mc_dsigma_x"]
+
+    def test_import_loads_neither_scipy_nor_numba(self):
+        # either would add to every run's start-up time and peak memory
+        code = ("import sys, qbounce.cli; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} "
+                "& {'scipy', 'numba'}))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.stdout.strip() == "[]"
 
     def test_series_builds_collision_table_once(self, tmp_path):
         # one table per scenario, not one per instant: the per-instant

@@ -14,7 +14,16 @@ from qbounce.grid import (GridSpec, evolve, energy, field_from_packets,
                           save_snapshot, schmidt_entropy, schmidt_purity,
                           write_marginals_csv)
 
+from oracles import cn_lines_dense, schmidt_by_svd
+
 MASSES = MassPair(1.0, 25.0)
+
+
+def random_triangle_field(spec: GridSpec, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    shape = (spec.n + 1, spec.n + 1)
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return np.where(spec.domain_mask(), psi, 0)
 
 
 def compliant_params():
@@ -112,7 +121,38 @@ class TestEvolve:
         assert np.all(f.psi[outside] == 0)
 
 
+class TestLineSolver:
+    @pytest.mark.parametrize("gamma", [0.07, 5.0])
+    def test_sweeps_match_dense_solves(self, gamma):
+        # gamma = 5 takes |cp| close to 1, where back substitution damps
+        # rounding errors least
+        spec = GridSpec(n=24, length=1.0)
+        psi = random_triangle_field(spec)
+        cp, inv = grid._cn_coeffs(gamma, spec.n)
+        along_x = grid._sweep_lines(psi, gamma, cp, inv)
+        along_y = grid._reflect(grid._sweep_lines(grid._reflect(psi), gamma, cp, inv))
+        np.testing.assert_allclose(along_x, cn_lines_dense(psi, gamma, axis=0),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(along_y, cn_lines_dense(psi, gamma, axis=1),
+                                   rtol=0, atol=1e-13)
+
+    def test_reflect_is_an_involution_preserving_the_triangle(self):
+        spec = GridSpec(n=24, length=1.0)
+        rng = np.random.default_rng(1)
+        psi = rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25))
+        np.testing.assert_array_equal(grid._reflect(grid._reflect(psi)), psi)
+        mask = spec.domain_mask()
+        np.testing.assert_array_equal(grid._reflect(mask), mask)
+
+
 class TestSchmidtPurity:
+    def test_gram_matrix_matches_svd(self):
+        spec = GridSpec(n=64, length=1.0)
+        f = grid.GridField(psi=random_triangle_field(spec, seed=2), spec=spec, t=0.0)
+        purity, entropy = schmidt_by_svd(f.psi)
+        assert schmidt_purity(f) == pytest.approx(purity, abs=1e-12)
+        assert schmidt_entropy(f) == pytest.approx(entropy, abs=1e-12)
+
     def test_product_field(self):
         spec = GridSpec(n=128, length=12.0)
         px = GaussianPacket.initial(3.5, 0.6, 0.0, 1.0)
