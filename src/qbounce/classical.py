@@ -138,12 +138,6 @@ class ClassicalTrajectory:
         return ClassicalState(x=s.x + s.v_x * dt, y=s.y + s.v_y * dt,
                               v_x=s.v_x, v_y=s.v_y, t=t, n=s.n)
 
-    def counts_at(self, t: float) -> tuple[int, int]:
-        """(pair, wall) event counts up to and including time t."""
-        pair = sum(1 for e in self.events if e.kind == "pair" and e.t <= t)
-        wall = sum(1 for e in self.events if e.kind == "wall" and e.t <= t)
-        return pair, wall
-
 
 def event_driven_trajectory(x0: float, y0: float, v_x0: float, masses: MassPair,
                             t_end: float | None = None,
@@ -303,52 +297,72 @@ def pair_collision_times(y_m0, x_m0: float, v_x0: float,
             + y_m0[..., None] * rel / v_x0)
 
 
+def _count_error(t: float, k: np.ndarray, y_m0: np.ndarray, start: np.ndarray,
+                 v_x0: float, rel: np.ndarray) -> np.ndarray:
+    """+1 where count k is one short at t, -1 where it is one over, else 0.
+
+    Compares t with the channel's entries k-1 and k of the times
+    start + y_m0 rel / v_x0, evaluated exactly as pair_collision_times does.
+    """
+    last = len(rel) - 1
+    short = (k <= last) & (start + y_m0 * rel[np.minimum(k, last)] / v_x0 <= t)
+    over = (k > 0) & (start + y_m0 * rel[np.maximum(k - 1, 0)] / v_x0 > t)
+    return short.astype(int) - over
+
+
+def _pair_count(t: float, y_m0: np.ndarray, start: np.ndarray, v_x0: float,
+                rel: np.ndarray) -> np.ndarray:
+    """Per channel, how many of the times start + y_m0 rel / v_x0 are <= t.
+
+    Each channel's row of times is non-decreasing (y_m0 > 0), so a
+    searchsorted on the unit gap sequence gives the count up to rounding;
+    the guess is then stepped, one collision at a time and only where it is
+    off, until the exact row entries on either side bracket t.
+    """
+    k = np.searchsorted(rel, (t - start) * v_x0 / y_m0, "right")
+    step = _count_error(t, k, y_m0, start, v_x0, rel)
+    rows = np.flatnonzero(step)
+    step = step[rows]
+    while rows.size:
+        k[rows] += step
+        step = _count_error(t, k[rows], y_m0[rows], start[rows], v_x0, rel)
+        rows, step = rows[step != 0], step[step != 0]
+    return k
+
+
 def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
                        table: CollisionTable):
     """Exact (x_m, y_m, pair count, wall count) at time t, vectorized over y_m0.
 
+    y_m0 is a scalar or 1-D array of initial heavy positions, all positive.
     Between collisions the light particle follows |y(k) - (t - t_k) v_x(k)|,
-    which folds the wall bounce into one expression.
+    which folds the wall bounce into one expression.  The pair count is a
+    per-channel search over the channel's entries of pair_collision_times,
+    evaluated by the same expression, so it costs O(log K) per channel and
+    no (channels, K) array is formed.
     """
     y_m0 = np.atleast_1d(np.asarray(y_m0, dtype=float))
-    times = pair_collision_times(y_m0, x_m0, v_x0, table)     # (..., K)
-    k = (times <= t).sum(axis=-1)                             # collisions so far
+    rel = table.times[1:] - table.times[1]                    # as pair_collision_times
+    start = (y_m0 - x_m0) / v_x0                              # first collision time
+    k = _pair_count(t, y_m0, start, v_x0, rel)                # collisions so far
     before = k == 0
     ki = np.maximum(k - 1, 0)                                 # index into table rows
     pos_k = y_m0 * table.positions[1:][ki]
-    t_k = np.take_along_axis(times, ki[..., None], axis=-1)[..., 0]
+    t_k = start + y_m0 * rel[ki] / v_x0
     vx_k = v_x0 * table.v_x[1:][ki]
     vy_k = v_x0 * table.v_y[1:][ki]
     tau = t - t_k
     y_m = np.where(before, y_m0, pos_k + tau * vy_k)
     x_m = np.where(before, x_m0 + v_x0 * t, np.abs(pos_k - tau * vx_k))
     # wall bounces: one after each collision once the light particle reaches
-    # x = 0, provided it recoiled toward the wall (folded v_x > 0)
+    # x = 0, provided it recoiled toward the wall (folded v_x > 0).  The
+    # bounce after collision j comes before collision j+1, so every bounce
+    # but the one after the latest collision has happened by t.
+    toward_wall = table.v_x[1:] > 0
+    earlier = np.concatenate(([0], np.cumsum(toward_wall)))
     with np.errstate(divide="ignore"):
-        wall_times = times + (y_m0[..., None] * table.positions[1:]
-                              / (v_x0 * table.v_x[1:]))
-    walls = ((times <= t) & (wall_times <= t) & (table.v_x[1:] > 0)).sum(axis=-1)
-    return x_m, y_m, k, walls
-
-
-def channel_coords(y_m0: float, t: float, *, x_M0: float, y_M0: float,
-                   v_x0: float, eps: float) -> tuple[float, float]:
-    """Channel coordinates from the linear scaling law around the reference.
-
-    x_m = x_M(t) + (sin(2 eps n)/eps) (y_m0 - y_M0),
-    y_m = y_M(t) + cos(2 eps n) (y_m0 - y_M0),
-    with the reference trajectory and n taken from the exact kinematics.
-    The instant must be between collisions for both channels.
-    """
-    table = collision_table(eps)
-    x_ref, y_ref, n_ref, w_ref = channel_kinematics(t, np.array([y_M0]), x_M0, v_x0, table)
-    _, _, n_ch, w_ch = channel_kinematics(t, np.array([y_m0]), x_M0, v_x0, table)
-    if n_ref[0] != n_ch[0] or w_ref[0] != w_ch[0]:
-        raise ValueError("mixed-phase instant: channels straddle an event")
-    n = float(n_ref[0])
-    off = y_m0 - y_M0
-    return (float(x_ref[0]) + math.sin(2 * eps * n) / eps * off,
-            float(y_ref[0]) + math.cos(2 * eps * n) * off)
+        latest = ~before & toward_wall[ki] & (t_k + pos_k / vx_k <= t)
+    return x_m, y_m, k, earlier[ki] + latest
 
 
 @dataclass(frozen=True)
@@ -375,15 +389,16 @@ def monte_carlo_positions(times, n_samples: int, seed: int, *, y_M0: float,
 
     Returns (x_m, y_m, counts) arrays of shape (n_samples, len(times)).
     Samples are independent channels run through the exact kinematics with a
-    deterministic seed.
+    deterministic seed.  The arrays are transposed views of instant-major
+    (len(times), n_samples) buffers, so column j, one instant's ensemble,
+    is contiguous in memory.
     """
     rng = np.random.default_rng(seed)
     y0 = rng.normal(y_M0, dsigma_y0, size=n_samples)
     table = collision_table(eps)
-    xs = np.empty((n_samples, len(times)))
-    ys = np.empty((n_samples, len(times)))
-    ns = np.empty((n_samples, len(times)), dtype=int)
+    xs = np.empty((len(times), n_samples))
+    ys = np.empty((len(times), n_samples))
+    ns = np.empty((len(times), n_samples), dtype=int)
     for j, t in enumerate(times):
-        x_m, y_m, k, _ = channel_kinematics(float(t), y0, x_M0, v_x0, table)
-        xs[:, j], ys[:, j], ns[:, j] = x_m, y_m, k
-    return xs, ys, ns
+        xs[j], ys[j], ns[j], _ = channel_kinematics(float(t), y0, x_M0, v_x0, table)
+    return xs.T, ys.T, ns.T

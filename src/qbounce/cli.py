@@ -295,8 +295,6 @@ def cmd_run(args) -> int:
         return 2
     if args.out:
         cfg.out = args.out
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
         rows, details = compute_series(cfg)
@@ -306,6 +304,9 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # made only now, so a run that fails leaves no empty output directory
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_series(rows, out_dir, cfg.formats)
     snap_dir = out_dir / "snapshots"
     for t, f in details.get("snapshots", []):

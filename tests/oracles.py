@@ -6,10 +6,13 @@ on a grid and squaring the reduced density matrix, assembled coefficients by
 differentiating the channel integral under the integral sign.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
 
-from qbounce.classical import ClassicalState
+from qbounce.classical import (ClassicalState, channel_kinematics, collision_table,
+                               pair_collision_times)
 from qbounce.gaussian import QuadraticFormState, evaluate_packet
 
 
@@ -25,6 +28,58 @@ def state_at_linear_scan(traj, t: float) -> ClassicalState:
     dt = t - s.t
     return ClassicalState(x=s.x + s.v_x * dt, y=s.y + s.v_y * dt,
                           v_x=s.v_x, v_y=s.v_y, t=t, n=s.n)
+
+
+def counts_at_linear_scan(traj, t: float) -> tuple[int, int]:
+    """(pair, wall) event counts of a trajectory up to and including time t."""
+    pair = sum(1 for e in traj.events if e.kind == "pair" and e.t <= t)
+    wall = sum(1 for e in traj.events if e.kind == "wall" and e.t <= t)
+    return pair, wall
+
+
+def channel_kinematics_dense(t: float, y_m0, x_m0: float, v_x0: float, table):
+    """classical.channel_kinematics from the full (channels, K) event-time arrays.
+
+    Counts every pair collision and wall bounce with time <= t directly,
+    instead of searching for the latest collision.
+    """
+    y_m0 = np.atleast_1d(np.asarray(y_m0, dtype=float))
+    times = pair_collision_times(y_m0, x_m0, v_x0, table)     # (..., K)
+    k = (times <= t).sum(axis=-1)
+    before = k == 0
+    ki = np.maximum(k - 1, 0)
+    pos_k = y_m0 * table.positions[1:][ki]
+    t_k = np.take_along_axis(times, ki[..., None], axis=-1)[..., 0]
+    vx_k = v_x0 * table.v_x[1:][ki]
+    vy_k = v_x0 * table.v_y[1:][ki]
+    tau = t - t_k
+    y_m = np.where(before, y_m0, pos_k + tau * vy_k)
+    x_m = np.where(before, x_m0 + v_x0 * t, np.abs(pos_k - tau * vx_k))
+    with np.errstate(divide="ignore"):
+        wall_times = times + (y_m0[..., None] * table.positions[1:]
+                              / (v_x0 * table.v_x[1:]))
+    walls = ((times <= t) & (wall_times <= t) & (table.v_x[1:] > 0)).sum(axis=-1)
+    return x_m, y_m, k, walls
+
+
+def channel_coords(y_m0: float, t: float, *, x_M0: float, y_M0: float,
+                   v_x0: float, eps: float) -> tuple[float, float]:
+    """Channel coordinates from the linear scaling law around the reference.
+
+    x_m = x_M(t) + (sin(2 eps n)/eps) (y_m0 - y_M0),
+    y_m = y_M(t) + cos(2 eps n) (y_m0 - y_M0),
+    with the reference trajectory and n taken from the exact kinematics.
+    The instant must be between collisions for both channels.
+    """
+    table = collision_table(eps)
+    x_ref, y_ref, n_ref, w_ref = channel_kinematics(t, np.array([y_M0]), x_M0, v_x0, table)
+    _, _, n_ch, w_ch = channel_kinematics(t, np.array([y_m0]), x_M0, v_x0, table)
+    if n_ref[0] != n_ch[0] or w_ref[0] != w_ch[0]:
+        raise ValueError("mixed-phase instant: channels straddle an event")
+    n = float(n_ref[0])
+    off = y_m0 - y_M0
+    return (float(x_ref[0]) + math.sin(2 * eps * n) / eps * off,
+            float(y_ref[0]) + math.cos(2 * eps * n) * off)
 
 
 def cn_lines_dense(psi: np.ndarray, gamma: float, axis: int) -> np.ndarray:

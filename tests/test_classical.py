@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qbounce.classical import (channel_coords, channel_kinematics,
+from qbounce.classical import (channel_kinematics,
                                closed_form_velocities, collision_angle,
                                collision_position_approx, collision_table,
                                collision_time_approx, collision_velocity_map,
@@ -12,7 +12,7 @@ from qbounce.classical import (channel_coords, channel_kinematics,
                                max_collisions, monte_carlo_positions,
                                pair_collision_times)
 from qbounce.gaussian import MassPair
-from oracles import ks_distance_to_gaussian
+from oracles import channel_coords, counts_at_linear_scan, ks_distance_to_gaussian
 
 
 class TestCollisionVelocityMap:
@@ -213,7 +213,7 @@ class TestCollisionTableBridge:
             assert x_m[0] == pytest.approx(s.x, rel=1e-9, abs=1e-9)
             assert y_m[0] == pytest.approx(s.y, rel=1e-9)
             assert n[0] == s.n
-            pair, wall = traj.counts_at(float(t))
+            pair, wall = counts_at_linear_scan(traj, float(t))
             assert (n[0], w[0]) == (pair, wall)
 
 

@@ -132,6 +132,14 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "nearest safe instants" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace(
+            "schedule = auto", "schedule = -1.0"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "backwards" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG + "bogus = 1\n")

@@ -5,6 +5,7 @@ either side of it, and midway between neighbouring events.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qbounce.channels import (WIDTH_RATIO_GATE, ScenarioParams, initial_ensemble
                               mixed_phase_gate, reference_trajectory, split_width)
 from qbounce.classical import channel_kinematics, collision_table, pair_collision_times
 from qbounce.gaussian import MassPair
-from oracles import state_at_linear_scan
+from oracles import channel_kinematics_dense, state_at_linear_scan
 
 
 @st.composite
@@ -76,6 +77,43 @@ def test_mixed_phase_gate_matches_channel_counts(params, data):
                                              params.v_x0, table)[2][0])
                       for y0 in (lo, hi))
         assert mixed_phase_gate(e0, params, t) is (n_lo == n_hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=admissible_params(), data=st.data())
+def test_channel_kinematics_matches_dense(params, data):
+    dsigma_y0, _ = split_width(params)
+    y0 = params.y_M0 + dsigma_y0 * np.linspace(-4, 4, 41)
+    x0, v0 = params.x_M0, params.v_x0
+    table = collision_table(params.eps)
+    pair = pair_collision_times(y0, x0, v0, table)
+    bounce = table.v_x[1:] > 0
+    # as channel_kinematics times the bounce after each collision
+    wall = pair[:, bounce] + (y0[:, None] * table.positions[1:][bounce]
+                              / (v0 * table.v_x[1:][bounce]))
+    times = np.sort(np.concatenate([[0.0], pair.ravel(), wall.ravel()]))
+    for _ in range(8):
+        t = draw_instant(data, times)
+        got = channel_kinematics(t, y0, x0, v0, table)
+        want = channel_kinematics_dense(t, y0, x0, v0, table)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_channel_kinematics_memory_linear_in_channels():
+    """One call at eps = 0.01 (K = 79) allocates O(channels), not O(channels * K)."""
+    n, x0, v0 = 100_000, 25.0, 190.0
+    table = collision_table(0.01)
+    assert table.count == 79
+    y0 = np.random.default_rng(0).normal(50.0, 0.5, n)
+    t = float(pair_collision_times(np.array([50.0]), x0, v0, table)[0, 40])
+    tracemalloc.start()
+    try:
+        channel_kinematics(t, y0, x0, v0, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * n * 8
 
 
 def test_state_at_before_start_rejected():
