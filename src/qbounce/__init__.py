@@ -10,20 +10,19 @@ Layers:
 """
 
 from .gaussian import (GaussianPacket, MassPair, QuadraticFormState,
-                       collide_gaussians, evaluate, free_evolve,
-                       post_collision_momenta, wall_reflect, width_param)
+                       collide_gaussians, collide_velocities, evaluate,
+                       evaluate_packet, free_evolve, wall_reflect, width_param)
 from .classical import (ClassicalState, ClassicalTrajectory, EnsembleWidths,
                         closed_form_velocities, collision_angle,
                         collision_position_approx, collision_time_approx,
-                        collision_velocity_map, collisions_by_time,
-                        critical_count, ensemble_widths,
+                        collisions_by_time, critical_count, ensemble_widths,
                         event_driven_trajectory, max_collisions)
 from .channels import (ChannelEnsemble, EntanglementReport, MixedPhaseError,
                        ScenarioParams, assemble_quadratic_form, axy_formula,
                        energy_exchange_check, entanglement_report,
                        initial_ensemble, mixed_phase_gate, propagate_ensemble,
                        split_width)
-from .grid import (GridField, GridSpec, evolve, init_field, marginals,
-                   overlap, schmidt_purity)
+from .grid import (GridField, GridSpec, energy, evolve, init_field,
+                   load_snapshot, marginals, overlap, schmidt_purity)
 
 __version__ = "0.1.0"

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical
-from .classical import (ClassicalTrajectory, closed_form_velocities,
-                        collision_table, critical_count,
-                        event_driven_trajectory, max_collisions)
+from .classical import (ClassicalTrajectory, channel_rotation,
+                        closed_form_velocities, collision_table, critical_count,
+                        ensemble_widths, event_driven_trajectory, max_collisions)
 from .gaussian import (GaussianPacket, MassPair, QuadraticFormState,
                        normalized, width_param)
 
@@ -48,7 +48,8 @@ class MixedPhaseError(ValueError):
         self.safe_after = after
         msg = f"t={t:g} is not a whole-ensemble between-collision instant"
         if before is not None or after is not None:
-            msg += f" (nearest safe instants: {before:g} and {after:g})"
+            sides = ("none" if s is None else f"{s:g}" for s in (before, after))
+            msg += " (nearest safe instants: {} and {})".format(*sides)
         super().__init__(msg)
 
 
@@ -135,19 +136,17 @@ def split_width(params: ScenarioParams) -> tuple[float, float]:
 class ChannelEnsemble:
     """Classical distribution over channel centres at one instant.
 
-    The centres sit on the line x_m = x_center + slope (y_m - y_center) with
-    a Gaussian of width dsigma_y_n along y_m; slope = tan(2 eps n)/eps.
-    p_xn carries the light particle's direction via sign_x.
+    The centres sit on the line x_m = x_center + (tan(2 eps n)/eps)
+    (y_m - y_center) with a Gaussian of width dsigma_y_n along y_m.  The sign
+    of p_xn is the light particle's direction.
     """
 
     n: float
     x_center: float
     y_center: float
     dsigma_y_n: float
-    slope: float
     p_xn: float
     p_yn: float
-    sign_x: int
     t: float
 
 
@@ -162,8 +161,8 @@ def initial_ensemble(params: ScenarioParams) -> ChannelEnsemble:
     """Ensemble at t = 0: a delta in x_m times a Gaussian in y_m."""
     dsigma_y0, _ = split_width(params)
     return ChannelEnsemble(n=0, x_center=params.x_M0, y_center=params.y_M0,
-                           dsigma_y_n=dsigma_y0, slope=0.0, p_xn=params.p_x0,
-                           p_yn=0.0, sign_x=+1, t=0.0)
+                           dsigma_y_n=dsigma_y0, p_xn=params.p_x0, p_yn=0.0,
+                           t=0.0)
 
 
 @functools.lru_cache(maxsize=32)
@@ -188,7 +187,7 @@ def _endpoint_pair_times(params: ScenarioParams) -> np.ndarray:
     return times
 
 
-def mixed_phase_gate(e: ChannelEnsemble, params: ScenarioParams, t: float) -> bool:
+def mixed_phase_gate(params: ScenarioParams, t: float) -> bool:
     """True when the +-3 sigma span of channels shares one collision count at t.
 
     Exact per-channel counting at the span endpoints (counts are monotone in
@@ -215,8 +214,8 @@ def auto_schedule(params: ScenarioParams) -> list[float]:
 
 
 def nearest_safe_instants(params: ScenarioParams, t: float) -> tuple[float | None, float | None]:
-    """Closest auto-schedule instants before and after t."""
-    sched = auto_schedule(params)
+    """Closest auto-schedule instants before and after t that pass the gate."""
+    sched = [s for s in auto_schedule(params) if mixed_phase_gate(params, s)]
     before = max((s for s in sched if s <= t), default=None)
     after = min((s for s in sched if s > t), default=None)
     return before, after
@@ -227,15 +226,14 @@ def propagate_ensemble(e: ChannelEnsemble, params: ScenarioParams,
     """Ensemble parameters at a later between-collision instant.
 
     Collision count and centres come from the exact reference trajectory,
-    momenta from the closed-form speeds, width and slope from the rotation
-    law at the current count.  Raises MixedPhaseError when channels straddle
-    an event at t.
+    momenta from the closed-form speeds, width from the rotation law at the
+    current count.  Raises MixedPhaseError when channels straddle an event
+    at t.
     """
     if t < e.t:
         raise ValueError("cannot propagate backwards")
-    if not mixed_phase_gate(e, params, t):
-        before, after = nearest_safe_instants(params, t)
-        raise MixedPhaseError(t, before, after)
+    if not mixed_phase_gate(params, t):
+        raise MixedPhaseError(t, *nearest_safe_instants(params, t))
     traj = reference_trajectory(params)
     ref = traj.state_at(t)
     n = ref.n
@@ -252,20 +250,18 @@ def propagate_ensemble(e: ChannelEnsemble, params: ScenarioParams,
         p_yn = params.masses.m_y * ref.v_y
     return ChannelEnsemble(
         n=n, x_center=ref.x, y_center=ref.y,
-        dsigma_y_n=dsigma_y0 * abs(math.cos(2 * eps * n)),
-        slope=math.tan(2 * eps * n) / eps,
-        p_xn=p_xn, p_yn=p_yn,
-        sign_x=sign, t=t)
+        dsigma_y_n=ensemble_widths(n, eps, dsigma_y0).dsigma_y,
+        p_xn=p_xn, p_yn=p_yn, t=t)
 
 
-def ensemble_at_count(params: ScenarioParams, n, t: float,
-                      sign_x: int = +1) -> ChannelEnsemble:
+def ensemble_at_count(params: ScenarioParams, n, t: float) -> ChannelEnsemble:
     """Ensemble at a prescribed (possibly fractional) collision count.
 
     Continuum evaluation of the rotation laws, used to probe the critical
     count pi/(4 eps) which falls between integer collision indices; centres
     are placed on the asymptotic reference so entanglement quantities, which
     do not depend on them, are evaluated at physically sensible positions.
+    The light particle is taken to move away from the wall.
     """
     eps = params.eps
     dsigma_y0, _ = split_width(params)
@@ -274,11 +270,8 @@ def ensemble_at_count(params: ScenarioParams, n, t: float,
     y_c = classical.collision_position_approx(n_eff, params.y_M0, eps)
     return ChannelEnsemble(
         n=n, x_center=y_c / 2, y_center=y_c,
-        dsigma_y_n=dsigma_y0 * abs(math.cos(2 * eps * n)),
-        slope=math.tan(2 * eps * n) / eps,
-        p_xn=sign_x * params.masses.m_x * v_x,
-        p_yn=params.masses.m_y * v_y,
-        sign_x=sign_x, t=t)
+        dsigma_y_n=ensemble_widths(n, eps, dsigma_y0).dsigma_y,
+        p_xn=params.masses.m_x * v_x, p_yn=params.masses.m_y * v_y, t=t)
 
 
 def _betas(params: ScenarioParams, t: float) -> tuple[complex, complex]:
@@ -288,24 +281,21 @@ def _betas(params: ScenarioParams, t: float) -> tuple[complex, complex]:
     return bx, by
 
 
-def assemble_quadratic_form(e: ChannelEnsemble, params: ScenarioParams,
-                            check_gate: bool = True) -> QuadraticFormState:
+def assemble_quadratic_form(e: ChannelEnsemble, params: ScenarioParams) -> QuadraticFormState:
     """Two-particle quadratic form from the channel superposition at e.t.
 
     The Gaussian channel integral is done in closed form in the initial
     offset w = y_m0 - y_M0, which stays regular through the width zero at
-    the critical count.  The result is normalized.
+    the critical count.  The result is normalized.  The instant is not
+    checked: propagate_ensemble gates it.
     """
-    if check_gate and not mixed_phase_gate(e, params, e.t):
-        before, after = nearest_safe_instants(params, e.t)
-        raise MixedPhaseError(e.t, before, after)
     eps = params.eps
     dsigma_y0, _ = split_width(params)
     d0sq = dsigma_y0**2
     bx2, _ = _betas(params, e.t)
     bt2 = eps**2 * bx2                      # channel heavy width parameter
-    fx = math.sin(2 * eps * e.n) / eps      # offset-to-x_m scale
-    fy = math.cos(2 * eps * e.n)            # offset-to-y_m scale
+    c, s = channel_rotation(e.n, eps)
+    fx, fy = s / eps, c                     # offset-to-x_m and -to-y_m scales
     p, q = 1 / bx2, 1 / bt2
     alpha = -(1 / (2 * d0sq) + fx * fx * p / 2 + fy * fy * q / 2)
     lam_x, lam_y = fx * p, fy * q
@@ -333,29 +323,17 @@ def axy_formula(n, eps: float, beta_x_sq: complex, beta_y_sq: complex) -> comple
             / (2 * eps * beta_x_sq * beta_y_sq))
 
 
-def axx_formula(n, eps: float, beta_x_sq: complex, beta_y_sq: complex) -> complex:
-    """Diagonal x coefficient of the assembled form."""
-    c, s = math.cos(2 * eps * n), math.sin(2 * eps * n)
-    return -(c * c / (2 * beta_x_sq) + s * s * eps**2 / (2 * beta_y_sq))
-
-
-def ayy_formula(n, eps: float, beta_x_sq: complex, beta_y_sq: complex) -> complex:
-    """Diagonal y coefficient of the assembled form."""
-    c, s = math.cos(2 * eps * n), math.sin(2 * eps * n)
-    return -(c * c / (2 * beta_y_sq) + s * s / (2 * eps**2 * beta_x_sq))
-
-
-def energy_exchange_check(t: float, params: ScenarioParams,
-                          rtol: float = 1e-8) -> bool:
+def energy_exchange_check(t: float, params: ScenarioParams) -> bool:
     """At the critical count the diagonal coefficients swap roles.
 
     Checks a_xx(n_cr) = -eps^2/(2 beta_y^2) and a_yy(n_cr) = -1/(2 eps^2
-    beta_x^2): the packets have exchanged the kinetic energies stored in
-    their rest-frame momentum spreads.
+    beta_x^2) to a relative 1e-8: the packets have exchanged the kinetic
+    energies stored in their rest-frame momentum spreads.
     """
+    rtol = 1e-8
     eps = params.eps
     e = ensemble_at_count(params, params.n_cr, t)
-    state = assemble_quadratic_form(e, params, check_gate=False)
+    state = assemble_quadratic_form(e, params)
     bx2, by2 = _betas(params, t)
     want_xx = -eps**2 / (2 * by2)
     want_yy = -1 / (2 * eps**2 * bx2)
@@ -394,29 +372,3 @@ def entanglement_report(state: QuadraticFormState) -> EntanglementReport:
     purity = purity_from_coefficients(state.a_xx, state.a_yy, state.a_xy)
     return EntanglementReport(a_xy=state.a_xy, purity=purity,
                               schmidt_entropy=schmidt_entropy_from_purity(purity))
-
-
-def composed_marginal_variances(params: ScenarioParams, n, t: float) -> tuple[float, float]:
-    """Marginal position variances predicted by the coherent channel sum.
-
-    The incoherent guess (classical spread plus single-packet width) is wrong
-    because channels interfere; carrying the interference through the
-    Gaussian integrals gives, with B = beta_x^2, E = beta_y^2, s2 = sigma0y^2,
-
-        Var_y = |E|^2 [c^2 d0^2 Re(BE) + e2] / (2 s2 [d0^2 Re(BE) + e2])
-        Var_x = |E|^2 [s^2 d0^2 Re(BE) + e2] / (2 eps^2 s2 [d0^2 Re(BE) + e2])
-
-    where e2 = eps^2 |B|^2 s2 and (c, s) = (cos, sin)(2 eps n).
-    """
-    eps = params.eps
-    dsigma_y0, _ = split_width(params)
-    d0sq = dsigma_y0**2
-    bb, ee = _betas(params, t)
-    c, s = math.cos(2 * eps * n), math.sin(2 * eps * n)
-    re_be = (bb * ee).real
-    s2 = params.sigma0y**2
-    e2 = eps**2 * abs(bb) ** 2 * s2
-    common = d0sq * re_be + e2
-    var_y = abs(ee) ** 2 * (c * c * d0sq * re_be + e2) / (2 * s2 * common)
-    var_x = abs(ee) ** 2 * (s * s * d0sq * re_be + e2) / (2 * eps**2 * s2 * common)
-    return var_x, var_y

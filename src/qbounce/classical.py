@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import MassPair
+from .gaussian import MassPair, collide_velocities
 
 # relative tie-break window for simultaneous wall/pair events
 _TIE = 1e-14
@@ -54,22 +54,6 @@ def max_collisions(eps: float) -> int:
 def critical_count(eps: float) -> float:
     """Continuum collision count pi / (4 eps) where the ensemble refocuses."""
     return math.pi / (4 * eps)
-
-
-def collision_velocity_map(v_x: float, v_y: float, masses: MassPair) -> tuple[float, float]:
-    """One pair collision followed by the wall bounce, in folded speeds.
-
-    Takes the approach speeds (v_x toward the heavy particle, v_y away from
-    the wall), applies the elastic collision and re-folds the light particle's
-    recoil through the wall, so both outputs are again approach speeds.
-    Conserves m_x v_x^2 + m_y v_y^2 exactly.
-    """
-    if v_x <= v_y:
-        raise ValueError("approach speeds must be closing (v_x > v_y)")
-    m = masses.total
-    v_x_new = ((masses.m_y - masses.m_x) * v_x - 2 * masses.m_y * v_y) / m
-    v_y_new = (2 * masses.m_x * v_x + (masses.m_y - masses.m_x) * v_y) / m
-    return v_x_new, v_y_new
 
 
 def closed_form_velocities(n, eps: float, v_x0: float) -> tuple[float, float]:
@@ -140,21 +124,21 @@ class ClassicalTrajectory:
 
 
 def event_driven_trajectory(x0: float, y0: float, v_x0: float, masses: MassPair,
-                            t_end: float | None = None,
-                            v_y0: float = 0.0) -> ClassicalTrajectory:
+                            t_end: float | None = None) -> ClassicalTrajectory:
     """Exact event-driven run of the wall / light / heavy system.
 
-    Next-event times come from closed-form linear motion, so there is no
-    stepping error: wall hits flip v_x, pair hits apply the elastic map.
+    The heavy particle starts at rest.  Next-event times come from
+    closed-form linear motion, so there is no stepping error: wall hits flip
+    v_x, pair hits apply collide_velocities.
     Stops when no further event can occur (light particle slower than the
     heavy one and not wall-bound) or when t_end is passed.
     """
     if not 0 < x0 < y0:
         raise ValueError("need 0 < x0 < y0")
-    if v_x0 == 0 and v_y0 == 0:
+    if v_x0 == 0:
         raise ValueError("need a moving light particle")
-    m = masses.total
-    state = ClassicalState(x=x0, y=y0, v_x=v_x0, v_y=v_y0, t=0.0, n=0)
+    initial = ClassicalState(x=x0, y=y0, v_x=v_x0, v_y=0.0, t=0.0, n=0)
+    state = initial
     events: list[TrajectoryEvent] = []
     # generous cap; the energy argument guarantees far earlier termination
     cap = 4 * max_collisions(min(masses.epsilon, 0.999)) + 64 if masses.epsilon < 1 else 64
@@ -178,18 +162,13 @@ def event_driven_trajectory(x0: float, y0: float, v_x0: float, masses: MassPair,
             state = ClassicalState(x=0.0, y=y, v_x=-state.v_x, v_y=state.v_y,
                                    t=t_next, n=state.n)
         else:
-            v_x_new = ((masses.m_x - masses.m_y) * state.v_x
-                       + 2 * masses.m_y * state.v_y) / m
-            v_y_new = (2 * masses.m_x * state.v_x
-                       + (masses.m_y - masses.m_x) * state.v_y) / m
+            v_x_new, v_y_new = collide_velocities(state.v_x, state.v_y, masses)
             state = ClassicalState(x=x, y=y, v_x=v_x_new, v_y=v_y_new,
                                    t=t_next, n=state.n + 1)
         events.append(TrajectoryEvent(t=t_next, kind=kind, state=state))
     else:
         raise RuntimeError("event cap exceeded; inconsistent dynamics")
-    return ClassicalTrajectory(
-        initial=ClassicalState(x=x0, y=y0, v_x=v_x0, v_y=v_y0, t=0.0, n=0),
-        events=tuple(events))
+    return ClassicalTrajectory(initial=initial, events=tuple(events))
 
 
 @dataclass(frozen=True)
@@ -373,13 +352,21 @@ class EnsembleWidths:
     dsigma_x: float
 
 
+def channel_rotation(n, eps: float) -> tuple[float, float]:
+    """(cos 2 eps n, sin 2 eps n): how far n collisions turn a channel's offset.
+
+    The only place the rotation law is evaluated; n may be fractional.
+    """
+    return math.cos(2 * eps * n), math.sin(2 * eps * n)
+
+
 def ensemble_widths(n, eps: float, dsigma_y0: float) -> EnsembleWidths:
     """Width pair (dsigma_y0 |cos 2 eps n|, (dsigma_y0/eps) |sin 2 eps n|)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return EnsembleWidths(n=n,
-                          dsigma_y=dsigma_y0 * abs(math.cos(2 * eps * n)),
-                          dsigma_x=dsigma_y0 / eps * abs(math.sin(2 * eps * n)))
+    c, s = channel_rotation(n, eps)
+    return EnsembleWidths(n=n, dsigma_y=dsigma_y0 * abs(c),
+                          dsigma_x=dsigma_y0 / eps * abs(s))
 
 
 def monte_carlo_positions(times, n_samples: int, seed: int, *, y_M0: float,

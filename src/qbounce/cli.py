@@ -189,11 +189,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _schedule(cfg: ScenarioConfig) -> list[float]:
+    """The instants a run reports: the auto schedule or the config's own."""
+    if cfg.schedule == "auto":
+        return channels.auto_schedule(cfg.params)
+    return list(cfg.schedule)
+
+
 def compute_series(cfg: ScenarioConfig) -> tuple[list[dict], dict]:
     """Rows for every scheduled instant plus oracle summary details."""
     params = cfg.params
-    schedule = (channels.auto_schedule(params) if cfg.schedule == "auto"
-                else list(cfg.schedule))
+    schedule = _schedule(cfg)
     dsigma_y0, _ = split_width(params)
     eps = params.eps
     traj = channels.reference_trajectory(params)
@@ -203,12 +209,11 @@ def compute_series(cfg: ScenarioConfig) -> tuple[list[dict], dict]:
     rows = []
     for t in schedule:
         e = propagate_ensemble(e0, params, t)
-        state = assemble_quadratic_form(e, params, check_gate=False)
-        rep = entanglement_report(state)
+        rep = entanglement_report(assemble_quadratic_form(e, params))
         row = {
             "t": t, "n": e.n, "x_M": e.x_center, "y_M": e.y_center,
             "dsigma_y_n": e.dsigma_y_n,
-            "dsigma_x_n": dsigma_y0 / eps * abs(math.sin(2 * eps * e.n)),
+            "dsigma_x_n": classical.ensemble_widths(e.n, eps, dsigma_y0).dsigma_x,
             "abs_a_xy": abs(rep.a_xy), "purity": rep.purity,
             "schmidt_entropy": rep.schmidt_entropy,
             "p_xn": e.p_xn, "p_yn": e.p_yn,
@@ -405,9 +410,13 @@ def cmd_validate(args) -> int:
         "validity_warning": params.validity_figure < 1.0,
         "auto_schedule_len": len(channels.auto_schedule(params)),
     }
+    # run gates every scheduled instant and exits 3 at the first that fails
+    unsafe = [t for t in _schedule(cfg) if not channels.mixed_phase_gate(params, t)]
+    info["schedule_unsafe"] = len(unsafe)
+    info["first_unsafe_instant"] = unsafe[0] if unsafe else "none"
     for key, value in info.items():
         print(f"{key} = {value}")
-    return 0
+    return 3 if unsafe else 0
 
 
 def main(argv=None) -> int:

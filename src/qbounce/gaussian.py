@@ -147,18 +147,6 @@ def evaluate_packet(p: GaussianPacket, x) -> np.ndarray:
                   + 1j * p.momentum * x + p.log_norm)
 
 
-def evaluate_with_image(p: GaussianPacket, x) -> np.ndarray:
-    """Antisymmetrized near-wall field phi(x) - phi(-x), exact for the hard wall."""
-    x = np.asarray(x, dtype=float)
-    return evaluate_packet(p, x) - evaluate_packet(p, -x)
-
-
-def packet_norm_sq(p: GaussianPacket) -> float:
-    """Closed-form integral of |phi|^2 over the whole line."""
-    b = complex(p.width_sq)
-    return math.exp(2 * complex(p.log_norm).real) * math.sqrt(math.pi) * abs(b) / math.sqrt(b.real)
-
-
 def density_overlap(p1: GaussianPacket, p2: GaussianPacket) -> float:
     """Bhattacharyya overlap of the two position densities (1 when identical)."""
     v1, v2 = p1.density_variance, p2.density_variance
@@ -169,22 +157,6 @@ def density_overlap(p1: GaussianPacket, p2: GaussianPacket) -> float:
 def wall_tail_mass(p: GaussianPacket) -> float:
     """Probability mass of |phi|^2 on the forbidden side x < 0."""
     return 0.5 * math.erfc(p.center / math.sqrt(2 * p.density_variance))
-
-
-def post_collision_momenta(p_x: float, p_y: float, masses: MassPair) -> tuple[float, float]:
-    """Elastic hard-core momenta after a single pair collision.
-
-    The incoming pair must be closing (v_x > v_y).  Total momentum and kinetic
-    energy are conserved exactly; with the heavy particle at rest the light one
-    recoils with p_x (m_x - m_y) / (m_x + m_y).
-    """
-    v_x, v_y = p_x / masses.m_x, p_y / masses.m_y
-    if v_x <= v_y:
-        raise ValueError("pre-collision velocities must be closing (v_x > v_y)")
-    m = masses.total
-    p_x_new = ((masses.m_x - masses.m_y) * p_x + 2 * masses.m_x * p_y) / m
-    p_y_new = (2 * masses.m_y * p_x + (masses.m_y - masses.m_x) * p_y) / m
-    return p_x_new, p_y_new
 
 
 @dataclass(frozen=True)
@@ -209,11 +181,6 @@ class QuadraticFormState:
         g = -complex(self.a_xy).real
         if a <= 0 or d <= 0 or a * d - g * g <= 0:
             raise ValueError("quadratic form is not normalizable")
-
-    @property
-    def is_product(self) -> bool:
-        scale = math.sqrt(abs(self.a_xx) * abs(self.a_yy))
-        return abs(self.a_xy) <= 1e-12 * scale
 
     def concentration_matrix(self) -> np.ndarray:
         """M with |psi|^2 = exp{-z^T M z + 2 Re(b).z + 2 Re log_norm}."""
@@ -289,16 +256,30 @@ def product_form(px: GaussianPacket, py: GaussianPacket) -> QuadraticFormState:
     )
 
 
+def collide_velocities(v_x: float, v_y: float, masses: MassPair) -> tuple[float, float]:
+    """Raw signed velocities after an elastic hard-core pair collision.
+
+    The only implementation of the elastic map: it flips the relative
+    velocity at fixed centre-of-mass velocity, conserving momentum and
+    kinetic energy, and is its own inverse.  The caller decides that the
+    pair is closing (v_x > v_y).
+    """
+    m = masses.total
+    return (((masses.m_x - masses.m_y) * v_x + 2 * masses.m_y * v_y) / m,
+            (2 * masses.m_x * v_x + (masses.m_y - masses.m_x) * v_y) / m)
+
+
 def collision_matrix(masses: MassPair) -> tuple[tuple[float, float], tuple[float, float]]:
     """Substitution matrix of the hard-core pair collision in (x, y).
 
     Flipping the relative coordinate r = x - y at fixed centre of mass
-    R = (m_x x + m_y y) / M sends (x, y) to this matrix times (x, y); the
-    matrix is an involution with determinant -1.
+    R = (m_x x + m_y y) / M is the same linear map as collide_velocities, so
+    its images of (1, 0) and (0, 1) are the columns; the matrix is an
+    involution with determinant -1.
     """
-    m = masses.total
-    return (((masses.m_x - masses.m_y) / m, 2 * masses.m_y / m),
-            (2 * masses.m_x / m, (masses.m_y - masses.m_x) / m))
+    a, c = collide_velocities(1.0, 0.0, masses)
+    b, d = collide_velocities(0.0, 1.0, masses)
+    return (a, b), (c, d)
 
 
 def collide_gaussians(px: GaussianPacket, py: GaussianPacket,

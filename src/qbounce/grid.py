@@ -283,18 +283,6 @@ def marginals(field: GridField) -> tuple[np.ndarray, np.ndarray]:
     return dens.sum(axis=1) * h / total, dens.sum(axis=0) * h / total
 
 
-def moments(field: GridField) -> dict:
-    """Means and variances of the position densities."""
-    xs, ys = field.spec.axes()
-    px, py = marginals(field)
-    h = field.h
-    mx = float(np.sum(xs * px) * h)
-    my = float(np.sum(ys * py) * h)
-    vx = float(np.sum((xs - mx) ** 2 * px) * h)
-    vy = float(np.sum((ys - my) ** 2 * py) * h)
-    return {"mean_x": mx, "mean_y": my, "var_x": vx, "var_y": vy}
-
-
 def energy(field: GridField, masses: MassPair) -> float:
     """Kinetic expectation value with one-sided zero boundaries."""
     psi = field.psi
@@ -324,6 +312,7 @@ def save_snapshot(field: GridField, path) -> None:
 
 
 def load_snapshot(path) -> GridField:
+    """Read back a field written by save_snapshot."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_SNAP_MAGIC))
         if magic != _SNAP_MAGIC:

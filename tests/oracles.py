@@ -1,9 +1,11 @@
-"""Brute-force oracles used only by the test suite.
+"""Brute-force oracles and written-out reference formulas used only by the tests.
 
 Everything here deliberately avoids the closed-form code paths it checks:
 norms and overlaps by adaptive quadrature, purity by sampling the amplitude
 on a grid and squaring the reduced density matrix, assembled coefficients by
-differentiating the channel integral under the integral sign.
+differentiating the channel integral under the integral sign.  The collision
+maps and coefficient formulas are separate copies of the laws, so a change to
+the package's one implementation cannot move its reference along with it.
 """
 
 import math
@@ -11,9 +13,105 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from qbounce.channels import _betas, split_width
 from qbounce.classical import (ClassicalState, channel_kinematics, collision_table,
                                pair_collision_times)
 from qbounce.gaussian import QuadraticFormState, evaluate_packet
+from qbounce.grid import marginals
+
+
+def post_collision_momenta(p_x: float, p_y: float, masses) -> tuple[float, float]:
+    """Elastic hard-core momenta after a single pair collision.
+
+    The incoming pair must be closing (v_x > v_y).  Total momentum and kinetic
+    energy are conserved exactly; with the heavy particle at rest the light one
+    recoils with p_x (m_x - m_y) / (m_x + m_y).
+    """
+    v_x, v_y = p_x / masses.m_x, p_y / masses.m_y
+    if v_x <= v_y:
+        raise ValueError("pre-collision velocities must be closing (v_x > v_y)")
+    m = masses.total
+    p_x_new = ((masses.m_x - masses.m_y) * p_x + 2 * masses.m_x * p_y) / m
+    p_y_new = (2 * masses.m_y * p_x + (masses.m_y - masses.m_x) * p_y) / m
+    return p_x_new, p_y_new
+
+
+def collision_velocity_map(v_x: float, v_y: float, masses) -> tuple[float, float]:
+    """One pair collision followed by the wall bounce, in folded speeds.
+
+    Takes the approach speeds (v_x toward the heavy particle, v_y away from
+    the wall), applies the elastic collision and re-folds the light particle's
+    recoil through the wall, so both outputs are again approach speeds.
+    Conserves m_x v_x^2 + m_y v_y^2 exactly.
+    """
+    if v_x <= v_y:
+        raise ValueError("approach speeds must be closing (v_x > v_y)")
+    m = masses.total
+    v_x_new = ((masses.m_y - masses.m_x) * v_x - 2 * masses.m_y * v_y) / m
+    v_y_new = (2 * masses.m_x * v_x + (masses.m_y - masses.m_x) * v_y) / m
+    return v_x_new, v_y_new
+
+
+def evaluate_with_image(p, x) -> np.ndarray:
+    """Antisymmetrized near-wall field phi(x) - phi(-x), exact for the hard wall."""
+    x = np.asarray(x, dtype=float)
+    return evaluate_packet(p, x) - evaluate_packet(p, -x)
+
+
+def packet_norm_sq(p) -> float:
+    """Closed-form integral of |phi|^2 over the whole line."""
+    b = complex(p.width_sq)
+    return math.exp(2 * complex(p.log_norm).real) * math.sqrt(math.pi) * abs(b) / math.sqrt(b.real)
+
+
+def axx_formula(n, eps: float, beta_x_sq: complex, beta_y_sq: complex) -> complex:
+    """Diagonal x coefficient of the assembled form."""
+    c, s = math.cos(2 * eps * n), math.sin(2 * eps * n)
+    return -(c * c / (2 * beta_x_sq) + s * s * eps**2 / (2 * beta_y_sq))
+
+
+def ayy_formula(n, eps: float, beta_x_sq: complex, beta_y_sq: complex) -> complex:
+    """Diagonal y coefficient of the assembled form."""
+    c, s = math.cos(2 * eps * n), math.sin(2 * eps * n)
+    return -(c * c / (2 * beta_y_sq) + s * s / (2 * eps**2 * beta_x_sq))
+
+
+def composed_marginal_variances(params, n, t: float) -> tuple[float, float]:
+    """Marginal position variances predicted by the coherent channel sum.
+
+    The incoherent guess (classical spread plus single-packet width) is wrong
+    because channels interfere; carrying the interference through the
+    Gaussian integrals gives, with B = beta_x^2, E = beta_y^2, s2 = sigma0y^2,
+
+        Var_y = |E|^2 [c^2 d0^2 Re(BE) + e2] / (2 s2 [d0^2 Re(BE) + e2])
+        Var_x = |E|^2 [s^2 d0^2 Re(BE) + e2] / (2 eps^2 s2 [d0^2 Re(BE) + e2])
+
+    where e2 = eps^2 |B|^2 s2 and (c, s) = (cos, sin)(2 eps n).
+    """
+    eps = params.eps
+    dsigma_y0, _ = split_width(params)
+    d0sq = dsigma_y0**2
+    bb, ee = _betas(params, t)
+    c, s = math.cos(2 * eps * n), math.sin(2 * eps * n)
+    re_be = (bb * ee).real
+    s2 = params.sigma0y**2
+    e2 = eps**2 * abs(bb) ** 2 * s2
+    common = d0sq * re_be + e2
+    var_y = abs(ee) ** 2 * (c * c * d0sq * re_be + e2) / (2 * s2 * common)
+    var_x = abs(ee) ** 2 * (s * s * d0sq * re_be + e2) / (2 * eps**2 * s2 * common)
+    return var_x, var_y
+
+
+def moments(field) -> dict:
+    """Means and variances of a grid field's position densities."""
+    xs, ys = field.spec.axes()
+    px, py = marginals(field)
+    h = field.h
+    mx = float(np.sum(xs * px) * h)
+    my = float(np.sum(ys * py) * h)
+    vx = float(np.sum((xs - mx) ** 2 * px) * h)
+    vy = float(np.sum((ys - my) ** 2 * py) * h)
+    return {"mean_x": mx, "mean_y": my, "var_x": vx, "var_y": vy}
 
 
 def state_at_linear_scan(traj, t: float) -> ClassicalState:
@@ -175,8 +273,6 @@ def assembled_coefficients_by_quadrature(params, ensemble, d0: float):
     the integral sign; the log-derivatives at the distribution centre give
     the five coefficients without any closed-form Gaussian integration.
     """
-    from qbounce.channels import _betas
-
     eps = params.eps
     bx2, _ = _betas(params, ensemble.t)
     bt2 = eps**2 * bx2

@@ -53,7 +53,7 @@ def test_criterion_1_entanglement_arc():
     assert oracle_purity < 0.9
 
     e_cr = ensemble_at_count(p, p.n_cr, 8.0)
-    rep_cr = entanglement_report(assemble_quadratic_form(e_cr, p, check_gate=False))
+    rep_cr = entanglement_report(assemble_quadratic_form(e_cr, p))
     assert rep_cr.purity == pytest.approx(1.0, abs=1e-6)
     assert abs(rep_cr.a_xy) <= 1e-10
     report(1, f"purity 1 -> {best_purity:.4f} (oracle {oracle_purity:.4f}) "
@@ -171,7 +171,7 @@ def test_criterion_6_assembly_matches_quadrature():
     ensembles.append(ensemble_at_count(p, p.n_cr, 8.0))
     worst = 0.0
     for e in ensembles:
-        st = assemble_quadratic_form(e, p, check_gate=False)
+        st = assemble_quadratic_form(e, p)
         want = assembled_coefficients_by_quadrature(p, e, d0)
         # a coefficient that vanishes identically (the cross term at the
         # critical count) is compared against the size of the quadratic form
@@ -190,9 +190,9 @@ def test_criterion_6_assembly_matches_quadrature():
 def test_criterion_7_energy_exchange_identity():
     from qbounce.channels import _betas, energy_exchange_check
     p = ARC_PARAMS
-    assert energy_exchange_check(8.0, p, rtol=1e-8)
+    assert energy_exchange_check(8.0, p)
     e = ensemble_at_count(p, p.n_cr, 8.0)
-    st = assemble_quadratic_form(e, p, check_gate=False)
+    st = assemble_quadratic_form(e, p)
     bx2, by2 = _betas(p, 8.0)
     dev_xx = abs(st.a_xx - (-p.eps**2 / (2 * by2))) / abs(st.a_xx)
     dev_yy = abs(st.a_yy - (-1 / (2 * p.eps**2 * bx2))) / abs(st.a_yy)

@@ -7,8 +7,7 @@ from scipy.integrate import quad
 
 from qbounce.channels import (ChannelEnsemble, MixedPhaseError, ScenarioParams,
                               assemble_quadratic_form, auto_schedule,
-                              axy_formula, axx_formula, ayy_formula,
-                              composed_marginal_variances, energy_exchange_check,
+                              axy_formula, energy_exchange_check,
                               ensemble_at_count, entanglement_report,
                               initial_ensemble, mixed_phase_gate,
                               nearest_safe_instants, propagate_ensemble,
@@ -16,7 +15,9 @@ from qbounce.channels import (ChannelEnsemble, MixedPhaseError, ScenarioParams,
                               schmidt_entropy_from_purity, split_width, _betas)
 from qbounce.gaussian import (MassPair, QuadraticFormState, log_norm_sq,
                               product_form)
-from oracles import assembled_coefficients_by_quadrature, purity_by_quadrature
+from oracles import (assembled_coefficients_by_quadrature, axx_formula,
+                     ayy_formula, composed_marginal_variances,
+                     purity_by_quadrature)
 
 
 def make_params(eps=0.05, sigma0x=1.0, sigma0y=0.5, x_M0=25.0, y_M0=50.0,
@@ -96,28 +97,26 @@ class TestInitialEnsemble:
         e = initial_ensemble(p)
         dsigma, _ = split_width(p)
         assert e.n == 0
-        assert e.slope == 0.0
         assert e.dsigma_y_n == pytest.approx(dsigma)
         assert (e.x_center, e.y_center) == (p.x_M0, p.y_M0)
         assert (e.p_xn, e.p_yn) == (p.p_x0, 0.0)
-        assert e.sign_x == +1
 
 
 class TestMixedPhaseGate:
     def test_true_at_zero(self):
         p = make_params()
-        assert mixed_phase_gate(initial_ensemble(p), p, 0.0)
+        assert mixed_phase_gate(p, 0.0)
 
     def test_false_at_first_collision(self):
         p = make_params()
         t1 = reference_trajectory(p).pair_events[0].t
-        assert not mixed_phase_gate(initial_ensemble(p), p, t1)
+        assert not mixed_phase_gate(p, t1)
 
     def test_true_between_first_and_second(self):
         p = make_params()
         traj = reference_trajectory(p)
         t1, t2 = (e.t for e in traj.pair_events[:2])
-        assert mixed_phase_gate(initial_ensemble(p), p, (t1 + t2) / 2)
+        assert mixed_phase_gate(p, (t1 + t2) / 2)
 
     def test_error_reports_safe_instants(self):
         p = make_params()
@@ -128,6 +127,10 @@ class TestMixedPhaseGate:
         assert err.value.safe_after is not None
         assert err.value.safe_before < t1 < err.value.safe_after
 
+    def test_error_prints_missing_side_as_none(self):
+        msg = str(MixedPhaseError(4.5, None, 5.25))
+        assert "nearest safe instants: none and 5.25" in msg
+
 
 class TestPropagateEnsemble:
     def test_free_flight_before_first_collision(self):
@@ -137,7 +140,6 @@ class TestPropagateEnsemble:
         assert e.x_center == pytest.approx(p.x_M0 + p.v_x0 * 0.05)
         assert e.y_center == pytest.approx(p.y_M0)
         assert e.dsigma_y_n == pytest.approx(initial_ensemble(p).dsigma_y_n)
-        assert e.slope == 0.0
 
     def test_counts_and_widths_along_schedule(self):
         p = make_params()
@@ -149,8 +151,6 @@ class TestPropagateEnsemble:
             assert e.n >= last_n
             last_n = e.n
             assert e.dsigma_y_n == pytest.approx(dsigma0 * abs(math.cos(2 * eps * e.n)))
-            # slope identity holds exactly at every propagated instant
-            assert e.slope * eps == pytest.approx(math.tan(2 * eps * e.n), rel=1e-14)
 
     def test_sign_flips_between_pair_and_wall(self):
         p = make_params()
@@ -159,11 +159,11 @@ class TestPropagateEnsemble:
         wall1 = next(e for e in traj.events if e.kind == "wall")
         mid_in = (pair1.t + wall1.t) / 2
         e = propagate_ensemble(initial_ensemble(p), p, mid_in)
-        assert e.sign_x == -1 and e.p_xn < 0
+        assert e.p_xn < 0
         after = next(e2 for e2 in traj.events if e2.t > wall1.t)
         mid_out = (wall1.t + after.t) / 2
         e = propagate_ensemble(initial_ensemble(p), p, mid_out)
-        assert e.sign_x == +1 and e.p_xn > 0
+        assert e.p_xn > 0
 
     def test_contraction_at_critical_count(self):
         p = make_params()
@@ -213,14 +213,6 @@ class TestAssembleQuadraticForm:
         want = assembled_coefficients_by_quadrature(p, e, d0)
         for name in ("a_xx", "a_yy", "a_xy", "b_x", "b_y"):
             assert getattr(st, name) == pytest.approx(want[name], rel=1e-8)
-
-    def test_gate_enforced(self):
-        p = make_params()
-        t1 = reference_trajectory(p).pair_events[0].t
-        e = propagate_ensemble(initial_ensemble(p), p, auto_schedule(p)[1])
-        bad = replace(e, t=t1)
-        with pytest.raises(MixedPhaseError):
-            assemble_quadratic_form(bad, p)
 
     def test_marginal_variances_match_composition(self):
         p = make_params()
@@ -335,7 +327,7 @@ class TestEntanglementArc:
         assert min(purities.values()) < 0.9
         # purity at the critical count returns to one
         e = ensemble_at_count(p, p.n_cr, 8.0)
-        rep = entanglement_report(assemble_quadratic_form(e, p, check_gate=False))
+        rep = entanglement_report(assemble_quadratic_form(e, p))
         assert rep.purity == pytest.approx(1.0, abs=1e-6)
         assert abs(rep.a_xy) <= 1e-10
 
@@ -359,3 +351,16 @@ class TestNearestSafeInstants:
         t1 = reference_trajectory(p).pair_events[0].t
         before, after = nearest_safe_instants(p, t1)
         assert before < t1 < after
+
+    def test_skips_auto_instants_that_fail_the_gate(self):
+        # eps = 0.02: the +-3 sigma span of channels straddles a collision at
+        # auto-schedule instants 18 to 60, so the nearest safe ones are 17 and 61
+        p = ScenarioParams(x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5,
+                           p_x0=190.0, masses=MassPair(1.0, 2500.0))
+        sched = auto_schedule(p)
+        unsafe = [i for i, t in enumerate(sched) if not mixed_phase_gate(p, t)]
+        assert unsafe == list(range(18, 61))
+        assert nearest_safe_instants(p, sched[18]) == (sched[17], sched[61])
+        with pytest.raises(MixedPhaseError) as err:
+            propagate_ensemble(initial_ensemble(p), p, sched[18])
+        assert (err.value.safe_before, err.value.safe_after) == (sched[17], sched[61])

@@ -6,13 +6,13 @@ import pytest
 from qbounce.classical import (channel_kinematics,
                                closed_form_velocities, collision_angle,
                                collision_position_approx, collision_table,
-                               collision_time_approx, collision_velocity_map,
-                               collisions_by_time, critical_count,
-                               ensemble_widths, event_driven_trajectory,
-                               max_collisions, monte_carlo_positions,
-                               pair_collision_times)
+                               collision_time_approx, collisions_by_time,
+                               critical_count, ensemble_widths,
+                               event_driven_trajectory, max_collisions,
+                               monte_carlo_positions, pair_collision_times)
 from qbounce.gaussian import MassPair
-from oracles import channel_coords, counts_at_linear_scan, ks_distance_to_gaussian
+from oracles import (channel_coords, collision_velocity_map, counts_at_linear_scan,
+                     ks_distance_to_gaussian)
 
 
 class TestCollisionVelocityMap:

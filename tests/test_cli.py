@@ -291,11 +291,37 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "n_max = 15" in out
         assert "validity_figure" in out
+        assert "schedule_unsafe = 0\n" in out
+        assert "first_unsafe_instant = none\n" in out
 
     def test_rejects_bad_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG.replace("y_m0     = 50.0",
                                                          "y_m0     = 10.0"))
         assert main(["validate", str(cfg)]) == 2
+
+    def test_predicts_the_gate_on_the_auto_schedule(self, tmp_path, capsys):
+        # eps = 0.02: 43 of the 79 auto instants have channels straddling a
+        # collision, and run exits 3 at the first of them
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("m_y      = 400.0",
+                                                         "m_y      = 2500.0"))
+        assert main(["validate", str(cfg)]) == 3
+        out = capsys.readouterr().out
+        assert "auto_schedule_len = 79\n" in out
+        assert "schedule_unsafe = 43\n" in out
+        assert "first_unsafe_instant = 4.97172" in out
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "t=4.97172 " in capsys.readouterr().err
+
+    def test_predicts_the_gate_on_an_explicit_schedule(self, tmp_path, capsys):
+        from qbounce.channels import reference_trajectory
+        base = parse_config(write_config(tmp_path))
+        t_bad = reference_trajectory(base.params).pair_events[3].t
+        cfg = write_config(tmp_path, BASE_CONFIG.replace(
+            "schedule = auto", f"schedule = 0.01,{t_bad!r}"), name="bad.cfg")
+        assert main(["validate", str(cfg)]) == 3
+        out = capsys.readouterr().out
+        assert "schedule_unsafe = 1\n" in out
+        assert f"first_unsafe_instant = {t_bad!r}\n" in out
 
 
 class TestGridOracleIntegration:

@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbounce.gaussian import (GaussianPacket, MassPair, collide_gaussians,
-                              collision_matrix, density_overlap, evaluate,
-                              evaluate_packet, evaluate_with_image,
-                              free_evolve, log_norm_sq, normalized,
-                              packet_norm_sq, post_collision_momenta,
-                              product_form, substitute_linear, wall_reflect,
-                              width_param)
-from oracles import (halfline_norm_quadrature, packet_norm_quadrature,
+                              collide_velocities, collision_matrix,
+                              density_overlap, evaluate,
+                              evaluate_packet, free_evolve, log_norm_sq,
+                              normalized, product_form, substitute_linear,
+                              wall_reflect, width_param)
+from oracles import (collision_velocity_map, evaluate_with_image,
+                     halfline_norm_quadrature, packet_norm_quadrature,
+                     packet_norm_sq, post_collision_momenta,
                      state_norm_quadrature)
 
 
@@ -117,6 +119,26 @@ class TestPostCollisionMomenta:
         # v_x = 1.0 but v_y = 2.0: the pair is separating
         with pytest.raises(ValueError):
             post_collision_momenta(1.0, 8.0, MassPair(1.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m_x=st.floats(1e-3, 1e3), m_y=st.floats(1e-3, 1e3),
+       v_y=st.floats(-1e3, 1e3), closing=st.floats(1e-6, 1e3))
+def test_collide_velocities_is_the_elastic_law(m_x, m_y, v_y, closing):
+    masses = MassPair(m_x, m_y)
+    v_x = v_y + closing
+    out_x, out_y = collide_velocities(v_x, v_y, masses)
+    p_scale = abs(m_x * v_x) + abs(m_y * v_y)
+    assert abs(m_x * out_x + m_y * out_y - (m_x * v_x + m_y * v_y)) <= 1e-14 * p_scale
+    energy = m_x * v_x**2 + m_y * v_y**2
+    assert abs(m_x * out_x**2 + m_y * out_y**2 - energy) <= 1e-14 * energy
+    back_x, back_y = collide_velocities(out_x, out_y, masses)
+    scale = max(abs(v_x), abs(v_y))
+    assert abs(back_x - v_x) <= 1e-14 * scale and abs(back_y - v_y) <= 1e-14 * scale
+    (a, b), (c, d) = collision_matrix(masses)
+    assert (a, c) == collide_velocities(1.0, 0.0, masses)
+    assert (b, d) == collide_velocities(0.0, 1.0, masses)
+    assert collision_velocity_map(v_x, v_y, masses) == (-out_x, out_y)
 
 
 def _packets(sigma0x=0.5, sigma0y=0.3, masses=MassPair(1.0, 25.0), t=0.0,

@@ -10,11 +10,10 @@ from qbounce.gaussian import (GaussianPacket, MassPair, collide_gaussians,
 from qbounce import grid
 from qbounce.grid import (GridSpec, evolve, energy, field_from_packets,
                           field_from_state, init_field, load_snapshot,
-                          marginals, moments, overlap, overlap_fields,
-                          save_snapshot, schmidt_entropy, schmidt_purity,
-                          write_marginals_csv)
+                          marginals, overlap, overlap_fields, save_snapshot,
+                          schmidt_entropy, schmidt_purity, write_marginals_csv)
 
-from oracles import cn_lines_dense, schmidt_by_svd
+from oracles import cn_lines_dense, moments, schmidt_by_svd
 
 MASSES = MassPair(1.0, 25.0)
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbounce.channels import (WIDTH_RATIO_GATE, ScenarioParams, initial_ensemble,
-                              mixed_phase_gate, reference_trajectory, split_width)
+from qbounce.channels import (WIDTH_RATIO_GATE, ScenarioParams, mixed_phase_gate,
+                              reference_trajectory, split_width)
 from qbounce.classical import channel_kinematics, collision_table, pair_collision_times
 from qbounce.gaussian import MassPair
 from oracles import channel_kinematics_dense, state_at_linear_scan
@@ -70,13 +70,12 @@ def test_mixed_phase_gate_matches_channel_counts(params, data):
     ends = pair_collision_times(np.array([lo, hi]), params.x_M0, params.v_x0, table)
     times = np.sort(np.concatenate([[0.0], *ends,
                                     reference_trajectory(params).event_times]))
-    e0 = initial_ensemble(params)
     for _ in range(8):
         t = draw_instant(data, times)
         n_lo, n_hi = (int(channel_kinematics(t, np.array([y0]), params.x_M0,
                                              params.v_x0, table)[2][0])
                       for y0 in (lo, hi))
-        assert mixed_phase_gate(e0, params, t) is (n_lo == n_hi)
+        assert mixed_phase_gate(params, t) is (n_lo == n_hi)
 
 
 @settings(max_examples=60, deadline=None)
