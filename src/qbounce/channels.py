@@ -57,10 +57,11 @@ class MixedPhaseError(ValueError):
 class ScenarioParams:
     """Initial configuration: two narrow packets, the light one moving.
 
-    Requires 0 < x_M0 < y_M0, widths at most WIDTH_RATIO_GATE of every
-    packet-to-packet and packet-to-wall distance, and the broad-heavy branch
-    m_x sigma0x^2 < m_y sigma0y^2.  validity_figure = eps m_x sigma0x v_x0 / pi
-    must be large for the packets to stay narrow through the last collision.
+    Requires finite values, m_x < m_y, 0 < x_M0 < y_M0, widths at most
+    WIDTH_RATIO_GATE of every packet-to-packet and packet-to-wall distance,
+    and the broad-heavy branch m_x sigma0x^2 < m_y sigma0y^2.
+    validity_figure = eps m_x sigma0x v_x0 / pi must be large for the packets
+    to stay narrow through the last collision.
     """
 
     x_M0: float
@@ -71,6 +72,11 @@ class ScenarioParams:
     masses: MassPair
 
     def __post_init__(self):
+        for name in ("x_M0", "y_M0", "sigma0x", "sigma0y", "p_x0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.masses.m_x < self.masses.m_y:
+            raise ValueError("need m_x < m_y: the light particle is x, the heavy one y")
         if not 0 < self.x_M0 < self.y_M0:
             raise ValueError("need 0 < x_M0 < y_M0")
         if self.p_x0 <= 0:

@@ -368,24 +368,3 @@ def ensemble_widths(n, eps: float, dsigma_y0: float) -> EnsembleWidths:
     return EnsembleWidths(n=n, dsigma_y=dsigma_y0 * abs(c),
                           dsigma_x=dsigma_y0 / eps * abs(s))
 
-
-def monte_carlo_positions(times, n_samples: int, seed: int, *, y_M0: float,
-                          dsigma_y0: float, x_M0: float, v_x0: float,
-                          eps: float):
-    """Ensemble positions at the given instants for Gaussian-distributed y_m0.
-
-    Returns (x_m, y_m, counts) arrays of shape (n_samples, len(times)).
-    Samples are independent channels run through the exact kinematics with a
-    deterministic seed.  The arrays are transposed views of instant-major
-    (len(times), n_samples) buffers, so column j, one instant's ensemble,
-    is contiguous in memory.
-    """
-    rng = np.random.default_rng(seed)
-    y0 = rng.normal(y_M0, dsigma_y0, size=n_samples)
-    table = collision_table(eps)
-    xs = np.empty((len(times), n_samples))
-    ys = np.empty((len(times), n_samples))
-    ns = np.empty((len(times), n_samples), dtype=int)
-    for j, t in enumerate(times):
-        xs[j], ys[j], ns[j], _ = channel_kinematics(float(t), y0, x_M0, v_x0, table)
-    return xs.T, ys.T, ns.T

@@ -11,7 +11,7 @@ Config format (UTF-8, one `key = value` per line, `#` comments):
     sigma0y  = 0.5
     p_x0     = 190.0
     schedule = auto         # or comma-separated instants
-    oracles  = event_driven,monte_carlo:10000,grid:n=256;l=32;dt=1e-3
+    oracles  = event_driven,monte_carlo:10000   # and/or grid:n=..;l=..;dt=..
     seed     = 0
     out      = out
     formats  = csv,json
@@ -56,20 +56,13 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class GridOracleSpec:
-    n: int
-    length: float
-    dt: float
-    t_max: float = math.inf
-
-
-@dataclass
 class ScenarioConfig:
     params: ScenarioParams
     schedule: list[float] | str = "auto"
     event_driven: bool = False
     monte_carlo: int = 0
-    grid_oracle: GridOracleSpec | None = None
+    grid_oracle: grid.GridSpec | None = None
+    grid_dt: float = 0.0
     purity_source: str = "analytic"
     seed: int = 0
     out: str = "out"
@@ -93,6 +86,26 @@ def _seed(seed: int, what: str) -> int:
     return seed
 
 
+def _grid_oracle(arg: str, params: ScenarioParams, where: str) -> tuple[grid.GridSpec, float]:
+    """Grid and time step of an `n=..;l=..;dt=..` spec, checked as `run` would use them."""
+    pairs = (item.partition("=") for item in arg.split(";") if item.strip())
+    opts = {k.strip(): v.strip() for k, _, v in pairs}
+    if set(opts) != {"n", "l", "dt"}:
+        raise ConfigError(f"{where}: needs exactly the options n, l and dt "
+                          f"(grid:n=..;l=..;dt=..), got {', '.join(opts) or 'none'}")
+    n = _number(int, opts["n"], f"{where} n")
+    length = _number(float, opts["l"], f"{where} l")
+    dt = _number(float, opts["dt"], f"{where} dt")
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"{where} dt: must be positive and finite, got {dt:g}")
+    try:
+        spec = grid.GridSpec(n=n, length=length)
+        grid.check_resolution(spec, (params.sigma0x, params.sigma0y), params.p_x0)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return spec, dt
+
+
 def _apply_oracles(cfg: ScenarioConfig, spec: str, where: str) -> None:
     """Switch on the oracles of a comma-separated spec; errors start with `where`."""
     for spec_str in (s.strip() for s in spec.split(",") if s.strip()):
@@ -106,29 +119,19 @@ def _apply_oracles(cfg: ScenarioConfig, spec: str, where: str) -> None:
                                   f"positive, got {count}")
             cfg.monte_carlo = count
         elif name == "grid":
-            opts = {}
-            for item in arg.split(";"):
-                if not item:
-                    continue
-                k, _, v = item.partition("=")
-                opts[k.strip()] = v.strip()
-            try:
-                cfg.grid_oracle = GridOracleSpec(
-                    n=_number(int, opts["n"], f"{where}: grid n"),
-                    length=_number(float, opts["l"], f"{where}: grid l"),
-                    dt=_number(float, opts["dt"], f"{where}: grid dt"),
-                    t_max=_number(float, opts.get("t_max", "inf"), f"{where}: grid t_max"))
-            except KeyError as exc:
-                raise ConfigError(f"{where}: grid oracle needs {exc} "
-                                  "(grid:n=..;l=..;dt=..[;t_max=..])") from None
+            cfg.grid_oracle, cfg.grid_dt = _grid_oracle(arg, cfg.params, f"{where}: grid")
         else:
             raise ConfigError(f"{where}: unknown oracle {name!r}")
 
 
 def parse_config(path) -> ScenarioConfig:
     """Parse and validate a key=value scenario file; unknown keys are errors."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -165,6 +168,10 @@ def parse_config(path) -> ScenarioConfig:
             raise ConfigError(f"{path}: schedule: {exc}") from None
         if not instants:
             raise ConfigError(f"{path}: schedule is empty")
+        bad = [t for t in instants if not 0 <= t < math.inf]
+        if bad:
+            raise ConfigError(f"{path}: schedule: instants must be finite and "
+                              f"non-negative, got {bad[0]!r}")
         cfg.schedule = instants
     what = f"{path}: key 'seed'"
     cfg.seed = _seed(_number(int, raw.get("seed", "0"), what), what)
@@ -234,25 +241,24 @@ def compute_series(cfg: ScenarioConfig) -> tuple[list[dict], dict]:
         details["oracle_checks"]["event_driven_max_p_dev"] = dev
 
     if cfg.monte_carlo:
-        xs, ys, _ = classical.monte_carlo_positions(
-            [row["t"] for row in rows], cfg.monte_carlo, cfg.seed,
-            y_M0=params.y_M0, dsigma_y0=dsigma_y0, x_M0=params.x_M0,
-            v_x0=params.v_x0, eps=eps)
-        for j, row in enumerate(rows):
-            row["mc_dsigma_y"] = float(np.std(ys[:, j], ddof=1))
-            row["mc_dsigma_x"] = float(np.std(xs[:, j], ddof=1))
+        # N sampled channels, reduced to their two position spreads at each
+        # instant: O(N) memory whatever the number of instants
+        y0 = np.random.default_rng(cfg.seed).normal(params.y_M0, dsigma_y0,
+                                                    size=cfg.monte_carlo)
+        table = classical.collision_table(eps)
+        for row in rows:
+            x, y, _, _ = classical.channel_kinematics(
+                float(row["t"]), y0, params.x_M0, params.v_x0, table)
+            row["mc_dsigma_y"] = float(np.std(y, ddof=1))
+            row["mc_dsigma_x"] = float(np.std(x, ddof=1))
 
     snapshots = []
     if cfg.grid_oracle is not None:
-        gspec = grid.GridSpec(n=cfg.grid_oracle.n, length=cfg.grid_oracle.length)
-        f = grid.init_field(params, gspec)
+        f = grid.init_field(params, cfg.grid_oracle)
         for row in rows:
-            if row["t"] > cfg.grid_oracle.t_max:
-                row["grid_purity"] = float("nan")
-                continue
-            steps = int(round((row["t"] - f.t) / cfg.grid_oracle.dt))
+            steps = int(round((row["t"] - f.t) / cfg.grid_dt))
             if steps > 0:
-                f = grid.evolve(f, params.masses, cfg.grid_oracle.dt, steps)
+                f = grid.evolve(f, params.masses, cfg.grid_dt, steps)
             row["grid_purity"] = grid.schmidt_purity(f)
             snapshots.append((row["t"], f))
             if cfg.purity_source == "grid":
@@ -339,33 +345,50 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _read_series(path: Path) -> tuple[list[str], list[list[float]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
+def _read_series(run: str) -> tuple[list[str], list[list[float]]]:
+    """Header and rows of a run's series.csv (or of the CSV file itself)."""
+    path = Path(run) / "series.csv" if Path(run).is_dir() else Path(run)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [[float(v) for v in row] for row in reader]
+    except (OSError, ValueError) as exc:      # unreadable, or a value that is no number
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+    if "t" not in header or any(len(row) != len(header) for row in rows):
+        raise ConfigError(f"{path}: not a series file (needs a 't' column and full rows)")
     return header, rows
 
 
-def cmd_compare(args) -> int:
-    path_a = Path(args.run_a) / "series.csv" if Path(args.run_a).is_dir() else Path(args.run_a)
-    path_b = Path(args.run_b) / "series.csv" if Path(args.run_b).is_dir() else Path(args.run_b)
-    head_a, rows_a = _read_series(path_a)
-    head_b, rows_b = _read_series(path_b)
-    if len(rows_a) != len(rows_b):
-        print("error: runs have different numbers of instants", file=sys.stderr)
-        return 2
-    ia, ib = head_a.index("t"), head_b.index("t")
-    ta = [r[ia] for r in rows_a]
-    tb = [r[ib] for r in rows_b]
-    if any(abs(a - b) > 1e-12 * max(1.0, abs(a)) for a, b in zip(ta, tb)):
-        print("error: runs do not share a schedule", file=sys.stderr)
-        return 2
+def _tolerances(items, columns) -> dict[str, float]:
+    """--tol COL=VAL items; every COL must be a column both runs have."""
     tol = {}
-    for item in args.tol or []:
-        col, _, val = item.partition("=")
-        tol[col] = float(val)
-    shared = [c for c in head_a if c in head_b]
+    for item in items or []:
+        col, eq, val = item.partition("=")
+        if not eq:
+            raise ConfigError(f"--tol {item}: expected COL=VAL")
+        if col not in columns:
+            raise ConfigError(f"--tol {item}: {col!r} is not a column of both runs")
+        tol[col] = _number(float, val, f"--tol {item}")
+        if not 0 <= tol[col] < math.inf:
+            raise ConfigError(f"--tol {item}: must be non-negative and finite")
+    return tol
+
+
+def cmd_compare(args) -> int:
+    try:
+        head_a, rows_a = _read_series(args.run_a)
+        head_b, rows_b = _read_series(args.run_b)
+        shared = [c for c in head_a if c in head_b]
+        tol = _tolerances(args.tol, shared)
+        if len(rows_a) != len(rows_b):
+            raise ConfigError("runs have different numbers of instants")
+        ia, ib = head_a.index("t"), head_b.index("t")
+        if any(abs(a[ia] - b[ib]) > 1e-12 * max(1.0, abs(a[ia])) for a, b in zip(rows_a, rows_b)):
+            raise ConfigError("runs do not share a schedule")
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     status = 0
     report = {}
     for col in shared:
@@ -375,10 +398,9 @@ def cmd_compare(args) -> int:
         ok = np.isfinite(va) & np.isfinite(vb)
         if not ok.any():
             continue
-        dabs = float(np.max(np.abs(va[ok] - vb[ok]))) if ok.any() else 0.0
+        dabs = float(np.max(np.abs(va[ok] - vb[ok])))
         scale = np.maximum(np.abs(va[ok]), np.abs(vb[ok]))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rel = np.abs(va[ok] - vb[ok]) / np.where(scale > 0, scale, 1.0)
+        rel = np.abs(va[ok] - vb[ok]) / np.where(scale > 0, scale, 1.0)
         drel = float(np.max(rel))
         report[col] = {"max_abs": dabs, "max_rel": drel}
         flag = ""

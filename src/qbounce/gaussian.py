@@ -33,15 +33,16 @@ class MassPair:
     """Masses of the light (x) and heavy (y) particle.
 
     epsilon = sqrt(m_x / m_y) is the small parameter of the whole problem;
-    total and reduced return m_x + m_y and m_x m_y / (m_x + m_y).
+    total returns m_x + m_y.
     """
 
     m_x: float
     m_y: float
 
     def __post_init__(self):
-        if self.m_x <= 0 or self.m_y <= 0:
-            raise ValueError("masses must be positive")
+        if not (0 < self.m_x < math.inf and 0 < self.m_y < math.inf):
+            raise ValueError(f"masses must be positive and finite, got "
+                             f"m_x={self.m_x:g}, m_y={self.m_y:g}")
 
     @property
     def epsilon(self) -> float:
@@ -50,10 +51,6 @@ class MassPair:
     @property
     def total(self) -> float:
         return self.m_x + self.m_y
-
-    @property
-    def reduced(self) -> float:
-        return self.m_x * self.m_y / (self.m_x + self.m_y)
 
     @classmethod
     def from_epsilon(cls, eps: float, m_x: float = 1.0) -> "MassPair":
@@ -100,11 +97,6 @@ class GaussianPacket:
             raise ValueError("sigma0 must be positive")
         return cls(center=center, width_sq=sigma0**2, momentum=momentum,
                    mass=mass, log_norm=-0.25 * math.log(math.pi * sigma0**2))
-
-    @property
-    def sigma0_sq(self) -> float:
-        """Initial squared width (the real part is conserved by free flight)."""
-        return complex(self.width_sq).real
 
     @property
     def density_variance(self) -> float:

@@ -28,6 +28,7 @@ from .gaussian import GaussianPacket, MassPair, QuadraticFormState
 MIN_POINTS_PER_SIGMA = 8
 MIN_POINTS_PER_WAVELENGTH = 8
 NORM_DRIFT_LIMIT = 1e-8      # per-step unitarity guard
+NORM_CHECK_EVERY = 25        # steps between two unitarity checks
 
 _SNAP_MAGIC = b"QBGRID1\x00"
 
@@ -40,9 +41,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n < 8:
-            raise ValueError("grid too small")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+            raise ValueError(f"grid too small: n={self.n} < 8")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length:g}")
 
     @property
     def h(self) -> float:
@@ -215,8 +216,7 @@ class _Stepper:
         return _sweep_lines(psi, self.gx, self.cpx, self.invx)
 
 
-def evolve(field: GridField, masses: MassPair, dt: float, steps: int,
-           check_every: int = 25) -> GridField:
+def evolve(field: GridField, masses: MassPair, dt: float, steps: int) -> GridField:
     """Propagate the field by steps * dt; aborts if unitarity ever degrades.
 
     Accuracy is second order in dt and h; choose dt so the largest kinetic
@@ -228,7 +228,7 @@ def evolve(field: GridField, masses: MassPair, dt: float, steps: int,
     last, last_k = norm0, 0
     for k in range(steps):
         psi = stepper.step(psi)
-        if (k + 1) % check_every == 0 or k == steps - 1:
+        if (k + 1) % NORM_CHECK_EVERY == 0 or k == steps - 1:
             now = float(np.sum(np.abs(psi) ** 2))
             drift = abs(now - last) / (norm0 * (k + 1 - last_k))
             if drift > NORM_DRIFT_LIMIT:

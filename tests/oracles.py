@@ -160,6 +160,30 @@ def channel_kinematics_dense(t: float, y_m0, x_m0: float, v_x0: float, table):
     return x_m, y_m, k, walls
 
 
+def monte_carlo_positions(times, n_samples: int, seed: int, *, y_M0: float,
+                          dsigma_y0: float, x_M0: float, v_x0: float,
+                          eps: float):
+    """Ensemble positions at the given instants for Gaussian-distributed y_m0.
+
+    Returns (x_m, y_m, counts) arrays of shape (n_samples, len(times)).
+    Samples are independent channels run through the exact kinematics with a
+    deterministic seed; cli.compute_series draws the same samples and keeps
+    only their two spreads per instant.  The arrays are transposed views of
+    instant-major
+    (len(times), n_samples) buffers, so column j, one instant's ensemble,
+    is contiguous in memory.
+    """
+    rng = np.random.default_rng(seed)
+    y0 = rng.normal(y_M0, dsigma_y0, size=n_samples)
+    table = collision_table(eps)
+    xs = np.empty((len(times), n_samples))
+    ys = np.empty((len(times), n_samples))
+    ns = np.empty((len(times), n_samples), dtype=int)
+    for j, t in enumerate(times):
+        xs[j], ys[j], ns[j], _ = channel_kinematics(float(t), y0, x_M0, v_x0, table)
+    return xs.T, ys.T, ns.T
+
+
 def channel_coords(y_m0: float, t: float, *, x_M0: float, y_M0: float,
                    v_x0: float, eps: float) -> tuple[float, float]:
     """Channel coordinates from the linear scaling law around the reference.

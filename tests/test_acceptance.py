@@ -16,12 +16,13 @@ from qbounce.channels import (ScenarioParams, assemble_quadratic_form,
 from qbounce.classical import (closed_form_velocities, collision_position_approx,
                                collision_table, collision_time_approx,
                                event_driven_trajectory, max_collisions,
-                               monte_carlo_positions, pair_collision_times)
+                               pair_collision_times)
 from qbounce.gaussian import (GaussianPacket, MassPair, collide_gaussians,
                               free_evolve, normalized)
 from qbounce import grid
 from qbounce.channels import purity_from_coefficients
-from oracles import assembled_coefficients_by_quadrature, purity_by_quadrature
+from oracles import (assembled_coefficients_by_quadrature, monte_carlo_positions,
+                     purity_by_quadrature)
 
 ARC_PARAMS = ScenarioParams(x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5,
                             p_x0=190.0, masses=MassPair.from_epsilon(0.05))

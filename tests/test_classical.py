@@ -9,10 +9,10 @@ from qbounce.classical import (channel_kinematics,
                                collision_time_approx, collisions_by_time,
                                critical_count, ensemble_widths,
                                event_driven_trajectory, max_collisions,
-                               monte_carlo_positions, pair_collision_times)
+                               pair_collision_times)
 from qbounce.gaussian import MassPair
 from oracles import (channel_coords, collision_velocity_map, counts_at_linear_scan,
-                     ks_distance_to_gaussian)
+                     ks_distance_to_gaussian, monte_carlo_positions)
 
 
 class TestCollisionVelocityMap:

@@ -5,14 +5,20 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from qbounce import cli
+from qbounce.channels import WIDTH_RATIO_GATE, ScenarioParams, reference_trajectory
 from qbounce.classical import collision_table
 from qbounce.cli import (ConfigError, compute_series, main, parse_config,
                          SERIES_COLUMNS)
+from qbounce.gaussian import MassPair
 
 BASE_CONFIG = """\
 # light molecule bouncing off a heavy partner
@@ -28,10 +34,30 @@ seed     = 0
 """
 
 
+# desk-scale scenario (eps = 0.2) that the grid oracle resolves at n = 512, l = 30
+DESK_CONFIG = """\
+m_x      = 1.0
+m_y      = 25.0
+x_m0     = 10.0
+y_m0     = 20.0
+sigma0x  = 0.5
+sigma0y  = 0.5
+p_x0     = 4.0
+schedule = 0.004
+"""
+
+
 def write_config(tmp_path, text=BASE_CONFIG, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def config_with(text: str, **keys: str) -> str:
+    """text with the line of each given key replaced, or the key appended."""
+    lines = [line for line in text.splitlines()
+             if line.partition("=")[0].strip() not in keys]
+    return "\n".join([*lines, *(f"{k} = {v}" for k, v in keys.items())]) + "\n"
 
 
 class TestParseConfig:
@@ -134,11 +160,14 @@ class TestRun:
         assert "nearest safe instants" in err
         assert not (tmp_path / "o").exists()
 
-    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, BASE_CONFIG.replace(
-            "schedule = auto", "schedule = -1.0"))
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, monkeypatch):
+        # a config that parses, then an error while the series is computed
+        def fail(cfg):
+            raise ValueError("state is not normalizable")
+        monkeypatch.setattr(cli, "compute_series", fail)
+        cfg = write_config(tmp_path)
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "backwards" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: state is not normalizable\n"
         assert not (tmp_path / "o").exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
@@ -146,24 +175,54 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra, flags, match", [
-        ("seed = zero", [], "'seed': expected an integer, got 'zero'"),
-        ("oracles = monte_carlo:lots", [], "expected an integer, got 'lots'"),
-        ("oracles = monte_carlo:0", [], "must be positive, got 0"),
-        ("oracles = monte_carlo:-5", [], "must be positive, got -5"),
-        ("oracles = grid:n=abc;l=30;dt=2e-3", [], "grid n: expected an integer"),
-        ("oracles = grid:n=512;l=30;dt=fast", [], "grid dt: expected a number"),
-        ("", ["--oracles", "monte_carlo:x"], "--oracles: monte_carlo sample count"),
-        ("", ["--oracles", "monte_carlo:0"], "--oracles: .* must be positive"),
-        ("", ["--oracles", "bogus"], "--oracles: unknown oracle 'bogus'"),
-        ("seed = -1", [], "'seed': must be non-negative, got -1"),
-        ("", ["--seed", "-1"], "--seed: must be non-negative, got -1"),
+    @pytest.mark.parametrize("base, keys, flags, match", [
+        (BASE_CONFIG, {"seed": "zero"}, [], "'seed': expected an integer, got 'zero'"),
+        (BASE_CONFIG, {"oracles": "monte_carlo:lots"}, [], "expected an integer, got 'lots'"),
+        (BASE_CONFIG, {"oracles": "monte_carlo:0"}, [], "must be positive, got 0"),
+        (BASE_CONFIG, {"oracles": "monte_carlo:-5"}, [], "must be positive, got -5"),
+        (BASE_CONFIG, {"oracles": "grid:n=abc;l=30;dt=2e-3"}, [],
+         "grid n: expected an integer"),
+        (BASE_CONFIG, {"oracles": "grid:n=512;l=30;dt=fast"}, [], "grid dt: expected a number"),
+        (BASE_CONFIG, {}, ["--oracles", "monte_carlo:x"], "--oracles: monte_carlo sample count"),
+        (BASE_CONFIG, {}, ["--oracles", "monte_carlo:0"], "--oracles: .* must be positive"),
+        (BASE_CONFIG, {}, ["--oracles", "bogus"], "--oracles: unknown oracle 'bogus'"),
+        (BASE_CONFIG, {"seed": "-1"}, [], "'seed': must be non-negative, got -1"),
+        (BASE_CONFIG, {}, ["--seed", "-1"], "--seed: must be non-negative, got -1"),
+        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=0"}, [],
+         "grid dt: must be positive and finite, got 0$"),
+        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=-1e-3"}, [],
+         "grid dt: must be positive and finite, got -0.001"),
+        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=nan"}, [],
+         "grid dt: must be positive and finite, got nan"),
+        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=2e-3;tmax=0.5"}, [],
+         "grid: needs exactly the options n, l and dt .*got n, l, dt, tmax"),
+        (DESK_CONFIG, {"oracles": "grid:n=4;l=30;dt=2e-3"}, [], "grid: grid too small: n=4"),
+        (DESK_CONFIG, {"oracles": "grid:n=512;l=-3;dt=2e-3"}, [],
+         "grid: length must be positive and finite, got -3"),
+        (BASE_CONFIG, {"oracles": "grid:n=64;l=30;dt=1e-3"}, [],
+         "grid: width 1 under-resolved"),
+        (DESK_CONFIG, {}, ["--oracles", "grid:n=512;l=30;dt=0"],
+         "--oracles: grid dt: must be positive"),
+        (BASE_CONFIG, {"p_x0": "nan"}, [], "p_x0 must be finite, got nan"),
+        (BASE_CONFIG, {"p_x0": "inf"}, [], "p_x0 must be finite, got inf"),
+        (BASE_CONFIG, {"sigma0x": "nan"}, [], "sigma0x must be finite, got nan"),
+        (BASE_CONFIG, {"schedule": "nan"}, [], "instants must be finite and non-negative, got nan"),
+        (BASE_CONFIG, {"schedule": "0.1,inf"}, [], "non-negative, got inf"),
+        (BASE_CONFIG, {"schedule": "-1.0"}, [], "non-negative, got -1.0"),
+        (BASE_CONFIG, {"m_y": "inf"}, [], "masses must be positive and finite, got m_x=1, m_y=inf"),
+        (BASE_CONFIG, {"m_y": "nan"}, [], "masses must be positive and finite, got m_x=1, m_y=nan"),
+        (BASE_CONFIG, {"m_y": "1.0"}, [], "need m_x < m_y"),
     ], ids=["seed", "mc-count", "mc-zero", "mc-negative", "grid-n", "grid-dt",
             "cli-mc-count", "cli-mc-zero", "cli-unknown", "seed-negative",
-            "cli-seed-negative"])
-    def test_malformed_value_exit_code(self, tmp_path, capsys, extra, flags, match):
-        cfg = write_config(tmp_path, BASE_CONFIG.replace("seed     = 0\n", "")
-                           + extra + "\n")
+            "cli-seed-negative", "grid-dt-zero", "grid-dt-negative", "grid-dt-nan",
+            "grid-unknown-option", "grid-n-small", "grid-l-negative",
+            "grid-under-resolved", "cli-grid-dt-zero", "p_x0-nan", "p_x0-inf",
+            "sigma0x-nan", "schedule-nan", "schedule-inf", "schedule-negative",
+            "m_y-inf", "m_y-nan", "m_y-equal"])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, base, keys, flags, match):
+        text = config_with("\n".join(line for line in base.splitlines()
+                                     if not line.startswith("seed")), **keys)
+        cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out), *flags]) == 2
         err = capsys.readouterr().err
@@ -171,6 +230,34 @@ class TestRun:
         assert err.startswith("config error: ")
         assert re.search(match, err)
         assert not out.exists()
+        if not flags:
+            # validate reads the same config and must not accept it either
+            assert main(["validate", str(cfg)]) == 2
+            assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_missing_config_is_one_line(self, tmp_path, capsys, command):
+        missing = tmp_path / "absent.cfg"
+        assert main([command, str(missing), *(["--out", str(tmp_path / "o")]
+                                              if command == "run" else [])]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {missing}: No such file or directory\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_monte_carlo_memory_is_per_instant(self, tmp_path):
+        # N samples reduced to two spreads per instant: no (N, instants)
+        # arrays, so 32 instants stay well below 32 doubles per sample
+        n = 100_000
+        cfg = parse_config(write_config(tmp_path, config_with(
+            BASE_CONFIG, oracles=f"monte_carlo:{n}")))
+        tracemalloc.start()
+        try:
+            rows, _ = compute_series(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 32
+        assert peak < 32 * n * 8
 
     def test_cli_oracles_share_config_parser(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -283,6 +370,28 @@ class TestCompare:
         main(["run", str(cfg_b), "--out", str(out_b)])
         assert main(["compare", str(out_a), str(out_b)]) == 2
 
+    @pytest.mark.parametrize("tol, message", [
+        ("purity=abc", "--tol purity=abc: expected a number, got 'abc'"),
+        ("purity", "--tol purity: expected COL=VAL"),
+        ("purty=0.1", "--tol purty=0.1: 'purty' is not a column of both runs"),
+        ("purity=nan", "--tol purity=nan: must be non-negative and finite"),
+    ], ids=["not-a-number", "no-value", "unknown-column", "nan"])
+    def test_bad_tolerance_is_one_line(self, tmp_path, capsys, tol, message):
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(out), str(out), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_missing_input_is_one_line(self, tmp_path, capsys):
+        out, missing = tmp_path / "out", tmp_path / "absent"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(out), str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
 
 class TestValidate:
     def test_reports_derived_quantities(self, tmp_path, capsys):
@@ -380,3 +489,53 @@ seed     = 0
         assert main(["run", str(cfg_b), "--out", str(out_b)]) == 0
         assert main(["compare", str(out_a), str(out_b),
                      "--tol", "purity=0.05"]) == 0
+
+
+@st.composite
+def admissible_configs(draw) -> dict[str, str]:
+    """Config keys of a scenario that passes ScenarioParams.
+
+    eps in [1e-3, 0.3], widths up to WIDTH_RATIO_GATE of the gaps, and either
+    the auto schedule or up to five instants anywhere in the collision phase.
+    """
+    eps = draw(st.floats(1e-3, 0.3))
+    x_m0 = draw(st.floats(1.0, 50.0))
+    y_m0 = x_m0 + draw(st.floats(1.0, 50.0))
+    limit = WIDTH_RATIO_GATE * min(x_m0, y_m0 - x_m0)
+    sigma0x = limit * draw(st.floats(0.05, 1.0))
+    # broad-heavy branch: sigma0y > eps sigma0x
+    sigma0y = min(limit, eps * sigma0x
+                  + (limit - eps * sigma0x) * draw(st.floats(0.01, 1.0)))
+    params = ScenarioParams(x_M0=x_m0, y_M0=y_m0, sigma0x=sigma0x, sigma0y=sigma0y,
+                            p_x0=draw(st.floats(1.0, 1e4)),
+                            masses=MassPair.from_epsilon(eps))
+    schedule = "auto"
+    if draw(st.booleans()):
+        t_end = 1.1 * reference_trajectory(params).final.t
+        fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+        schedule = ",".join(repr(f * t_end) for f in fractions)
+    return {"m_x": repr(params.masses.m_x), "m_y": repr(params.masses.m_y),
+            "x_m0": repr(x_m0), "y_m0": repr(y_m0), "sigma0x": repr(sigma0x),
+            "sigma0y": repr(sigma0y), "p_x0": repr(params.p_x0), "schedule": schedule}
+
+
+# the two configs on which the auto schedule has instants that fail the gate:
+# eps = 0.02 (43 of 79) and eps = 0.002 (753 of 786, the first at t = 0.200075)
+HEAVY_WIDTH = {"m_x": "1.0", "m_y": "2500.0", "x_m0": "25.0", "y_m0": "50.0",
+               "sigma0x": "1.0", "sigma0y": "0.5", "p_x0": "190.0", "schedule": "auto"}
+SMALL_EPS = {**HEAVY_WIDTH, "m_y": "250000.0", "p_x0": "4000.0"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys=admissible_configs())
+@example(keys=HEAVY_WIDTH)
+@example(keys=SMALL_EPS)
+def test_validate_predicts_run(keys):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "scenario.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        out = Path(tmp) / "out"
+        validated = main(["validate", str(cfg)])
+        ran = main(["run", str(cfg), "--out", str(out)])
+        assert validated == ran
+        assert out.exists() == (ran == 0)
