@@ -209,19 +209,20 @@ def auto_schedule(params: ScenarioParams) -> list[float]:
     """Safe reporting instants: midpoints of the reference event intervals.
 
     Uses all events (wall bounces included) so the light packet is never
-    sampled on top of the wall, plus one tail instant after the final event.
+    sampled on top of the wall, plus one tail instant after the final event,
+    and keeps the midpoints that pass mixed_phase_gate.
     """
     traj = reference_trajectory(params)
     ts = [0.0] + [e.t for e in traj.events]
     out = [(a + b) / 2 for a, b in zip(ts[:-1], ts[1:])]
     if len(ts) > 1:
         out.append(ts[-1] + (ts[-1] - ts[-2]) / 2)
-    return out
+    return [t for t in out if mixed_phase_gate(params, t)]
 
 
 def nearest_safe_instants(params: ScenarioParams, t: float) -> tuple[float | None, float | None]:
-    """Closest auto-schedule instants before and after t that pass the gate."""
-    sched = [s for s in auto_schedule(params) if mixed_phase_gate(params, s)]
+    """Closest auto-schedule instants before and after t."""
+    sched = auto_schedule(params)
     before = max((s for s in sched if s <= t), default=None)
     after = min((s for s in sched if s > t), default=None)
     return before, after

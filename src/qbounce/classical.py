@@ -39,12 +39,13 @@ def collision_angle(eps: float) -> float:
 
 
 def max_collisions(eps: float) -> int:
-    """Index of the last collision, arctan(1/eps)/phi rounded to the nearest int.
+    """Crossover count arctan(1/eps)/phi ~ pi/(4 eps) - 1/2, rounded to the nearest int.
 
-    The real-valued crossover where the light particle stops catching up is
-    arctan(1/eps)/phi ~ pi/(4 eps) - 1/2; rounding keeps the result within
-    one collision of pi/(4 eps) for all eps <= 0.2 while the folded closed
-    forms stay valid up to this index (n phi < pi/2).
+    The light particle stops catching up there.  Rounding keeps the result within
+    one collision of pi/(4 eps) for all eps <= 0.2, and the folded closed forms hold
+    up to it (n phi < pi/2).  It is not the last collision's index: a run from
+    x_M0 = y_M0 / 2 makes 16 pair collisions at eps = 0.05 (n_max = 15), 4 at
+    eps = 0.2 (n_max = 3) and 785 at eps = 0.001 (n_max = 785).
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")

@@ -1,23 +1,12 @@
 """Batch front-end: run scenarios from flat key=value configs, emit CSV/JSON
 time series plus a manifest, and compare run artifacts column by column.
 
-Config format (UTF-8, one `key = value` per line, `#` comments):
-
-    m_x      = 1.0          # optional, default 1
-    m_y      = 400.0
-    x_m0     = 25.0
-    y_m0     = 50.0
-    sigma0x  = 1.0
-    sigma0y  = 0.5
-    p_x0     = 190.0
-    schedule = auto         # or comma-separated instants
-    oracles  = event_driven,monte_carlo:10000   # and/or grid:n=..;l=..;dt=..
-    seed     = 0
-    out      = out
-    formats  = csv,json
-
-Natural units (hbar = 1).  Identical config and seed give byte-identical
-series.csv; the manifest records config, versions, seed and wall-clock.
+Configs are UTF-8, one `key = value` per line, `#` comments.  The keys are
+_KNOWN_KEYS; README's CLI section documents them, and a test keeps the two
+equal.  The config alone decides what `run` computes: `--out` only names the
+output directory.  Natural units (hbar = 1).  Identical configs give
+byte-identical series.csv; the manifest records config, versions, seed and
+wall-clock.
 """
 
 from __future__ import annotations
@@ -28,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +26,7 @@ from . import __version__, channels, classical, grid
 from .channels import (MixedPhaseError, ScenarioParams, assemble_quadratic_form,
                        entanglement_report, initial_ensemble, propagate_ensemble,
                        split_width)
-from .gaussian import MassPair
+from .gaussian import OVERLAP_GATE, MassPair, wall_tail_mass
 
 SERIES_COLUMNS = [
     "t", "n", "x_M", "y_M", "dsigma_y_n", "dsigma_x_n", "abs_a_xy",
@@ -47,7 +36,7 @@ OPTIONAL_COLUMNS = ["grid_purity", "mc_dsigma_y", "mc_dsigma_x"]
 
 _KNOWN_KEYS = {
     "m_x", "m_y", "x_m0", "y_m0", "sigma0x", "sigma0y", "p_x0",
-    "schedule", "oracles", "seed", "out", "formats", "purity_source",
+    "schedule", "oracles", "seed", "purity_source",
 }
 
 
@@ -65,8 +54,6 @@ class ScenarioConfig:
     grid_dt: float = 0.0
     purity_source: str = "analytic"
     seed: int = 0
-    out: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
     raw: dict = field(default_factory=dict)
 
 
@@ -77,13 +64,6 @@ def _number(kind, text: str, what: str):
     except ValueError:
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{what}: expected {expected}, got {text!r}") from None
-
-
-def _seed(seed: int, what: str) -> int:
-    """seed, checked up front: numpy's generators reject negative seeds."""
-    if seed < 0:
-        raise ConfigError(f"{what}: must be non-negative, got {seed}")
-    return seed
 
 
 def _grid_oracle(arg: str, params: ScenarioParams, where: str) -> tuple[grid.GridSpec, float]:
@@ -103,25 +83,15 @@ def _grid_oracle(arg: str, params: ScenarioParams, where: str) -> tuple[grid.Gri
         grid.check_resolution(spec, (params.sigma0x, params.sigma0y), params.p_x0)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    heavy = params.packet_y()   # y = l is a wall: what it cuts is the mirror image's tail
+    cut = wall_tail_mass(replace(heavy, center=length - heavy.center))
+    if cut > OVERLAP_GATE:
+        from statistics import NormalDist   # here, off every run's start-up path
+        sd = math.sqrt(heavy.density_variance)
+        need = heavy.center - NormalDist(0, sd).inv_cdf(OVERLAP_GATE)
+        raise ConfigError(f"{where}: l={length:g} leaves {cut:.2e} of the heavy packet beyond "
+                          f"y = l (> {OVERLAP_GATE:.0e}); need l >= {math.ceil(need * 1e3) / 1e3}")
     return spec, dt
-
-
-def _apply_oracles(cfg: ScenarioConfig, spec: str, where: str) -> None:
-    """Switch on the oracles of a comma-separated spec; errors start with `where`."""
-    for spec_str in (s.strip() for s in spec.split(",") if s.strip()):
-        name, _, arg = spec_str.partition(":")
-        if name == "event_driven":
-            cfg.event_driven = True
-        elif name == "monte_carlo":
-            count = _number(int, arg or "10000", f"{where}: monte_carlo sample count")
-            if count <= 0:
-                raise ConfigError(f"{where}: monte_carlo sample count must be "
-                                  f"positive, got {count}")
-            cfg.monte_carlo = count
-        elif name == "grid":
-            cfg.grid_oracle, cfg.grid_dt = _grid_oracle(arg, cfg.params, f"{where}: grid")
-        else:
-            raise ConfigError(f"{where}: unknown oracle {name!r}")
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -173,18 +143,28 @@ def parse_config(path) -> ScenarioConfig:
             raise ConfigError(f"{path}: schedule: instants must be finite and "
                               f"non-negative, got {bad[0]!r}")
         cfg.schedule = instants
-    what = f"{path}: key 'seed'"
-    cfg.seed = _seed(_number(int, raw.get("seed", "0"), what), what)
-    cfg.out = raw.get("out", "out")
-    cfg.formats = tuple(s.strip() for s in raw.get("formats", "csv,json").split(","))
-    for fmt in cfg.formats:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"{path}: unknown format {fmt!r}")
+    cfg.seed = _number(int, raw.get("seed", "0"), f"{path}: key 'seed'")
+    if cfg.seed < 0:    # numpy's generators reject negative seeds
+        raise ConfigError(f"{path}: key 'seed': must be non-negative, got {cfg.seed}")
     cfg.purity_source = raw.get("purity_source", "analytic").strip()
     if cfg.purity_source not in ("analytic", "grid"):
         raise ConfigError(f"{path}: purity_source must be analytic or grid")
 
-    _apply_oracles(cfg, raw.get("oracles", ""), f"{path}: oracles")
+    where = f"{path}: oracles"
+    for spec in (s.strip() for s in raw.get("oracles", "").split(",") if s.strip()):
+        name, _, arg = spec.partition(":")
+        if name == "event_driven":
+            cfg.event_driven = True
+        elif name == "monte_carlo":
+            count = _number(int, arg or "10000", f"{where}: monte_carlo sample count")
+            if count <= 0:
+                raise ConfigError(f"{where}: monte_carlo sample count must be "
+                                  f"positive, got {count}")
+            cfg.monte_carlo = count
+        elif name == "grid":
+            cfg.grid_oracle, cfg.grid_dt = _grid_oracle(arg, params, f"{where}: grid")
+        else:
+            raise ConfigError(f"{where}: unknown oracle {name!r}")
     if cfg.purity_source == "grid" and cfg.grid_oracle is None:
         raise ConfigError(f"{path}: purity_source=grid requires the grid oracle")
     return cfg
@@ -277,35 +257,31 @@ def _columns_for(rows: list[dict]) -> list[str]:
     return cols
 
 
-def write_series(rows: list[dict], out_dir: Path, formats) -> None:
+def write_series(rows: list[dict], out_dir: Path) -> None:
     cols = _columns_for(rows)
-    if "csv" in formats:
-        with open(out_dir / "series.csv", "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(cols)
-            for row in rows:
-                w.writerow([_fmt(row[c]) for c in cols])
-    if "json" in formats:
-        payload = [{c: row[c] for c in cols} for row in rows]
-        with open(out_dir / "series.json", "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    with open(out_dir / "series.csv", "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(cols)
+        for row in rows:
+            w.writerow([_fmt(row[c]) for c in cols])
+    payload = [{c: row[c] for c in cols} for row in rows]
+    with open(out_dir / "series.json", "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_run(args) -> int:
     try:
         cfg = parse_config(args.config)
-        if args.oracles:
-            _apply_oracles(cfg, args.oracles, "--oracles")
-            cfg.raw["oracles"] = ",".join(
-                s for s in (cfg.raw.get("oracles", ""), args.oracles) if s)
-        if args.seed is not None:
-            cfg.seed = _seed(args.seed, "--seed")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        cfg.out = args.out
+    out_dir = Path(args.out)
+    # checked before any work: mkdir fails on a file anywhere along the path
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        print(f"error: --out {out_dir}: {existing} is not a directory", file=sys.stderr)
+        return 2
     started = time.time()
     try:
         rows, details = compute_series(cfg)
@@ -316,9 +292,8 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # made only now, so a run that fails leaves no empty output directory
-    out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_series(rows, out_dir, cfg.formats)
+    write_series(rows, out_dir)
     snap_dir = out_dir / "snapshots"
     for t, f in details.get("snapshots", []):
         snap_dir.mkdir(exist_ok=True)
@@ -421,6 +396,7 @@ def cmd_validate(args) -> int:
         return 2
     params = cfg.params
     dsigma_y0, sigma_yT = split_width(params)
+    auto = channels.auto_schedule(params)
     info = {
         "epsilon": params.eps,
         "v_x0": params.v_x0,
@@ -430,7 +406,9 @@ def cmd_validate(args) -> int:
         "sigma_yT": sigma_yT,
         "validity_figure": params.validity_figure,
         "validity_warning": params.validity_figure < 1.0,
-        "auto_schedule_len": len(channels.auto_schedule(params)),
+        "auto_schedule_len": len(auto),
+        # of the reference midpoints: one per event, plus the tail instant
+        "auto_schedule_dropped": len(channels.reference_trajectory(params).events) + 1 - len(auto),
     }
     # run gates every scheduled instant and exits 3 at the first that fails
     unsafe = [t for t in _schedule(cfg) if not channels.mixed_phase_gate(params, t)]
@@ -449,10 +427,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("config")
-    p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--oracles", default=None,
-                       help="comma list, e.g. event_driven,monte_carlo:10000")
+    p_run.add_argument("--out", default="out", help="output directory")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare two run artifacts")

@@ -354,13 +354,17 @@ class TestNearestSafeInstants:
 
     def test_skips_auto_instants_that_fail_the_gate(self):
         # eps = 0.02: the +-3 sigma span of channels straddles a collision at
-        # auto-schedule instants 18 to 60, so the nearest safe ones are 17 and 61
+        # reference midpoints 18 to 60; the auto schedule leaves them out, so
+        # the nearest safe instants are midpoints 17 and 61
         p = ScenarioParams(x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5,
                            p_x0=190.0, masses=MassPair(1.0, 2500.0))
-        sched = auto_schedule(p)
-        unsafe = [i for i, t in enumerate(sched) if not mixed_phase_gate(p, t)]
+        ts = [0.0] + [e.t for e in reference_trajectory(p).events]
+        mids = [(a + b) / 2 for a, b in zip(ts[:-1], ts[1:])]
+        mids.append(ts[-1] + (ts[-1] - ts[-2]) / 2)
+        unsafe = [i for i, t in enumerate(mids) if not mixed_phase_gate(p, t)]
         assert unsafe == list(range(18, 61))
-        assert nearest_safe_instants(p, sched[18]) == (sched[17], sched[61])
+        assert auto_schedule(p) == mids[:18] + mids[61:]
+        assert nearest_safe_instants(p, mids[18]) == (mids[17], mids[61])
         with pytest.raises(MixedPhaseError) as err:
-            propagate_ensemble(initial_ensemble(p), p, sched[18])
-        assert (err.value.safe_before, err.value.safe_after) == (sched[17], sched[61])
+            propagate_ensemble(initial_ensemble(p), p, mids[18])
+        assert (err.value.safe_before, err.value.safe_after) == (mids[17], mids[61])

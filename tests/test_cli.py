@@ -123,21 +123,20 @@ class TestRun:
         assert manifest["n_max"] == 15
 
     def test_determinism_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG.replace(
-            "schedule = auto",
-            "schedule = auto\noracles  = monte_carlo:500"))
+        cfg = write_config(tmp_path, config_with(BASE_CONFIG, oracles="monte_carlo:500",
+                                                 seed="3"))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", str(cfg), "--out", str(out_a), "--seed", "3"]) == 0
-        assert main(["run", str(cfg), "--out", str(out_b), "--seed", "3"]) == 0
+        assert main(["run", str(cfg), "--out", str(out_a)]) == 0
+        assert main(["run", str(cfg), "--out", str(out_b)]) == 0
         assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
 
     def test_different_seed_changes_mc_columns(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG.replace(
-            "schedule = auto",
-            "schedule = auto\noracles  = monte_carlo:500"))
+        cfg_a, cfg_b = (write_config(tmp_path, config_with(
+            BASE_CONFIG, oracles="monte_carlo:500", seed=seed), name=f"seed{seed}.cfg")
+            for seed in ("3", "4"))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["run", str(cfg), "--out", str(out_a), "--seed", "3"])
-        main(["run", str(cfg), "--out", str(out_b), "--seed", "4"])
+        main(["run", str(cfg_a), "--out", str(out_a)])
+        main(["run", str(cfg_b), "--out", str(out_b)])
         assert (out_a / "series.csv").read_bytes() != (out_b / "series.csv").read_bytes()
 
     def test_validity_warning_flag(self, tmp_path):
@@ -175,65 +174,76 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("base, keys, flags, match", [
-        (BASE_CONFIG, {"seed": "zero"}, [], "'seed': expected an integer, got 'zero'"),
-        (BASE_CONFIG, {"oracles": "monte_carlo:lots"}, [], "expected an integer, got 'lots'"),
-        (BASE_CONFIG, {"oracles": "monte_carlo:0"}, [], "must be positive, got 0"),
-        (BASE_CONFIG, {"oracles": "monte_carlo:-5"}, [], "must be positive, got -5"),
-        (BASE_CONFIG, {"oracles": "grid:n=abc;l=30;dt=2e-3"}, [],
-         "grid n: expected an integer"),
-        (BASE_CONFIG, {"oracles": "grid:n=512;l=30;dt=fast"}, [], "grid dt: expected a number"),
-        (BASE_CONFIG, {}, ["--oracles", "monte_carlo:x"], "--oracles: monte_carlo sample count"),
-        (BASE_CONFIG, {}, ["--oracles", "monte_carlo:0"], "--oracles: .* must be positive"),
-        (BASE_CONFIG, {}, ["--oracles", "bogus"], "--oracles: unknown oracle 'bogus'"),
-        (BASE_CONFIG, {"seed": "-1"}, [], "'seed': must be non-negative, got -1"),
-        (BASE_CONFIG, {}, ["--seed", "-1"], "--seed: must be non-negative, got -1"),
-        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=0"}, [],
+    @pytest.mark.parametrize("base, keys, match", [
+        (BASE_CONFIG, {"seed": "zero"}, "'seed': expected an integer, got 'zero'"),
+        (BASE_CONFIG, {"oracles": "monte_carlo:lots"}, "expected an integer, got 'lots'"),
+        (BASE_CONFIG, {"oracles": "monte_carlo:0"}, "must be positive, got 0"),
+        (BASE_CONFIG, {"oracles": "monte_carlo:-5"}, "must be positive, got -5"),
+        (BASE_CONFIG, {"oracles": "grid:n=abc;l=30;dt=2e-3"}, "grid n: expected an integer"),
+        (BASE_CONFIG, {"oracles": "grid:n=512;l=30;dt=fast"}, "grid dt: expected a number"),
+        (BASE_CONFIG, {"oracles": "bogus"}, "oracles: unknown oracle 'bogus'"),
+        (BASE_CONFIG, {"seed": "-1"}, "'seed': must be non-negative, got -1"),
+        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=0"},
          "grid dt: must be positive and finite, got 0$"),
-        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=-1e-3"}, [],
+        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=-1e-3"},
          "grid dt: must be positive and finite, got -0.001"),
-        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=nan"}, [],
+        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=nan"},
          "grid dt: must be positive and finite, got nan"),
-        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=2e-3;tmax=0.5"}, [],
+        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=2e-3;tmax=0.5"},
          "grid: needs exactly the options n, l and dt .*got n, l, dt, tmax"),
-        (DESK_CONFIG, {"oracles": "grid:n=4;l=30;dt=2e-3"}, [], "grid: grid too small: n=4"),
-        (DESK_CONFIG, {"oracles": "grid:n=512;l=-3;dt=2e-3"}, [],
+        (DESK_CONFIG, {"oracles": "grid:n=4;l=30;dt=2e-3"}, "grid: grid too small: n=4"),
+        (DESK_CONFIG, {"oracles": "grid:n=512;l=-3;dt=2e-3"},
          "grid: length must be positive and finite, got -3"),
-        (BASE_CONFIG, {"oracles": "grid:n=64;l=30;dt=1e-3"}, [],
-         "grid: width 1 under-resolved"),
-        (DESK_CONFIG, {}, ["--oracles", "grid:n=512;l=30;dt=0"],
-         "--oracles: grid dt: must be positive"),
-        (BASE_CONFIG, {"p_x0": "nan"}, [], "p_x0 must be finite, got nan"),
-        (BASE_CONFIG, {"p_x0": "inf"}, [], "p_x0 must be finite, got inf"),
-        (BASE_CONFIG, {"sigma0x": "nan"}, [], "sigma0x must be finite, got nan"),
-        (BASE_CONFIG, {"schedule": "nan"}, [], "instants must be finite and non-negative, got nan"),
-        (BASE_CONFIG, {"schedule": "0.1,inf"}, [], "non-negative, got inf"),
-        (BASE_CONFIG, {"schedule": "-1.0"}, [], "non-negative, got -1.0"),
-        (BASE_CONFIG, {"m_y": "inf"}, [], "masses must be positive and finite, got m_x=1, m_y=inf"),
-        (BASE_CONFIG, {"m_y": "nan"}, [], "masses must be positive and finite, got m_x=1, m_y=nan"),
-        (BASE_CONFIG, {"m_y": "1.0"}, [], "need m_x < m_y"),
+        (BASE_CONFIG, {"oracles": "grid:n=64;l=30;dt=1e-3"}, "grid: width 1 under-resolved"),
+        # y_m0 = 20: a domain [0, 15] holds none of the heavy packet
+        (DESK_CONFIG, {"oracles": "grid:n=256;l=15;dt=2e-3"},
+         "grid: l=15 leaves 1.00e\\+00 of the heavy packet beyond y = l "
+         "\\(> 1e-08\\); need l >= 21.985$"),
+        (BASE_CONFIG, {"p_x0": "nan"}, "p_x0 must be finite, got nan"),
+        (BASE_CONFIG, {"p_x0": "inf"}, "p_x0 must be finite, got inf"),
+        (BASE_CONFIG, {"sigma0x": "nan"}, "sigma0x must be finite, got nan"),
+        (BASE_CONFIG, {"schedule": "nan"}, "instants must be finite and non-negative, got nan"),
+        (BASE_CONFIG, {"schedule": "0.1,inf"}, "non-negative, got inf"),
+        (BASE_CONFIG, {"schedule": "-1.0"}, "non-negative, got -1.0"),
+        (BASE_CONFIG, {"m_y": "inf"}, "masses must be positive and finite, got m_x=1, m_y=inf"),
+        (BASE_CONFIG, {"m_y": "nan"}, "masses must be positive and finite, got m_x=1, m_y=nan"),
+        (BASE_CONFIG, {"m_y": "1.0"}, "need m_x < m_y"),
+        # the output path and format are not config keys: `--out` sets the one,
+        # and run always writes series.csv and series.json
+        (BASE_CONFIG, {"formats": "csv"}, "unknown key 'formats'"),
+        (BASE_CONFIG, {"out": "x"}, "unknown key 'out'"),
     ], ids=["seed", "mc-count", "mc-zero", "mc-negative", "grid-n", "grid-dt",
-            "cli-mc-count", "cli-mc-zero", "cli-unknown", "seed-negative",
-            "cli-seed-negative", "grid-dt-zero", "grid-dt-negative", "grid-dt-nan",
-            "grid-unknown-option", "grid-n-small", "grid-l-negative",
-            "grid-under-resolved", "cli-grid-dt-zero", "p_x0-nan", "p_x0-inf",
+            "oracle-unknown", "seed-negative", "grid-dt-zero", "grid-dt-negative",
+            "grid-dt-nan", "grid-unknown-option", "grid-n-small", "grid-l-negative",
+            "grid-under-resolved", "grid-domain-cuts-packet", "p_x0-nan", "p_x0-inf",
             "sigma0x-nan", "schedule-nan", "schedule-inf", "schedule-negative",
-            "m_y-inf", "m_y-nan", "m_y-equal"])
-    def test_malformed_value_exit_code(self, tmp_path, capsys, base, keys, flags, match):
+            "m_y-inf", "m_y-nan", "m_y-equal", "formats-key", "out-key"])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, base, keys, match):
         text = config_with("\n".join(line for line in base.splitlines()
                                      if not line.startswith("seed")), **keys)
         cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out), *flags]) == 2
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("config error: ")
         assert re.search(match, err)
         assert not out.exists()
-        if not flags:
-            # validate reads the same config and must not accept it either
-            assert main(["validate", str(cfg)]) == 2
-            assert capsys.readouterr().err == err
+        # validate reads the same config and must not accept it either
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == err
+
+    def test_out_naming_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise AssertionError("the series was computed")
+        monkeypatch.setattr(cli, "compute_series", fail)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        for out in (taken, taken / "sub"):
+            assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --out {out}: {taken} is not a directory\n"
+        assert taken.read_text() == "keep\n"
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_missing_config_is_one_line(self, tmp_path, capsys, command):
@@ -259,24 +269,13 @@ class TestRun:
         assert len(rows) == 32
         assert peak < 32 * n * 8
 
-    def test_cli_oracles_share_config_parser(self, tmp_path):
-        cfg = write_config(tmp_path)
+    def test_manifest_echoes_config_oracles(self, tmp_path):
+        cfg = write_config(tmp_path, config_with(
+            BASE_CONFIG, oracles="monte_carlo:500,event_driven"))
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out),
-                     "--oracles", "event_driven,monte_carlo:300"]) == 0
-        header = (out / "series.csv").read_text().splitlines()[0].split(",")
-        assert header[-2:] == ["mc_dsigma_y", "mc_dsigma_x"]
-
-    def test_manifest_lists_config_and_cli_oracles(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG.replace(
-            "schedule = auto",
-            "schedule = auto\noracles  = monte_carlo:500"))
-        out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out),
-                     "--oracles", "event_driven"]) == 0
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        names = {s.partition(":")[0] for s in manifest["config"]["oracles"].split(",")}
-        assert names == {"monte_carlo", "event_driven"}
+        assert manifest["config"]["oracles"] == "monte_carlo:500,event_driven"
         header = (out / "series.csv").read_text().splitlines()[0].split(",")
         assert header[-2:] == ["mc_dsigma_y", "mc_dsigma_x"]
 
@@ -350,9 +349,9 @@ class TestCompare:
         main(["run", str(cfg_a), "--out", str(out_a)])
         out_b = tmp_path / "b"
         cfg_b = write_config(tmp_path, BASE_CONFIG.replace("seed     = 0",
-                                                           "seed     = 0\n"),
+                                                           "seed     = 1"),
                              name="b.cfg")
-        main(["run", str(cfg_b), "--out", str(out_b), "--seed", "1"])
+        main(["run", str(cfg_b), "--out", str(out_b)])
         rows = (out_b / "series.csv").read_text().splitlines()
         parts = rows[1].split(",")
         parts[SERIES_COLUMNS.index("purity")] = "0.5"
@@ -409,17 +408,24 @@ class TestValidate:
         assert main(["validate", str(cfg)]) == 2
 
     def test_predicts_the_gate_on_the_auto_schedule(self, tmp_path, capsys):
-        # eps = 0.02: 43 of the 79 auto instants have channels straddling a
-        # collision, and run exits 3 at the first of them
+        # eps = 0.02: 43 of the 79 reference midpoints have channels
+        # straddling a collision; the auto schedule leaves them out
         cfg = write_config(tmp_path, BASE_CONFIG.replace("m_y      = 400.0",
                                                          "m_y      = 2500.0"))
-        assert main(["validate", str(cfg)]) == 3
+        assert main(["validate", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert "auto_schedule_len = 79\n" in out
-        assert "schedule_unsafe = 43\n" in out
-        assert "first_unsafe_instant = 4.97172" in out
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        assert "t=4.97172 " in capsys.readouterr().err
+        assert "auto_schedule_len = 36\n" in out
+        assert "auto_schedule_dropped = 43\n" in out
+        assert "schedule_unsafe = 0\n" in out
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len((tmp_path / "o" / "series.csv").read_text().splitlines()) == 1 + 36
+
+    @pytest.mark.parametrize("length, code", [("21.984", 2), ("21.985", 0)])
+    def test_grid_domain_bound_named_in_the_error(self, tmp_path, length, code):
+        # 21.985 is the `need l >=` of the grid-domain-cuts-packet case
+        cfg = write_config(tmp_path, config_with(
+            DESK_CONFIG, oracles=f"grid:n=512;l={length};dt=2e-3"))
+        assert main(["validate", str(cfg)]) == code
 
     def test_predicts_the_gate_on_an_explicit_schedule(self, tmp_path, capsys):
         from qbounce.channels import reference_trajectory
@@ -431,6 +437,28 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "schedule_unsafe = 1\n" in out
         assert f"first_unsafe_instant = {t_bad!r}\n" in out
+
+
+def _readme_cli_blocks() -> list[str]:
+    """Fenced code blocks of README's CLI section: the usage, then the config example."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0].split("```")[1::2]
+
+
+class TestReadmeMatchesParser:
+    def test_config_example_sets_every_key(self):
+        example = _readme_cli_blocks()[1]
+        keys = {m.group(1) for m in re.finditer(r"^(\w+)\s*=", example, re.MULTILINE)}
+        assert keys == cli._KNOWN_KEYS
+
+    @pytest.mark.parametrize("command", ["run", "compare", "validate"])
+    def test_usage_lists_every_option(self, capsys, command):
+        flag = r"--[a-z][\w-]*"
+        documented = {f for line in _readme_cli_blocks()[0].splitlines()
+                      if line.split()[1:2] == [command] for f in re.findall(flag, line)}
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert documented == set(re.findall(flag, capsys.readouterr().out)) - {"--help"}
 
 
 class TestGridOracleIntegration:
@@ -519,8 +547,8 @@ def admissible_configs(draw) -> dict[str, str]:
             "sigma0y": repr(sigma0y), "p_x0": repr(params.p_x0), "schedule": schedule}
 
 
-# the two configs on which the auto schedule has instants that fail the gate:
-# eps = 0.02 (43 of 79) and eps = 0.002 (753 of 786, the first at t = 0.200075)
+# the two configs on which many reference midpoints fail the gate: eps = 0.02
+# (43 of 79) and eps = 0.002 (753 of 786); the auto schedule leaves them out
 HEAVY_WIDTH = {"m_x": "1.0", "m_y": "2500.0", "x_m0": "25.0", "y_m0": "50.0",
                "sigma0x": "1.0", "sigma0y": "0.5", "p_x0": "190.0", "schedule": "auto"}
 SMALL_EPS = {**HEAVY_WIDTH, "m_y": "250000.0", "p_x0": "4000.0"}
@@ -538,4 +566,6 @@ def test_validate_predicts_run(keys):
         validated = main(["validate", str(cfg)])
         ran = main(["run", str(cfg), "--out", str(out)])
         assert validated == ran
+        if keys["schedule"] == "auto":
+            assert ran == 0
         assert out.exists() == (ran == 0)
