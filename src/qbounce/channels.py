@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical
-from .classical import (ClassicalTrajectory, channel_rotation,
+from .classical import (ClassicalState, ClassicalTrajectory, channel_rotation,
                         closed_form_velocities, collision_table, critical_count,
                         ensemble_widths, event_driven_trajectory, max_collisions)
 from .gaussian import (GaussianPacket, MassPair, QuadraticFormState,
@@ -140,7 +140,8 @@ def split_width(params: ScenarioParams) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ChannelEnsemble:
-    """Classical distribution over channel centres at one instant.
+    """Classical distribution over channel centres at one instant (or one per
+    element, when the fields are arrays over instants).
 
     The centres sit on the line x_m = x_center + (tan(2 eps n)/eps)
     (y_m - y_center) with a Gaussian of width dsigma_y_n along y_m.  The sign
@@ -193,16 +194,26 @@ def _endpoint_pair_times(params: ScenarioParams) -> np.ndarray:
     return times
 
 
-def mixed_phase_gate(params: ScenarioParams, t: float) -> bool:
+def mixed_phase_gate(params: ScenarioParams, t):
     """True when the +-3 sigma span of channels shares one collision count at t.
 
     Exact per-channel counting at the span endpoints (counts are monotone in
-    the initial offset, so the endpoints decide).  Wall proximity is a
-    separate concern handled by the schedule: use auto_schedule to sample
-    midway between consecutive events.
+    the initial offset, so the endpoints decide).  t may be an array of
+    instants, giving a bool array; one instant gives a bool.  Wall proximity
+    is a separate concern handled by the schedule: use auto_schedule to
+    sample midway between consecutive events.
     """
     lo, hi = _endpoint_pair_times(params)
-    return bool(np.searchsorted(lo, t, "right") == np.searchsorted(hi, t, "right"))
+    same = np.searchsorted(lo, t, "right") == np.searchsorted(hi, t, "right")
+    return same if np.ndim(t) else bool(same)
+
+
+def gate_schedule(params: ScenarioParams, ts) -> None:
+    """Raise MixedPhaseError at the first instant of ts that fails mixed_phase_gate."""
+    ts = np.atleast_1d(ts)
+    unsafe = ts[~mixed_phase_gate(params, ts)].tolist()
+    if unsafe:
+        raise MixedPhaseError(unsafe[0], *nearest_safe_instants(params, unsafe[0]))
 
 
 def auto_schedule(params: ScenarioParams) -> list[float]:
@@ -212,12 +223,11 @@ def auto_schedule(params: ScenarioParams) -> list[float]:
     sampled on top of the wall, plus one tail instant after the final event,
     and keeps the midpoints that pass mixed_phase_gate.
     """
-    traj = reference_trajectory(params)
-    ts = [0.0] + [e.t for e in traj.events]
-    out = [(a + b) / 2 for a, b in zip(ts[:-1], ts[1:])]
+    ts = reference_trajectory(params).state_columns.t
+    out = (ts[:-1] + ts[1:]) / 2
     if len(ts) > 1:
-        out.append(ts[-1] + (ts[-1] - ts[-2]) / 2)
-    return [t for t in out if mixed_phase_gate(params, t)]
+        out = np.append(out, ts[-1] + (ts[-1] - ts[-2]) / 2)
+    return out[mixed_phase_gate(params, out)].tolist()
 
 
 def nearest_safe_instants(params: ScenarioParams, t: float) -> tuple[float | None, float | None]:
@@ -232,33 +242,34 @@ def propagate_ensemble(e: ChannelEnsemble, params: ScenarioParams,
                        t: float) -> ChannelEnsemble:
     """Ensemble parameters at a later between-collision instant.
 
-    Collision count and centres come from the exact reference trajectory,
-    momenta from the closed-form speeds, width from the rotation law at the
-    current count.  Raises MixedPhaseError when channels straddle an event
-    at t.
+    reference_ensemble at the reference trajectory's state at t.  Raises
+    MixedPhaseError when channels straddle an event at t.
     """
     if t < e.t:
         raise ValueError("cannot propagate backwards")
-    if not mixed_phase_gate(params, t):
-        raise MixedPhaseError(t, *nearest_safe_instants(params, t))
-    traj = reference_trajectory(params)
-    ref = traj.state_at(t)
+    gate_schedule(params, t)
+    return reference_ensemble(params, reference_trajectory(params).states_at(t))
+
+
+def reference_ensemble(params: ScenarioParams, ref: ClassicalState) -> ChannelEnsemble:
+    """Ungated ensemble at the instant(s) of ref, the reference state(s) there.
+
+    Collision count and centres come from ref, momenta from the closed-form
+    speeds (ref's own past n_max, where the folding fails), width from the
+    rotation law at the current count.  Elementwise over arrays.
+    """
     n = ref.n
     eps = params.eps
+    m_x, m_y = params.masses.m_x, params.masses.m_y
     dsigma_y0, _ = split_width(params)
-    sign = +1 if ref.v_x >= 0 else -1
-    if n <= params.n_max:
-        v_x, v_y = closed_form_velocities(n, eps, params.v_x0)
-        p_xn = sign * params.masses.m_x * v_x
-        p_yn = params.masses.m_y * v_y
-    else:
-        # past the final collision the folded closed forms no longer apply
-        p_xn = params.masses.m_x * ref.v_x
-        p_yn = params.masses.m_y * ref.v_y
+    folded = n <= params.n_max
+    v_x, v_y = closed_form_velocities(np.where(folded, n, 0), eps, params.v_x0)
+    sign = np.where(ref.v_x >= 0, 1, -1)
     return ChannelEnsemble(
         n=n, x_center=ref.x, y_center=ref.y,
         dsigma_y_n=ensemble_widths(n, eps, dsigma_y0).dsigma_y,
-        p_xn=p_xn, p_yn=p_yn, t=t)
+        p_xn=np.where(folded, sign * m_x * v_x, m_x * ref.v_x)[()],
+        p_yn=np.where(folded, m_y * v_y, m_y * ref.v_y)[()], t=ref.t)
 
 
 def ensemble_at_count(params: ScenarioParams, n, t: float) -> ChannelEnsemble:
@@ -289,17 +300,26 @@ def _betas(params: ScenarioParams, t: float) -> tuple[complex, complex]:
 
 
 def assemble_quadratic_form(e: ChannelEnsemble, params: ScenarioParams) -> QuadraticFormState:
-    """Two-particle quadratic form from the channel superposition at e.t.
+    """Two-particle quadratic form from the channel superposition at e.t, normalized.
+
+    The instant is not checked: propagate_ensemble gates it.
+    """
+    return normalized(channel_integral(e, params))
+
+
+def channel_integral(e: ChannelEnsemble, params: ScenarioParams) -> QuadraticFormState:
+    """Unnormalized quadratic form of the channel superposition at e.t.
 
     The Gaussian channel integral is done in closed form in the initial
     offset w = y_m0 - y_M0, which stays regular through the width zero at
-    the critical count.  The result is normalized.  The instant is not
-    checked: propagate_ensemble gates it.
+    the critical count.  Elementwise over arrays; one instant runs as a
+    one-element array, since numpy rounds complex products in array loops
+    unlike in scalar arithmetic, so it gets the bits it gets in a schedule.
     """
     eps = params.eps
     dsigma_y0, _ = split_width(params)
     d0sq = dsigma_y0**2
-    bx2, _ = _betas(params, e.t)
+    bx2, _ = _betas(params, np.atleast_1d(np.asarray(e.t, dtype=float)))
     bt2 = eps**2 * bx2                      # channel heavy width parameter
     c, s = channel_rotation(e.n, eps)
     fx, fy = s / eps, c                     # offset-to-x_m and -to-y_m scales
@@ -308,16 +328,18 @@ def assemble_quadratic_form(e: ChannelEnsemble, params: ScenarioParams) -> Quadr
     lam_x, lam_y = fx * p, fy * q
     lam_1 = -fx * p * e.x_center - fy * q * e.y_center
     denom = -4 * alpha
-    state = QuadraticFormState(
+    coefficients = dict(
         a_xx=-p / 2 + lam_x * lam_x / denom,
         a_yy=-q / 2 + lam_y * lam_y / denom,
         a_xy=2 * lam_x * lam_y / denom,
         b_x=p * e.x_center + 1j * e.p_xn + 2 * lam_x * lam_1 / denom,
         b_y=q * e.y_center + 1j * e.p_yn + 2 * lam_y * lam_1 / denom,
-        log_norm=(-p * e.x_center**2 / 2 - q * e.y_center**2 / 2
+        log_norm=(-p * (e.x_center * e.x_center) / 2 - q * (e.y_center * e.y_center) / 2
                   + lam_1 * lam_1 / denom),
     )
-    return normalized(state)
+    if np.ndim(e.t) == 0:
+        coefficients = {key: value[0] for key, value in coefficients.items()}
+    return QuadraticFormState(**coefficients)
 
 
 def axy_formula(n, eps: float, beta_x_sq: complex, beta_y_sq: complex) -> complex:
@@ -348,34 +370,33 @@ def energy_exchange_check(t: float, params: ScenarioParams) -> bool:
             and abs(state.a_yy - want_yy) <= rtol * abs(want_yy))
 
 
-def purity_from_coefficients(a_xx: complex, a_yy: complex, a_xy: complex) -> float:
+def purity_from_coefficients(a_xx, a_yy, a_xy):
     """Closed-form purity of the reduced x state of a pure Gaussian pair.
 
     With A = -2 Re a_xx, D = -2 Re a_yy, g = a_xy the four-fold Gaussian
     integral for Tr rho_x^2 collapses to sqrt[(AD - (Re g)^2)/(AD + (Im g)^2)].
-    Displacements and global phase drop out.
+    Displacements and global phase drop out.  Elementwise over arrays.
     """
-    a = -2 * complex(a_xx).real
-    d = -2 * complex(a_yy).real
-    g = complex(a_xy)
-    num = a * d - g.real**2
-    if a <= 0 or d <= 0 or num <= 0:
+    a = -2 * np.real(a_xx)
+    d = -2 * np.real(a_yy)
+    num = a * d - np.square(np.real(a_xy))
+    if np.any((a <= 0) | (d <= 0) | (num <= 0)):
         raise ValueError("state is not normalizable")
-    return math.sqrt(num / (a * d + g.imag**2))
+    return np.sqrt(num / (a * d + np.square(np.imag(a_xy))))
 
 
-def schmidt_entropy_from_purity(purity: float) -> float:
-    """Entropy of the geometric Schmidt spectrum with the given purity."""
-    if not 0 < purity <= 1:
+def schmidt_entropy_from_purity(purity):
+    """Entropy of the geometric Schmidt spectrum with the given purity(ies)."""
+    if not np.all((0 < purity) & (purity <= 1)):
         raise ValueError("purity must lie in (0, 1]")
     lam = (1 - purity) / (1 + purity)
-    if lam <= 0:
-        return 0.0
-    return -math.log(1 - lam) - lam * math.log(lam) / (1 - lam)
+    with np.errstate(divide="ignore", invalid="ignore"):    # lam = 0 at purity 1
+        entropy = -np.log(1 - lam) - lam * np.log(lam) / (1 - lam)
+    return np.where(lam > 0, entropy, 0.0)[()]
 
 
 def entanglement_report(state: QuadraticFormState) -> EntanglementReport:
-    """Cross coefficient, purity and Schmidt entropy of a pure Gaussian pair."""
+    """Cross coefficient, purity and Schmidt entropy of a pure Gaussian pair, elementwise."""
     purity = purity_from_coefficients(state.a_xx, state.a_yy, state.a_xy)
     return EntanglementReport(a_xy=state.a_xy, purity=purity,
                               schmidt_entropy=schmidt_entropy_from_purity(purity))

@@ -18,7 +18,6 @@ position, so the light particle's initial half-flight is not part of them.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -57,16 +56,17 @@ def critical_count(eps: float) -> float:
     return math.pi / (4 * eps)
 
 
-def closed_form_velocities(n, eps: float, v_x0: float) -> tuple[float, float]:
+def closed_form_velocities(n, eps: float, v_x0: float):
     """Folded speeds after n pair collisions: v_x0 (cos(n phi), eps sin(n phi)).
 
-    n may be fractional (continuum evaluation of the rotation law); it must
-    not exceed max_collisions(eps), beyond which the folding breaks down.
+    n may be fractional (continuum evaluation of the rotation law) and an
+    array; no element may exceed max_collisions(eps), beyond which the
+    folding breaks down.
     """
-    if n < 0 or n > max_collisions(eps):
+    if np.any((n < 0) | (n > max_collisions(eps))):
         raise ValueError(f"n={n} outside [0, {max_collisions(eps)}]")
     phi = collision_angle(eps)
-    return v_x0 * math.cos(n * phi), v_x0 * eps * math.sin(n * phi)
+    return v_x0 * np.cos(n * phi), v_x0 * eps * np.sin(n * phi)
 
 
 @dataclass(frozen=True)
@@ -106,22 +106,34 @@ class ClassicalTrajectory:
         return self.events[-1].state if self.events else self.initial
 
     @functools.cached_property
-    def event_times(self) -> tuple[float, ...]:
-        """Event times in order; non-decreasing, since each event follows the last."""
-        return tuple(e.t for e in self.events)
+    def state_columns(self) -> ClassicalState:
+        """Initial state, then the state after each event: one read-only array per field."""
+        states = (self.initial, *(e.state for e in self.events))
+        columns = {}
+        for name in ("x", "y", "v_x", "v_y", "t", "n"):
+            columns[name] = np.array([getattr(s, name) for s in states])
+            columns[name].flags.writeable = False
+        return ClassicalState(**columns)
+
+    def states_at(self, t) -> ClassicalState:
+        """Interpolated states at the instant(s) t, as arrays shaped like t.
+
+        Each starts from the last event with e.t <= t, or the initial state,
+        and moves linearly from there (freely past the last event).
+        """
+        t = np.asarray(t, dtype=float)[()]
+        if np.any(t < self.initial.t):
+            raise ValueError("t precedes the trajectory start")
+        c = self.state_columns
+        i = np.searchsorted(c.t[1:], t, "right")
+        dt = t - c.t[i]
+        return ClassicalState(x=c.x[i] + c.v_x[i] * dt, y=c.y[i] + c.v_y[i] * dt,
+                              v_x=c.v_x[i], v_y=c.v_y[i], t=t, n=c.n[i])
 
     def state_at(self, t: float) -> ClassicalState:
-        """Interpolated state at time t (extrapolates freely past the last event).
-
-        Starts from the last event with e.t <= t, or the initial state.
-        """
-        if t < self.initial.t:
-            raise ValueError("t precedes the trajectory start")
-        i = bisect.bisect_right(self.event_times, t)
-        s = self.events[i - 1].state if i else self.initial
-        dt = t - s.t
-        return ClassicalState(x=s.x + s.v_x * dt, y=s.y + s.v_y * dt,
-                              v_x=s.v_x, v_y=s.v_y, t=t, n=s.n)
+        """states_at for one instant, with plain float and int fields."""
+        s = self.states_at(t)
+        return ClassicalState(float(s.x), float(s.y), float(s.v_x), float(s.v_y), t, int(s.n))
 
 
 def event_driven_trajectory(x0: float, y0: float, v_x0: float, masses: MassPair,
@@ -353,19 +365,20 @@ class EnsembleWidths:
     dsigma_x: float
 
 
-def channel_rotation(n, eps: float) -> tuple[float, float]:
+def channel_rotation(n, eps: float):
     """(cos 2 eps n, sin 2 eps n): how far n collisions turn a channel's offset.
 
-    The only place the rotation law is evaluated; n may be fractional.
+    The only place the rotation law is evaluated; n may be fractional and an
+    array.
     """
-    return math.cos(2 * eps * n), math.sin(2 * eps * n)
+    return np.cos(2 * eps * n), np.sin(2 * eps * n)
 
 
 def ensemble_widths(n, eps: float, dsigma_y0: float) -> EnsembleWidths:
-    """Width pair (dsigma_y0 |cos 2 eps n|, (dsigma_y0/eps) |sin 2 eps n|)."""
-    if n < 0:
+    """Width pair (dsigma_y0 |cos 2 eps n|, (dsigma_y0/eps) |sin 2 eps n|), elementwise in n."""
+    if np.any(n < 0):
         raise ValueError("n must be non-negative")
     c, s = channel_rotation(n, eps)
-    return EnsembleWidths(n=n, dsigma_y=dsigma_y0 * abs(c),
-                          dsigma_x=dsigma_y0 / eps * abs(s))
+    return EnsembleWidths(n=n, dsigma_y=dsigma_y0 * np.abs(c),
+                          dsigma_x=dsigma_y0 / eps * np.abs(s))
 

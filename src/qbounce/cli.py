@@ -23,9 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, channels, classical, grid
-from .channels import (MixedPhaseError, ScenarioParams, assemble_quadratic_form,
-                       entanglement_report, initial_ensemble, propagate_ensemble,
-                       split_width)
+from .channels import MixedPhaseError, ScenarioParams, split_width
 from .gaussian import OVERLAP_GATE, MassPair, wall_tail_mass
 
 SERIES_COLUMNS = [
@@ -176,56 +174,52 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _schedule(cfg: ScenarioConfig) -> list[float]:
-    """The instants a run reports: the auto schedule or the config's own."""
-    if cfg.schedule == "auto":
-        return channels.auto_schedule(cfg.params)
-    return list(cfg.schedule)
-
-
 def compute_series(cfg: ScenarioConfig) -> tuple[list[dict], dict]:
-    """Rows for every scheduled instant plus oracle summary details."""
+    """Rows for every scheduled instant plus oracle summary details.
+
+    The analytic columns are array expressions over the whole schedule, by
+    the same channel laws that propagate_ensemble, assemble_quadratic_form
+    and entanglement_report apply to one instant.
+    """
     params = cfg.params
-    schedule = _schedule(cfg)
+    if cfg.schedule == "auto":      # keeps only instants that pass the gate
+        schedule = channels.auto_schedule(params)
+    else:
+        schedule = list(cfg.schedule)
+        channels.gate_schedule(params, schedule)
+    ts = np.array(schedule, dtype=float)
     dsigma_y0, _ = split_width(params)
-    eps = params.eps
-    traj = channels.reference_trajectory(params)
-    e0 = initial_ensemble(params)
+    ref = channels.reference_trajectory(params).states_at(ts)
+    e = channels.reference_ensemble(params, ref)
+    q = channels.channel_integral(e, params)    # unnormalized: no column reads log_norm
+    purity = channels.purity_from_coefficients(q.a_xx, q.a_yy, q.a_xy)
+    columns = {
+        "t": ts, "n": e.n, "x_M": e.x_center, "y_M": e.y_center,
+        "dsigma_y_n": e.dsigma_y_n,
+        "dsigma_x_n": classical.ensemble_widths(e.n, params.eps, dsigma_y0).dsigma_x,
+        "abs_a_xy": np.abs(q.a_xy), "purity": purity,
+        "schmidt_entropy": channels.schmidt_entropy_from_purity(purity),
+        "p_xn": e.p_xn, "p_yn": e.p_yn,
+        "validity_figure": np.full(ts.shape, params.validity_figure),
+    }
     details: dict = {"oracle_checks": {}}
-
-    rows = []
-    for t in schedule:
-        e = propagate_ensemble(e0, params, t)
-        rep = entanglement_report(assemble_quadratic_form(e, params))
-        row = {
-            "t": t, "n": e.n, "x_M": e.x_center, "y_M": e.y_center,
-            "dsigma_y_n": e.dsigma_y_n,
-            "dsigma_x_n": classical.ensemble_widths(e.n, eps, dsigma_y0).dsigma_x,
-            "abs_a_xy": abs(rep.a_xy), "purity": rep.purity,
-            "schmidt_entropy": rep.schmidt_entropy,
-            "p_xn": e.p_xn, "p_yn": e.p_yn,
-            "validity_figure": params.validity_figure,
-        }
-        rows.append(row)
-
     if cfg.event_driven:
         # momenta re-derived from the recorded trajectory rather than the
         # closed forms; lets `compare` quantify the two routes' agreement
-        dev = 0.0
-        for row in rows:
-            ref = traj.state_at(row["t"])
-            p_xn = params.masses.m_x * ref.v_x
-            p_yn = params.masses.m_y * ref.v_y
-            dev = max(dev, abs(p_xn - row["p_xn"]), abs(p_yn - row["p_yn"]))
-            row["p_xn"], row["p_yn"] = p_xn, p_yn
-        details["oracle_checks"]["event_driven_max_p_dev"] = dev
+        p_xn, p_yn = params.masses.m_x * ref.v_x, params.masses.m_y * ref.v_y
+        details["oracle_checks"]["event_driven_max_p_dev"] = float(max(
+            np.max(np.abs(p_xn - e.p_xn), initial=0.0),
+            np.max(np.abs(p_yn - e.p_yn), initial=0.0)))
+        columns["p_xn"], columns["p_yn"] = p_xn, p_yn
+    rows = [dict(zip(columns, values))
+            for values in zip(*(c.tolist() for c in columns.values()))]
 
     if cfg.monte_carlo:
         # N sampled channels, reduced to their two position spreads at each
         # instant: O(N) memory whatever the number of instants
         y0 = np.random.default_rng(cfg.seed).normal(params.y_M0, dsigma_y0,
                                                     size=cfg.monte_carlo)
-        table = classical.collision_table(eps)
+        table = classical.collision_table(params.eps)
         for row in rows:
             x, y, _, _ = classical.channel_kinematics(
                 float(row["t"]), y0, params.x_M0, params.v_x0, table)
@@ -239,11 +233,12 @@ def compute_series(cfg: ScenarioConfig) -> tuple[list[dict], dict]:
             steps = int(round((row["t"] - f.t) / cfg.grid_dt))
             if steps > 0:
                 f = grid.evolve(f, params.masses, cfg.grid_dt, steps)
-            row["grid_purity"] = grid.schmidt_purity(f)
             snapshots.append((row["t"], f))
-            if cfg.purity_source == "grid":
+            if cfg.purity_source == "grid":     # both from one Gram matrix
+                row["grid_purity"], row["schmidt_entropy"] = grid.schmidt_measures(f)
                 row["purity"] = row["grid_purity"]
-                row["schmidt_entropy"] = grid.schmidt_entropy(f)
+            else:
+                row["grid_purity"] = grid.schmidt_purity(f)
     details["snapshots"] = snapshots
     details["schedule"] = schedule
     return rows, details
@@ -366,6 +361,7 @@ def cmd_compare(args) -> int:
         return 2
     status = 0
     report = {}
+    t_a = np.array([r[ia] for r in rows_a])
     for col in shared:
         ca, cb = head_a.index(col), head_b.index(col)
         va = np.array([r[ca] for r in rows_a])
@@ -373,16 +369,20 @@ def cmd_compare(args) -> int:
         ok = np.isfinite(va) & np.isfinite(vb)
         if not ok.any():
             continue
-        dabs = float(np.max(np.abs(va[ok] - vb[ok])))
+        dev = np.abs(va[ok] - vb[ok])
+        worst = int(np.argmax(dev))
+        dabs = float(dev[worst])
         scale = np.maximum(np.abs(va[ok]), np.abs(vb[ok]))
-        rel = np.abs(va[ok] - vb[ok]) / np.where(scale > 0, scale, 1.0)
-        drel = float(np.max(rel))
-        report[col] = {"max_abs": dabs, "max_rel": drel}
+        drel = float(np.max(dev / np.where(scale > 0, scale, 1.0)))
+        # the row of the largest absolute deviation, named by run_a's t
+        at_t = float(t_a[ok][worst]) if dabs > 0 else None
+        report[col] = {"max_abs": dabs, "max_rel": drel, "at_t": at_t}
+        where = f" at t={at_t!r}" if at_t is not None else ""
         flag = ""
         if col in tol and dabs > tol[col]:
             status = 1
             flag = f"  EXCEEDS tol={tol[col]:g}"
-        print(f"{col}: max_abs={dabs:.6g} max_rel={drel:.6g}{flag}")
+        print(f"{col}: max_abs={dabs:.6g} max_rel={drel:.6g}{where}{flag}")
     if args.json:
         print(json.dumps(report, sort_keys=True))
     return status
@@ -411,7 +411,8 @@ def cmd_validate(args) -> int:
         "auto_schedule_dropped": len(channels.reference_trajectory(params).events) + 1 - len(auto),
     }
     # run gates every scheduled instant and exits 3 at the first that fails
-    unsafe = [t for t in _schedule(cfg) if not channels.mixed_phase_gate(params, t)]
+    schedule = np.array(auto if cfg.schedule == "auto" else cfg.schedule, dtype=float)
+    unsafe = schedule[~channels.mixed_phase_gate(params, schedule)].tolist()
     info["schedule_unsafe"] = len(unsafe)
     info["first_unsafe_instant"] = unsafe[0] if unsafe else "none"
     for key, value in info.items():

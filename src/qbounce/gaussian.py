@@ -157,7 +157,8 @@ class QuadraticFormState:
 
     Normalizability requires Re a_xx < 0, Re a_yy < 0 and the real quadratic
     form -Re(a_xx) x^2 - Re(a_yy) y^2 - Re(a_xy) x y to be positive definite.
-    The state factorizes exactly when a_xy = 0.
+    The state factorizes exactly when a_xy = 0.  The coefficients may be
+    arrays, one state per element; every element must be normalizable.
     """
 
     a_xx: complex
@@ -168,10 +169,10 @@ class QuadraticFormState:
     log_norm: complex = 0.0
 
     def __post_init__(self):
-        a = -2 * complex(self.a_xx).real
-        d = -2 * complex(self.a_yy).real
-        g = -complex(self.a_xy).real
-        if a <= 0 or d <= 0 or a * d - g * g <= 0:
+        a = -2 * np.real(self.a_xx)
+        d = -2 * np.real(self.a_yy)
+        g = -np.real(self.a_xy)
+        if np.any((a <= 0) | (d <= 0) | (a * d - g * g <= 0)):
             raise ValueError("quadratic form is not normalizable")
 
     def concentration_matrix(self) -> np.ndarray:
@@ -189,13 +190,6 @@ class QuadraticFormState:
     def covariance(self) -> np.ndarray:
         """Position covariance matrix of |psi|^2."""
         return np.linalg.inv(self.concentration_matrix()) / 2
-
-    def momentum_means(self) -> tuple[float, float]:
-        """(<p_x>, <p_y>) = Im of the log-gradient at the packet centre."""
-        mx, my = self.means()
-        px = (2 * self.a_xx * mx + self.a_xy * my + self.b_x).imag
-        py = (2 * self.a_yy * my + self.a_xy * mx + self.b_y).imag
-        return float(px), float(py)
 
 
 def evaluate(state: QuadraticFormState, x, y) -> np.ndarray:

@@ -248,19 +248,24 @@ def _gram(psi: np.ndarray) -> np.ndarray:
     return psi.conj().T @ psi
 
 
-def schmidt_purity(field: GridField) -> float:
-    """Sum s^4 / (sum s^2)^2 over the singular values s of the amplitude
-    matrix, as ||G||_F^2 / (tr G)^2 of its Gram matrix G."""
-    g = _gram(field.psi)
+def _purity_of_gram(g: np.ndarray) -> float:
     return float(np.vdot(g, g).real / np.trace(g).real ** 2)
 
 
-def schmidt_entropy(field: GridField) -> float:
-    """Entropy of the normalized Schmidt spectrum."""
-    lam = np.linalg.eigvalsh(_gram(field.psi))
+def schmidt_purity(field: GridField) -> float:
+    """Sum s^4 / (sum s^2)^2 over the singular values s of the amplitude
+    matrix, as ||G||_F^2 / (tr G)^2 of its Gram matrix G."""
+    return _purity_of_gram(_gram(field.psi))
+
+
+def schmidt_measures(field: GridField) -> tuple[float, float]:
+    """schmidt_purity and the entropy of the normalized Schmidt spectrum,
+    both from one Gram matrix."""
+    g = _gram(field.psi)
+    lam = np.linalg.eigvalsh(g)
     lam = lam / lam.sum()
     lam = lam[lam > 0]          # drop rounding-level negative and underflowed weights
-    return float(-np.sum(lam * np.log(lam)))
+    return _purity_of_gram(g), float(-np.sum(lam * np.log(lam)))
 
 
 def overlap(field: GridField, state: QuadraticFormState) -> complex:

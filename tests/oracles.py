@@ -114,6 +114,14 @@ def moments(field) -> dict:
     return {"mean_x": mx, "mean_y": my, "var_x": vx, "var_y": vy}
 
 
+def momentum_means(state: QuadraticFormState) -> tuple[float, float]:
+    """(<p_x>, <p_y>) = Im of the log-gradient at the packet centre."""
+    mx, my = state.means()
+    px = (2 * state.a_xx * mx + state.a_xy * my + state.b_x).imag
+    py = (2 * state.a_yy * my + state.a_xy * mx + state.b_y).imag
+    return float(px), float(py)
+
+
 def state_at_linear_scan(traj, t: float) -> ClassicalState:
     """ClassicalTrajectory.state_at by scanning every event in order."""
     if t < traj.initial.t:

@@ -16,7 +16,7 @@ from qbounce.channels import (ChannelEnsemble, MixedPhaseError, ScenarioParams,
 from qbounce.gaussian import (MassPair, QuadraticFormState, log_norm_sq,
                               product_form)
 from oracles import (assembled_coefficients_by_quadrature, axx_formula,
-                     ayy_formula, composed_marginal_variances,
+                     ayy_formula, composed_marginal_variances, momentum_means,
                      purity_by_quadrature)
 
 
@@ -200,7 +200,7 @@ class TestAssembleQuadraticForm:
         mx, my = st.means()
         assert mx == pytest.approx(e.x_center, rel=1e-9)
         assert my == pytest.approx(e.y_center, rel=1e-9)
-        px, py = st.momentum_means()
+        px, py = momentum_means(st)
         assert px == pytest.approx(e.p_xn, rel=1e-9)
         assert py == pytest.approx(e.p_yn, rel=1e-9)
 

@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbounce import cli
-from qbounce.channels import WIDTH_RATIO_GATE, ScenarioParams, reference_trajectory
-from qbounce.classical import collision_table
+from qbounce import channels, cli
+from qbounce.channels import (WIDTH_RATIO_GATE, MixedPhaseError, ScenarioParams,
+                              assemble_quadratic_form, entanglement_report,
+                              initial_ensemble, propagate_ensemble,
+                              reference_trajectory, split_width)
+from qbounce.classical import ClassicalTrajectory, collision_table, ensemble_widths
 from qbounce.cli import (ConfigError, compute_series, main, parse_config,
                          SERIES_COLUMNS)
 from qbounce.gaussian import MassPair
@@ -45,6 +48,12 @@ sigma0y  = 0.5
 p_x0     = 4.0
 schedule = 0.004
 """
+
+
+# eps = 1e-4: n_max = 7853 and 15,708 auto-schedule instants
+SMALL_EPS_1E4_CONFIG = (BASE_CONFIG.replace("m_y      = 400.0", "m_y      = 1e8")
+                        .replace("sigma0y  = 0.5", "sigma0y  = 5e-4")
+                        .replace("p_x0     = 190.0", "p_x0     = 4e4"))
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="scenario.cfg"):
@@ -303,12 +312,8 @@ class TestRun:
         assert info.hits + info.misses <= 2
 
     def test_small_eps_run_returns_to_purity_one(self, tmp_path):
-        # eps = 1e-4: n_max = 7853 and 15,708 auto-schedule instants; each
-        # instant must cost O(log n_max), or this run takes minutes
-        text = (BASE_CONFIG.replace("m_y      = 400.0", "m_y      = 1e8")
-                .replace("sigma0y  = 0.5", "sigma0y  = 5e-4")
-                .replace("p_x0     = 190.0", "p_x0     = 4e4"))
-        cfg = write_config(tmp_path, text)
+        # each instant must cost O(log n_max), or this run takes minutes
+        cfg = write_config(tmp_path, SMALL_EPS_1E4_CONFIG)
         params = parse_config(cfg).params
         assert params.validity_figure == pytest.approx(1.27, abs=0.01)
         out = tmp_path / "out"
@@ -320,6 +325,28 @@ class TestRun:
         assert float(rows[-1]["n"]) > params.n_cr
         assert float(rows[-1]["purity"]) == pytest.approx(1.0, abs=1e-6)
         assert min(float(r["purity"]) for r in rows) < 0.9
+
+    def test_series_is_evaluated_over_the_whole_schedule(self, tmp_path, monkeypatch):
+        # counts, not timing: a return to per-instant evaluation fails here
+        cfg = parse_config(write_config(tmp_path, SMALL_EPS_1E4_CONFIG))
+        gate, gate_calls = channels.mixed_phase_gate, []
+
+        def counted_gate(params, t):
+            gate_calls.append(np.size(t))
+            return gate(params, t)
+
+        def per_instant(*args, **kwargs):
+            raise AssertionError("compute_series evaluated one instant at a time")
+
+        monkeypatch.setattr(channels, "mixed_phase_gate", counted_gate)
+        for module in (channels, cli):
+            monkeypatch.setattr(module, "propagate_ensemble", per_instant, raising=False)
+        monkeypatch.setattr(ClassicalTrajectory, "state_at", per_instant)
+        collision_table.cache_clear()
+        rows, _ = compute_series(cfg)
+        assert len(rows) == 15708
+        assert len(gate_calls) <= 2
+        assert collision_table.cache_info().misses <= 1
 
 
 class TestCompare:
@@ -384,6 +411,26 @@ class TestCompare:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_names_the_instant_of_the_largest_deviation(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        lines = (out / "series.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        t = float(cells[SERIES_COLUMNS.index("t")])
+        cells[SERIES_COLUMNS.index("purity")] = "0.5"
+        lines[5] = ",".join(cells)
+        perturbed = tmp_path / "perturbed.csv"
+        perturbed.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["compare", str(out), str(perturbed), "--json"]) == 0
+        text = capsys.readouterr().out
+        assert re.search(rf"^purity: max_abs=\S+ max_rel=\S+ at t={re.escape(repr(t))}$",
+                         text, re.M)
+        assert "x_M: max_abs=0 max_rel=0\n" in text
+        report = json.loads(text.splitlines()[-1])
+        assert report["purity"]["at_t"] == t
+        assert report["x_M"]["at_t"] is None
+
     def test_missing_input_is_one_line(self, tmp_path, capsys):
         out, missing = tmp_path / "out", tmp_path / "absent"
         assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
@@ -426,6 +473,18 @@ class TestValidate:
         cfg = write_config(tmp_path, config_with(
             DESK_CONFIG, oracles=f"grid:n=512;l={length};dt=2e-3"))
         assert main(["validate", str(cfg)]) == code
+
+    def test_builds_and_gates_the_auto_schedule_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in ("auto_schedule", "mixed_phase_gate"):
+            def counted(*args, _fn=getattr(channels, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(channels, name, counted)
+        assert main(["validate", str(write_config(tmp_path))]) == 0
+        assert "auto_schedule_len = 32\n" in capsys.readouterr().out
+        assert calls.count("auto_schedule") == 1
+        assert calls.count("mixed_phase_gate") <= 2
 
     def test_predicts_the_gate_on_an_explicit_schedule(self, tmp_path, capsys):
         from qbounce.channels import reference_trajectory
@@ -569,3 +628,38 @@ def test_validate_predicts_run(keys):
         if keys["schedule"] == "auto":
             assert ran == 0
         assert out.exists() == (ran == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys=admissible_configs())
+@example(keys=HEAVY_WIDTH)
+@example(keys=SMALL_EPS)
+def test_series_equals_the_scalar_api(keys):
+    """Every analytic column of compute_series equals propagate_ensemble ->
+    assemble_quadratic_form -> entanglement_report at its instant, bit for
+    bit: both evaluate the same broadcasting laws, and a second copy of any
+    law would round differently somewhere."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        cfg = parse_config(path)
+    params = cfg.params
+    e0 = initial_ensemble(params)
+    try:
+        rows, _ = compute_series(cfg)
+    except MixedPhaseError as err:
+        # the series stops where the scalar API stops, with the same diagnosis
+        with pytest.raises(MixedPhaseError, match=re.escape(str(err))):
+            propagate_ensemble(e0, params, err.t)
+        assert all(channels.mixed_phase_gate(params, t) for t in cfg.schedule if t < err.t)
+        return
+    dsigma_y0, _ = split_width(params)
+    for row in rows:
+        e = propagate_ensemble(e0, params, row["t"])
+        rep = entanglement_report(assemble_quadratic_form(e, params))
+        want = {"n": e.n, "x_M": e.x_center, "y_M": e.y_center,
+                "dsigma_y_n": e.dsigma_y_n,
+                "dsigma_x_n": ensemble_widths(e.n, params.eps, dsigma_y0).dsigma_x,
+                "abs_a_xy": np.abs(rep.a_xy), "purity": rep.purity,
+                "schmidt_entropy": rep.schmidt_entropy, "p_xn": e.p_xn, "p_yn": e.p_yn}
+        assert {col: row[col] for col in want} == want

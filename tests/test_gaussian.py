@@ -12,7 +12,7 @@ from qbounce.gaussian import (GaussianPacket, MassPair, collide_gaussians,
                               normalized, product_form, substitute_linear,
                               wall_reflect, width_param)
 from oracles import (collision_velocity_map, evaluate_with_image,
-                     halfline_norm_quadrature, packet_norm_quadrature,
+                     halfline_norm_quadrature, momentum_means, packet_norm_quadrature,
                      packet_norm_sq, post_collision_momenta,
                      state_norm_quadrature)
 
@@ -193,7 +193,7 @@ class TestCollideGaussians:
         px, py = _packets(masses=m, sigma0y=0.4, t=1.2)
         st = collide_gaussians(px, py, m, check=False)
         want = post_collision_momenta(px.momentum, 0.0, m)
-        got = st.momentum_means()
+        got = momentum_means(st)
         assert got[0] == pytest.approx(want[0], rel=1e-10)
         assert got[1] == pytest.approx(want[1], rel=1e-10)
 

@@ -11,7 +11,7 @@ from qbounce import grid
 from qbounce.grid import (GridSpec, evolve, energy, field_from_packets,
                           field_from_state, init_field, load_snapshot,
                           marginals, overlap, overlap_fields, save_snapshot,
-                          schmidt_entropy, schmidt_purity, write_marginals_csv)
+                          schmidt_measures, schmidt_purity, write_marginals_csv)
 
 from oracles import cn_lines_dense, moments, schmidt_by_svd
 
@@ -150,7 +150,10 @@ class TestSchmidtPurity:
         f = grid.GridField(psi=random_triangle_field(spec, seed=2), spec=spec, t=0.0)
         purity, entropy = schmidt_by_svd(f.psi)
         assert schmidt_purity(f) == pytest.approx(purity, abs=1e-12)
-        assert schmidt_entropy(f) == pytest.approx(entropy, abs=1e-12)
+        # one Gram matrix gives both, the purity bit for bit as schmidt_purity
+        both = schmidt_measures(f)
+        assert both[0] == schmidt_purity(f)
+        assert both[1] == pytest.approx(entropy, abs=1e-12)
 
     def test_product_field(self):
         spec = GridSpec(n=128, length=12.0)
@@ -164,7 +167,7 @@ class TestSchmidtPurity:
         px = GaussianPacket.initial(5.0, 0.6, 1.0, 1.0)
         py = GaussianPacket.initial(12.0, 0.5, 0.0, 25.0)
         f = field_from_packets(px, py, spec, cutoff=False)
-        ent = schmidt_entropy(f)
+        _, ent = schmidt_measures(f)
         assert math.isfinite(ent)
         assert ent == pytest.approx(0.0, abs=1e-10)
 
