@@ -94,14 +94,6 @@ class ClassicalTrajectory:
     events: tuple[TrajectoryEvent, ...] = field(default_factory=tuple)
 
     @property
-    def pair_events(self) -> tuple[TrajectoryEvent, ...]:
-        return tuple(e for e in self.events if e.kind == "pair")
-
-    @property
-    def pair_count(self) -> int:
-        return sum(1 for e in self.events if e.kind == "pair")
-
-    @property
     def final(self) -> ClassicalState:
         return self.events[-1].state if self.events else self.initial
 

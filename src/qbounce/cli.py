@@ -252,6 +252,30 @@ def _columns_for(rows: list[dict]) -> list[str]:
     return cols
 
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_value(value) -> str:
+    """A series value as json.dump spells it: repr, with json's non-finite names."""
+    if type(value) in (float, int):
+        text = repr(value)
+        return _JSON_NON_FINITE.get(text, text)
+    return json.dumps(value)
+
+
+def _write_series_json(rows: list[dict], cols: list[str], fh) -> None:
+    """json.dump(rows restricted to cols, fh, indent=1, sort_keys=True) and a
+    newline, formatted row by row: json's indenting encoder is pure Python,
+    and took half of write_series on a 1,571-row series."""
+    keys = sorted(cols)
+    heads = [f"  {json.dumps(k)}: " for k in keys]
+    sep = "[\n {\n"
+    for row in rows:
+        fh.write(sep + ",\n".join([h + _json_value(row[k]) for h, k in zip(heads, keys)]))
+        sep = "\n },\n {\n"
+    fh.write("\n }\n]\n" if rows else "[]\n")
+
+
 def write_series(rows: list[dict], out_dir: Path) -> None:
     cols = _columns_for(rows)
     with open(out_dir / "series.csv", "w", newline="") as fh:
@@ -259,10 +283,8 @@ def write_series(rows: list[dict], out_dir: Path) -> None:
         w.writerow(cols)
         for row in rows:
             w.writerow([_fmt(row[c]) for c in cols])
-    payload = [{c: row[c] for c in cols} for row in rows]
     with open(out_dir / "series.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        _write_series_json(rows, cols, fh)
 
 
 def cmd_run(args) -> int:

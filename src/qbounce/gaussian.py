@@ -52,12 +52,6 @@ class MassPair:
     def total(self) -> float:
         return self.m_x + self.m_y
 
-    @classmethod
-    def from_epsilon(cls, eps: float, m_x: float = 1.0) -> "MassPair":
-        if not 0 < eps:
-            raise ValueError("epsilon must be positive")
-        return cls(m_x=m_x, m_y=m_x / eps**2)
-
 
 def width_param(sigma0: float, mass: float, t: float) -> complex:
     """Complex squared width sigma0^2 (1 + i t / (mass sigma0^2)) at time t."""

@@ -29,6 +29,14 @@ MIN_POINTS_PER_SIGMA = 8
 MIN_POINTS_PER_WAVELENGTH = 8
 NORM_DRIFT_LIMIT = 1e-8      # per-step unitarity guard
 NORM_CHECK_EVERY = 25        # steps between two unitarity checks
+# Amplitudes below this fraction of max|psi| are left out of the Schmidt
+# measures.  Dropping them is a perturbation E of the (n+1) x (n+1) amplitude
+# matrix with ||E||_F <= (n + 1) * SUPPORT_CUTOFF * max|psi|, and max|psi| is
+# at most the largest singular value s_max, so by Weyl's inequality no
+# singular value moves by more than (n + 1) * 1e-20 * s_max (5e-18 s_max at
+# n = 512), below the rounding of the Gram matrix itself (about 1e-16 s_max^2
+# in each squared singular value).
+SUPPORT_CUTOFF = 1e-20
 
 _SNAP_MAGIC = b"QBGRID1\x00"
 
@@ -155,7 +163,8 @@ def _cn_coeffs(gamma: complex, n: int):
     """Shared Thomas elimination coefficients for segments starting at step 1.
 
     System (1 + 2 i gamma) x_k - i gamma (x_{k-1} + x_{k+1}) = r_k; cprime[m]
-    and inv[m] depend only on the distance m from the segment start.
+    and inv[m] depend only on the distance m from the segment start.  Lists
+    of Python complex, so the row loops index no numpy scalars.
     """
     a = -1j * gamma
     b = 1 + 2j * gamma
@@ -167,53 +176,74 @@ def _cn_coeffs(gamma: complex, n: int):
         denom = b - a * cp[m - 1]
         inv[m] = 1 / denom
         cp[m] = a * inv[m]
-    return cp, inv
+    return cp.tolist(), inv.tolist()
 
 
-def _sweep_lines(psi, gamma, cp, inv):
+def _sweep_lines(psi, gamma, cp, inv, out, d, row):
     """CN solve along axis 0 for every segment [1, j-1] of column j at once.
 
     Row i takes part only in the segments of columns i+1 ... n-1, so each row
     of the elimination touches just those.  psi must vanish outside the
-    triangle; the result does too, because no row writes outside it.
+    triangle; out, which must not be psi, is overwritten and does too, because
+    no row writes outside it.  d (psi's shape) and row (one row) are workspace.
+
+    Every product keeps the operand order of (d - a * d_prev) * inv and
+    d - cp * x and writes into a buffer that is not one of its operands:
+    numpy's complex multiply rounds with fused multiply-adds, and its loops
+    for a leading scalar, a trailing scalar or an in-place operand need not
+    round alike.  Sums and differences are exact per element and may alias.
     """
     n = psi.shape[0] - 1
     a = -1j * gamma
-    d = (1 - 2j * gamma) * psi
-    d[1:-1] += 1j * gamma * (psi[:-2] + psi[2:])
+    # d = (1 - 2 i gamma) psi + i gamma (psi[i-1] + psi[i+1]), with out as workspace
+    np.add(psi[:-2], psi[2:], out=d[1:-1])
+    np.multiply(1j * gamma, d[1:-1], out=out[1:-1])
+    np.multiply(1 - 2j * gamma, psi, out=d)
+    d[1:-1] += out[1:-1]
+    out.fill(0)
     for i in range(1, n - 1):
-        s = slice(i + 1, n)
-        d[i, s] = (d[i, s] - a * d[i - 1, s]) * inv[i]
-    out = np.zeros_like(psi)
+        di, r = d[i, i + 1:n], row[:n - i - 1]
+        np.multiply(a, d[i - 1, i + 1:n], out=r)
+        np.subtract(di, r, out=r)
+        np.multiply(r, inv[i], out=di)
     for i in range(n - 2, 0, -1):
-        s = slice(i + 1, n)
-        out[i, s] = d[i, s] - cp[i] * out[i + 1, s]
-    return out
+        r = row[:n - i - 1]
+        np.multiply(cp[i], out[i + 1, i + 1:n], out=r)
+        np.subtract(d[i, i + 1:n], r, out=out[i, i + 1:n])
 
 
 def _reflect(psi):
-    """The field under (x, y) -> (L - y, L - x): swaps the axes, keeps the triangle."""
-    return np.ascontiguousarray(psi[::-1, ::-1].T)
+    """The field under (x, y) -> (L - y, L - x): swaps the axes, keeps the
+    triangle.  A strided view; copy it before sweeping."""
+    return psi[::-1, ::-1].T
 
 
 class _Stepper:
-    """Precomputed sweep coefficients for one (spec, masses, dt) combination."""
+    """Precomputed sweep coefficients and workspace for one (spec, masses, dt)."""
 
     def __init__(self, spec: GridSpec, masses: MassPair, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        self.spec = spec
-        self.dt = dt
         h = spec.h
-        self.gx = dt / (8 * masses.m_x * h * h)   # half step in x
-        self.gy = dt / (4 * masses.m_y * h * h)   # full step in y
-        self.cpx, self.invx = _cn_coeffs(self.gx, spec.n)
-        self.cpy, self.invy = _cn_coeffs(self.gy, spec.n)
+        gx = dt / (8 * masses.m_x * h * h)   # half step in x
+        gy = dt / (4 * masses.m_y * h * h)   # full step in y
+        self.x = (gx, *_cn_coeffs(gx, spec.n))
+        self.y = (gy, *_cn_coeffs(gy, spec.n))
+        shape = (spec.n + 1, spec.n + 1)
+        # the sweeps' elimination array and row, then the fields between sweeps
+        self.work = (np.empty(shape, dtype=complex), np.empty(spec.n + 1, dtype=complex))
+        self.swept = np.empty(shape, dtype=complex)
+        self.mirrored = np.empty(shape, dtype=complex)
 
     def step(self, psi: np.ndarray) -> np.ndarray:
-        psi = _sweep_lines(psi, self.gx, self.cpx, self.invx)
-        psi = _reflect(_sweep_lines(_reflect(psi), self.gy, self.cpy, self.invy))
-        return _sweep_lines(psi, self.gx, self.cpx, self.invx)
+        """One Strang step into a new array; psi is left as it is."""
+        _sweep_lines(psi, *self.x, self.swept, *self.work)
+        np.copyto(self.mirrored, _reflect(self.swept))
+        _sweep_lines(self.mirrored, *self.y, self.swept, *self.work)
+        np.copyto(self.mirrored, _reflect(self.swept))
+        out = np.empty_like(psi)
+        _sweep_lines(self.mirrored, *self.x, out, *self.work)
+        return out
 
 
 def evolve(field: GridField, masses: MassPair, dt: float, steps: int) -> GridField:
@@ -244,8 +274,19 @@ def evolve(field: GridField, masses: MassPair, dt: float, steps: int) -> GridFie
 # ---------------------------------------------------------------------------
 
 def _gram(psi: np.ndarray) -> np.ndarray:
-    """psi^H psi, whose eigenvalues are the squared singular values of psi."""
-    return psi.conj().T @ psi
+    """psi^H psi on the numerical support of psi; its eigenvalues are the
+    squared singular values of psi.
+
+    Amplitudes below SUPPORT_CUTOFF * max|psi| are zeroed and the rest is cut
+    to its bounding rows and columns.  Left in, the far Gaussian tails make
+    the product and eigvalsh run on slow subnormal floats."""
+    mag = np.abs(psi)
+    keep = ~(mag < SUPPORT_CUTOFF * mag.max())    # a NaN field keeps every amplitude
+    rows = np.flatnonzero(keep.any(axis=1))
+    cols = np.flatnonzero(keep.any(axis=0))
+    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    core = np.where(keep[box], psi[box], 0)
+    return core.conj().T @ core
 
 
 def _purity_of_gram(g: np.ndarray) -> float:

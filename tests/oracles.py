@@ -8,6 +8,8 @@ maps and coefficient formulas are separate copies of the laws, so a change to
 the package's one implementation cannot move its reference along with it.
 """
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -16,8 +18,35 @@ from scipy.integrate import quad
 from qbounce.channels import _betas, split_width
 from qbounce.classical import (ClassicalState, channel_kinematics, collision_table,
                                pair_collision_times)
-from qbounce.gaussian import QuadraticFormState, evaluate_packet
+from qbounce.cli import _columns_for, _fmt
+from qbounce.gaussian import MassPair, QuadraticFormState, evaluate_packet
 from qbounce.grid import marginals
+
+
+def masses_from_epsilon(eps: float, m_x: float = 1.0) -> MassPair:
+    """The mass pair with sqrt(m_x / m_y) = eps."""
+    if not 0 < eps:
+        raise ValueError("epsilon must be positive")
+    return MassPair(m_x=m_x, m_y=m_x / eps**2)
+
+
+def pair_events(traj) -> tuple:
+    """The pair collisions of a classical trajectory, in order."""
+    return tuple(e for e in traj.events if e.kind == "pair")
+
+
+def write_series_reference(rows: list[dict], out_dir) -> None:
+    """cli.write_series by the csv and json modules (json's indenting encoder)."""
+    cols = _columns_for(rows)
+    with open(out_dir / "series.csv", "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(cols)
+        for row in rows:
+            w.writerow([_fmt(row[c]) for c in cols])
+    payload = [{c: row[c] for c in cols} for row in rows]
+    with open(out_dir / "series.json", "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def post_collision_momenta(p_x: float, p_y: float, masses) -> tuple[float, float]:
@@ -231,6 +260,32 @@ def cn_lines_dense(psi: np.ndarray, gamma: float, axis: int) -> np.ndarray:
         rhs = (np.eye(m) - 1j * gamma * t) @ psi[line]
         out[line] = np.linalg.solve(np.eye(m) + 1j * gamma * t, rhs)
     return out
+
+
+def sweep_lines_reference(psi, gamma, cp, inv):
+    """grid._sweep_lines with a fresh array for every intermediate.
+
+    Same arithmetic in the same operand order; the package's buffered sweep
+    must reproduce it bit for bit.
+    """
+    n = psi.shape[0] - 1
+    a = -1j * gamma
+    d = (1 - 2j * gamma) * psi
+    d[1:-1] += 1j * gamma * (psi[:-2] + psi[2:])
+    for i in range(1, n - 1):
+        s = slice(i + 1, n)
+        d[i, s] = (d[i, s] - a * d[i - 1, s]) * inv[i]
+    out = np.zeros_like(psi)
+    for i in range(n - 2, 0, -1):
+        s = slice(i + 1, n)
+        out[i, s] = d[i, s] - cp[i] * out[i + 1, s]
+    return out
+
+
+def purity_by_full_gram(psi: np.ndarray) -> float:
+    """||G||_F^2 / (tr G)^2 of the Gram matrix G = psi^H psi of every amplitude."""
+    g = psi.conj().T @ psi
+    return float(np.vdot(g, g).real / np.trace(g).real ** 2)
 
 
 def schmidt_by_svd(psi: np.ndarray) -> tuple[float, float]:

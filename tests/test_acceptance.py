@@ -21,11 +21,11 @@ from qbounce.gaussian import (GaussianPacket, MassPair, collide_gaussians,
                               free_evolve, normalized)
 from qbounce import grid
 from qbounce.channels import purity_from_coefficients
-from oracles import (assembled_coefficients_by_quadrature, monte_carlo_positions,
-                     purity_by_quadrature)
+from oracles import (assembled_coefficients_by_quadrature, masses_from_epsilon,
+                     monte_carlo_positions, pair_events, purity_by_quadrature)
 
 ARC_PARAMS = ScenarioParams(x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5,
-                            p_x0=190.0, masses=MassPair.from_epsilon(0.05))
+                            p_x0=190.0, masses=masses_from_epsilon(0.05))
 
 
 def report(num, text):
@@ -67,20 +67,20 @@ def test_criterion_2_collision_count_law():
     for eps in (0.1, 0.05, 0.02):
         n_max = max_collisions(eps)
         assert abs(n_max - math.pi / (4 * eps)) <= 1.0
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         traj = event_driven_trajectory(1.0, 3.0, 1.0, m)
-        assert abs(traj.pair_count - n_max) <= 1
-        lines.append(f"eps={eps}: n_max={n_max}, oracle={traj.pair_count}")
+        assert abs(len(pair_events(traj)) - n_max) <= 1
+        lines.append(f"eps={eps}: n_max={n_max}, oracle={len(pair_events(traj))}")
     report(2, "; ".join(lines))
 
 
 def test_criterion_3_velocity_closed_forms():
     worst = 0.0
     for eps in (0.1, 0.01):
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         v0 = 1.7
         traj = event_driven_trajectory(1.0, 3.0, v0, m)
-        for n, event in enumerate(traj.pair_events, start=1):
+        for n, event in enumerate(pair_events(traj), start=1):
             if n > max_collisions(eps):
                 break
             vx, vy = closed_form_velocities(n, eps, v0)
@@ -94,10 +94,10 @@ def test_criterion_3_velocity_closed_forms():
 def test_criterion_4_asymptotic_positions_and_times():
     worst_pos = worst_time = 0.0
     for eps in (0.05, 0.02):
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         y0, x0, v0 = 1.0, 0.35, 1.0
         traj = event_driven_trajectory(x0, y0, v0, m)
-        pairs = traj.pair_events
+        pairs = pair_events(traj)
         # exact-recursion bridge: the table reproduces the oracle outright
         tab = collision_table(eps)
         times = pair_collision_times(np.array([y0]), x0, v0, tab)[0]
@@ -122,9 +122,9 @@ def test_criterion_4_asymptotic_positions_and_times():
 
 def test_criterion_5_monte_carlo_width_laws():
     eps, d0, y0, x0, v0, seed = 0.02, 0.1, 50.0, 25.0, 1.0, 12
-    m = MassPair.from_epsilon(eps)
+    m = masses_from_epsilon(eps)
     traj = event_driven_trajectory(x0, y0, v0, m)
-    pairs = traj.pair_events
+    pairs = pair_events(traj)
     walls = [e for e in traj.events if e.kind == "wall"]
     times = [pairs[0].t / 2]
     for pe in pairs:

@@ -16,15 +16,15 @@ from qbounce.channels import (ChannelEnsemble, MixedPhaseError, ScenarioParams,
 from qbounce.gaussian import (MassPair, QuadraticFormState, log_norm_sq,
                               product_form)
 from oracles import (assembled_coefficients_by_quadrature, axx_formula,
-                     ayy_formula, composed_marginal_variances, momentum_means,
-                     purity_by_quadrature)
+                     ayy_formula, composed_marginal_variances, masses_from_epsilon,
+                     momentum_means, pair_events, purity_by_quadrature)
 
 
 def make_params(eps=0.05, sigma0x=1.0, sigma0y=0.5, x_M0=25.0, y_M0=50.0,
                 p_x0=190.0):
     return ScenarioParams(x_M0=x_M0, y_M0=y_M0, sigma0x=sigma0x,
                           sigma0y=sigma0y, p_x0=p_x0,
-                          masses=MassPair.from_epsilon(eps))
+                          masses=masses_from_epsilon(eps))
 
 
 class TestScenarioParams:
@@ -53,7 +53,7 @@ class TestScenarioParams:
 class TestSplitWidth:
     def test_reference_values(self):
         p = ScenarioParams(x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5,
-                           p_x0=50.0, masses=MassPair.from_epsilon(0.1))
+                           p_x0=50.0, masses=masses_from_epsilon(0.1))
         dsigma, s_t = split_width(p)
         assert s_t == pytest.approx(0.1)
         assert dsigma == pytest.approx(math.sqrt(0.25 - 0.01))
@@ -109,18 +109,18 @@ class TestMixedPhaseGate:
 
     def test_false_at_first_collision(self):
         p = make_params()
-        t1 = reference_trajectory(p).pair_events[0].t
+        t1 = pair_events(reference_trajectory(p))[0].t
         assert not mixed_phase_gate(p, t1)
 
     def test_true_between_first_and_second(self):
         p = make_params()
         traj = reference_trajectory(p)
-        t1, t2 = (e.t for e in traj.pair_events[:2])
+        t1, t2 = (e.t for e in pair_events(traj)[:2])
         assert mixed_phase_gate(p, (t1 + t2) / 2)
 
     def test_error_reports_safe_instants(self):
         p = make_params()
-        t1 = reference_trajectory(p).pair_events[0].t
+        t1 = pair_events(reference_trajectory(p))[0].t
         with pytest.raises(MixedPhaseError) as err:
             propagate_ensemble(initial_ensemble(p), p, t1)
         assert err.value.safe_before is not None
@@ -155,7 +155,7 @@ class TestPropagateEnsemble:
     def test_sign_flips_between_pair_and_wall(self):
         p = make_params()
         traj = reference_trajectory(p)
-        pair1 = traj.pair_events[0]
+        pair1 = pair_events(traj)[0]
         wall1 = next(e for e in traj.events if e.kind == "wall")
         mid_in = (pair1.t + wall1.t) / 2
         e = propagate_ensemble(initial_ensemble(p), p, mid_in)
@@ -348,7 +348,7 @@ class TestEntanglementArc:
 class TestNearestSafeInstants:
     def test_bracket_requested_instant(self):
         p = make_params()
-        t1 = reference_trajectory(p).pair_events[0].t
+        t1 = pair_events(reference_trajectory(p))[0].t
         before, after = nearest_safe_instants(p, t1)
         assert before < t1 < after
 

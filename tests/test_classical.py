@@ -12,12 +12,13 @@ from qbounce.classical import (channel_kinematics,
                                pair_collision_times)
 from qbounce.gaussian import MassPair
 from oracles import (channel_coords, collision_velocity_map, counts_at_linear_scan,
-                     ks_distance_to_gaussian, monte_carlo_positions)
+                     ks_distance_to_gaussian, masses_from_epsilon, monte_carlo_positions,
+                     pair_events)
 
 
 class TestCollisionVelocityMap:
     def test_heavy_at_rest_small_eps(self):
-        m = MassPair.from_epsilon(0.1)
+        m = masses_from_epsilon(0.1)
         vx, vy = collision_velocity_map(1.0, 0.0, m)
         assert vx == pytest.approx(0.99 / 1.01)
         assert vy == pytest.approx(0.02 / 1.01)
@@ -27,7 +28,7 @@ class TestCollisionVelocityMap:
         assert (vx, vy) == pytest.approx((0.0, 1.0))
 
     def test_energy_ellipse_preserved(self):
-        m = MassPair.from_epsilon(0.1)
+        m = masses_from_epsilon(0.1)
         vx, vy = 1.0, 0.0
         for _ in range(4):
             vx, vy = collision_velocity_map(vx, vy, m)
@@ -35,7 +36,7 @@ class TestCollisionVelocityMap:
 
     def test_non_closing_rejected(self):
         with pytest.raises(ValueError):
-            collision_velocity_map(0.5, 0.5, MassPair.from_epsilon(0.1))
+            collision_velocity_map(0.5, 0.5, masses_from_epsilon(0.1))
 
 
 class TestCollisionAngle:
@@ -85,13 +86,13 @@ class TestClosedFormVelocities:
         assert closed_form_velocities(0, 0.1, 2.0) == pytest.approx((2.0, 0.0))
 
     def test_first_collision_matches_map(self):
-        m = MassPair.from_epsilon(0.1)
+        m = masses_from_epsilon(0.1)
         want = collision_velocity_map(1.0, 0.0, m)
         assert closed_form_velocities(1, 0.1, 1.0) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [0.1, 0.05])
     def test_matches_iterated_map(self, eps):
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         vx, vy = 1.0, 0.0
         for n in range(1, max_collisions(eps) + 1):
             vx, vy = collision_velocity_map(vx, vy, m)
@@ -116,7 +117,7 @@ class TestClosedFormVelocities:
 
 class TestEventDrivenTrajectory:
     def test_requires_interior_start(self):
-        m = MassPair.from_epsilon(0.2)
+        m = masses_from_epsilon(0.2)
         with pytest.raises(ValueError):
             event_driven_trajectory(-1.0, 5.0, 1.0, m)
         with pytest.raises(ValueError):
@@ -127,20 +128,20 @@ class TestEventDrivenTrajectory:
         # the first-flight offset, land on the 2 y0 n / v0 grid exactly
         m = MassPair(1.0, 1e14)
         traj = event_driven_trajectory(0.7, 2.0, 1.0, m, t_end=20.0)
-        times = [e.t for e in traj.pair_events]
+        times = [e.t for e in pair_events(traj)]
         offset = (2.0 + 0.7) / 1.0
         for n, t in enumerate(times, start=1):
             assert t + offset == pytest.approx(2 * 2.0 * n / 1.0, rel=1e-7)
 
     def test_terminates_with_no_catchup(self):
-        m = MassPair.from_epsilon(0.1)
+        m = masses_from_epsilon(0.1)
         traj = event_driven_trajectory(1.0, 3.0, 1.0, m)
         final = traj.final
         assert final.v_y > 0
         assert final.v_x <= final.v_y
 
     def test_energy_conserved_across_events(self):
-        m = MassPair.from_epsilon(0.05)
+        m = masses_from_epsilon(0.05)
         traj = event_driven_trajectory(1.0, 3.0, 1.0, m)
         e0 = 0.5 * m.m_x
         for e in traj.events:
@@ -149,7 +150,7 @@ class TestEventDrivenTrajectory:
             assert en == pytest.approx(e0, rel=1e-12)
 
     def test_events_alternate_after_first_pair(self):
-        m = MassPair.from_epsilon(0.08)
+        m = masses_from_epsilon(0.08)
         traj = event_driven_trajectory(0.5, 2.0, 1.0, m)
         kinds = [e.kind for e in traj.events]
         assert kinds[0] == "pair"
@@ -157,22 +158,22 @@ class TestEventDrivenTrajectory:
             assert a != b
 
     def test_times_strictly_increasing(self):
-        m = MassPair.from_epsilon(0.12)
+        m = masses_from_epsilon(0.12)
         traj = event_driven_trajectory(0.5, 2.0, 1.0, m)
         ts = [e.t for e in traj.events]
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
     @pytest.mark.parametrize("eps", [0.1, 0.05, 0.02])
     def test_pair_count_near_max_collisions(self, eps):
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         traj = event_driven_trajectory(1.0, 3.0, 1.0, m)
-        assert abs(traj.pair_count - max_collisions(eps)) <= 1
+        assert abs(len(pair_events(traj)) - max_collisions(eps)) <= 1
 
     def test_folded_velocities_match_closed_forms(self):
         eps = 0.1
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         traj = event_driven_trajectory(1.0, 3.0, 2.0, m)
-        for n, e in enumerate(traj.pair_events, start=1):
+        for n, e in enumerate(pair_events(traj), start=1):
             if n > max_collisions(eps):
                 break
             vx, vy = closed_form_velocities(n, eps, 2.0)
@@ -192,18 +193,18 @@ class TestCollisionTableBridge:
 
     @pytest.mark.parametrize("eps", [0.1, 0.05])
     def test_times_and_positions_match_oracle(self, eps):
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         y0, x0, v0 = 3.0, 1.0, 2.0
         traj = event_driven_trajectory(x0, y0, v0, m)
         tab = collision_table(eps)
         times = pair_collision_times(np.array([y0]), x0, v0, tab)[0]
-        for k, e in enumerate(traj.pair_events):
+        for k, e in enumerate(pair_events(traj)):
             assert times[k] == pytest.approx(e.t, rel=1e-10)
             assert y0 * tab.positions[k + 1] == pytest.approx(e.state.y, rel=1e-10)
 
     def test_kinematics_match_oracle_states(self):
         eps = 0.07
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         y0, x0, v0 = 4.0, 1.5, 1.0
         traj = event_driven_trajectory(x0, y0, v0, m)
         tab = collision_table(eps)
@@ -282,7 +283,7 @@ class TestCollisionsByTime:
 class TestChannelCoords:
     def test_reference_channel_returns_reference(self):
         eps = 0.05
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         traj = event_driven_trajectory(1.0, 3.0, 2.0, m)
         t = (traj.events[4].t + traj.events[5].t) / 2
         x_m, y_m = channel_coords(3.0, t, x_M0=1.0, y_M0=3.0, v_x0=2.0, eps=eps)
@@ -292,13 +293,13 @@ class TestChannelCoords:
 
     def test_offsets_match_two_oracle_runs(self):
         eps = 0.05
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         x0, y0, v0 = 1.0, 3.0, 2.0
         dy = 0.01
         ref = event_driven_trajectory(x0, y0, v0, m)
         other = event_driven_trajectory(x0, y0 + dy, v0, m)
         # mid-flight instant with five collisions behind the ensemble
-        pair_ts = [e.t for e in ref.pair_events]
+        pair_ts = [e.t for e in pair_events(ref)]
         wall_ts = [e.t for e in ref.events if e.kind == "wall"]
         t = (pair_ts[4] + wall_ts[4]) / 2
         x_m, y_m = channel_coords(y0 + dy, t, x_M0=x0, y_M0=y0, v_x0=v0, eps=eps)
@@ -309,19 +310,19 @@ class TestChannelCoords:
 
     def test_mixed_phase_rejected(self):
         eps = 0.05
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         ref = event_driven_trajectory(1.0, 3.0, 2.0, m)
-        t_evt = ref.pair_events[3].t
+        t_evt = pair_events(ref)[3].t
         with pytest.raises(ValueError, match="mixed"):
             # a channel far enough out has not collided yet at the event time
             channel_coords(3.3, t_evt, x_M0=1.0, y_M0=3.0, v_x0=2.0, eps=eps)
 
     def test_linearity_three_point_collinearity(self):
         eps = 0.05
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         x0, y0, v0 = 1.0, 3.0, 2.0
         ref = event_driven_trajectory(x0, y0, v0, m)
-        pair_ts = [e.t for e in ref.pair_events]
+        pair_ts = [e.t for e in pair_events(ref)]
         wall_ts = [e.t for e in ref.events if e.kind == "wall"]
         t = (pair_ts[4] + wall_ts[4]) / 2
         offs = np.array([-0.01, 0.004, 0.012])
@@ -352,9 +353,9 @@ class TestEnsembleWidths:
     def test_monte_carlo_width_at_fixed_count(self):
         # 1e4 exact runs: the y spread contracts by |cos(2 eps n)| at fixed n
         eps, d0, n_probe = 0.05, 0.05, 5
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         traj = event_driven_trajectory(10.0, 30.0, 2.0, m)
-        pair_ts = [e.t for e in traj.pair_events]
+        pair_ts = [e.t for e in pair_events(traj)]
         wall_ts = [e.t for e in traj.events if e.kind == "wall"]
         t = (pair_ts[n_probe - 1] + wall_ts[n_probe - 1]) / 2
         xs, ys, ns = monte_carlo_positions(
@@ -367,9 +368,9 @@ class TestEnsembleWidths:
 
     def test_monte_carlo_sample_stays_gaussian(self):
         eps, d0 = 0.05, 0.05
-        m = MassPair.from_epsilon(eps)
+        m = masses_from_epsilon(eps)
         traj = event_driven_trajectory(10.0, 30.0, 2.0, m)
-        pair_ts = [e.t for e in traj.pair_events]
+        pair_ts = [e.t for e in pair_events(traj)]
         wall_ts = [e.t for e in traj.events if e.kind == "wall"]
         t = (pair_ts[6] + wall_ts[6]) / 2      # n = 7 <= n_max / 2
         xs, ys, _ = monte_carlo_positions(

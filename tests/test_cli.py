@@ -21,7 +21,8 @@ from qbounce.channels import (WIDTH_RATIO_GATE, MixedPhaseError, ScenarioParams,
 from qbounce.classical import ClassicalTrajectory, collision_table, ensemble_widths
 from qbounce.cli import (ConfigError, compute_series, main, parse_config,
                          SERIES_COLUMNS)
-from qbounce.gaussian import MassPair
+
+from oracles import masses_from_epsilon, pair_events, write_series_reference
 
 BASE_CONFIG = """\
 # light molecule bouncing off a heavy partner
@@ -131,6 +132,21 @@ class TestRun:
         assert manifest["validity_warning"] is False
         assert manifest["n_max"] == 15
 
+    def test_series_files_match_the_json_module_writer(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, config_with(
+            BASE_CONFIG, oracles="event_driven,monte_carlo:500")))
+        rows, _ = compute_series(cfg)
+        rows[1]["purity"] = math.nan
+        rows[2]["mc_dsigma_x"], rows[2]["mc_dsigma_y"] = math.inf, -math.inf
+        rows[3]["x_M"] = -0.0
+        for out in (tmp_path / "a", tmp_path / "b"):
+            out.mkdir()
+        cli.write_series(rows, tmp_path / "a")
+        write_series_reference(rows, tmp_path / "b")
+        for name in ("series.csv", "series.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert '"purity": NaN' in (tmp_path / "a" / "series.json").read_text()
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, config_with(BASE_CONFIG, oracles="monte_carlo:500",
                                                  seed="3"))
@@ -160,7 +176,7 @@ class TestRun:
     def test_mixed_phase_instant_diagnostic(self, tmp_path, capsys):
         from qbounce.channels import reference_trajectory
         base = parse_config(write_config(tmp_path))
-        t_bad = reference_trajectory(base.params).pair_events[3].t
+        t_bad = pair_events(reference_trajectory(base.params))[3].t
         cfg = write_config(tmp_path, BASE_CONFIG.replace(
             "schedule = auto", f"schedule = {t_bad:.12g}"), name="bad.cfg")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -489,7 +505,7 @@ class TestValidate:
     def test_predicts_the_gate_on_an_explicit_schedule(self, tmp_path, capsys):
         from qbounce.channels import reference_trajectory
         base = parse_config(write_config(tmp_path))
-        t_bad = reference_trajectory(base.params).pair_events[3].t
+        t_bad = pair_events(reference_trajectory(base.params))[3].t
         cfg = write_config(tmp_path, BASE_CONFIG.replace(
             "schedule = auto", f"schedule = 0.01,{t_bad!r}"), name="bad.cfg")
         assert main(["validate", str(cfg)]) == 3
@@ -595,7 +611,7 @@ def admissible_configs(draw) -> dict[str, str]:
                   + (limit - eps * sigma0x) * draw(st.floats(0.01, 1.0)))
     params = ScenarioParams(x_M0=x_m0, y_M0=y_m0, sigma0x=sigma0x, sigma0y=sigma0y,
                             p_x0=draw(st.floats(1.0, 1e4)),
-                            masses=MassPair.from_epsilon(eps))
+                            masses=masses_from_epsilon(eps))
     schedule = "auto"
     if draw(st.booleans()):
         t_end = 1.1 * reference_trajectory(params).final.t

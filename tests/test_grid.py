@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qbounce.channels import ScenarioParams
 from qbounce.gaussian import (GaussianPacket, MassPair, collide_gaussians,
@@ -13,9 +14,11 @@ from qbounce.grid import (GridSpec, evolve, energy, field_from_packets,
                           marginals, overlap, overlap_fields, save_snapshot,
                           schmidt_measures, schmidt_purity, write_marginals_csv)
 
-from oracles import cn_lines_dense, moments, schmidt_by_svd
+from oracles import (cn_lines_dense, moments, purity_by_full_gram, schmidt_by_svd,
+                     sweep_lines_reference)
 
 MASSES = MassPair(1.0, 25.0)
+DESK_SPEC = GridSpec(n=512, length=30.0)
 
 
 def random_triangle_field(spec: GridSpec, seed: int = 0) -> np.ndarray:
@@ -28,6 +31,36 @@ def random_triangle_field(spec: GridSpec, seed: int = 0) -> np.ndarray:
 def compliant_params():
     return ScenarioParams(x_M0=10.0, y_M0=20.0, sigma0x=0.5, sigma0y=0.5,
                           p_x0=4.0, masses=MassPair(1.0, 25.0))
+
+
+def sweep_lines(psi, gamma, cp, inv):
+    """grid._sweep_lines into a new array, with fresh workspace."""
+    out = np.empty_like(psi)
+    grid._sweep_lines(psi, gamma, cp, inv, out, np.empty_like(psi),
+                      np.empty(len(psi), dtype=complex))
+    return out
+
+
+def sweep_lines_y(sweep, psi, gamma, cp, inv):
+    """A line sweep along axis 1: the axis-0 sweep between two mirrors."""
+    mirrored = np.ascontiguousarray(grid._reflect(psi))
+    return np.ascontiguousarray(grid._reflect(sweep(mirrored, gamma, cp, inv)))
+
+
+@st.composite
+def resolved_packet_pairs(draw):
+    """(spec, light packet, heavy packet) that check_resolution accepts at
+    n = 128, the light packet centred below the heavy one."""
+    spec = GridSpec(n=128, length=10.0)
+    sigmas = st.floats(grid.MIN_POINTS_PER_SIGMA * spec.h, 2.0)
+    p_max = 0.99 * 2 * math.pi / (grid.MIN_POINTS_PER_WAVELENGTH * spec.h)
+    momenta = st.floats(-p_max, p_max)
+    x_c = draw(st.floats(1.0, 5.0))
+    y_c = draw(st.floats(x_c + 1.0, 9.0))
+    s_x, s_y, p_x, p_y = draw(sigmas), draw(sigmas), draw(momenta), draw(momenta)
+    grid.check_resolution(spec, (s_x, s_y), max(abs(p_x), abs(p_y)))
+    return (spec, GaussianPacket.initial(x_c, s_x, p_x, 1.0),
+            GaussianPacket.initial(y_c, s_y, p_y, 25.0))
 
 
 class TestInitField:
@@ -128,12 +161,31 @@ class TestLineSolver:
         spec = GridSpec(n=24, length=1.0)
         psi = random_triangle_field(spec)
         cp, inv = grid._cn_coeffs(gamma, spec.n)
-        along_x = grid._sweep_lines(psi, gamma, cp, inv)
-        along_y = grid._reflect(grid._sweep_lines(grid._reflect(psi), gamma, cp, inv))
+        along_x = sweep_lines(psi, gamma, cp, inv)
+        along_y = sweep_lines_y(sweep_lines, psi, gamma, cp, inv)
         np.testing.assert_allclose(along_x, cn_lines_dense(psi, gamma, axis=0),
                                    rtol=0, atol=1e-13)
         np.testing.assert_allclose(along_y, cn_lines_dense(psi, gamma, axis=1),
                                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_sweeps_match_the_allocating_reference_bit_for_bit(self, axis):
+        # five steps in, the desk field's tails hold subnormal amplitudes;
+        # numpy's complex multiply rounds with fused multiply-adds, so a
+        # product with its operands swapped shows in the last bit
+        p = compliant_params()
+        f = evolve(init_field(p, DESK_SPEC), p.masses, dt=2e-3, steps=5)
+        assert np.any(np.abs(f.psi[f.psi != 0]) < np.finfo(float).tiny)
+        gamma, cp, inv = getattr(grid._Stepper(DESK_SPEC, p.masses, 2e-3), axis)
+        if axis == "x":
+            got = sweep_lines(f.psi, gamma, cp, inv)
+            want = sweep_lines_reference(f.psi, gamma, np.array(cp), np.array(inv))
+        else:
+            got = sweep_lines_y(sweep_lines, f.psi, gamma, cp, inv)
+            want = sweep_lines_y(sweep_lines_reference, f.psi, gamma,
+                                 np.array(cp), np.array(inv))
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert got.tobytes() == want.tobytes()     # the signs of zeros too
 
     def test_reflect_is_an_involution_preserving_the_triangle(self):
         spec = GridSpec(n=24, length=1.0)
@@ -154,6 +206,20 @@ class TestSchmidtPurity:
         both = schmidt_measures(f)
         assert both[0] == schmidt_purity(f)
         assert both[1] == pytest.approx(entropy, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=resolved_packet_pairs())
+    @example(case=(DESK_SPEC, compliant_params().packet_x(), compliant_params().packet_y()))
+    def test_support_cropped_measures_match_full_matrix_oracles(self, case):
+        # the measures drop amplitudes below SUPPORT_CUTOFF * max|psi|; the
+        # oracles use every amplitude.  Near purity 1 the entropy is
+        # ill-conditioned, so the Gram route itself is only good to ~1e-9 there.
+        spec, px, py = case
+        f = field_from_packets(px, py, spec)
+        purity, entropy = schmidt_measures(f)
+        assert purity == schmidt_purity(f)
+        assert purity == pytest.approx(purity_by_full_gram(f.psi), rel=1e-14)
+        assert entropy == pytest.approx(schmidt_by_svd(f.psi)[1], rel=1e-7)
 
     def test_product_field(self):
         spec = GridSpec(n=128, length=12.0)

@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 from qbounce.channels import (WIDTH_RATIO_GATE, ScenarioParams, mixed_phase_gate,
                               reference_trajectory, split_width)
 from qbounce.classical import channel_kinematics, collision_table, pair_collision_times
-from qbounce.gaussian import MassPair
-from oracles import channel_kinematics_dense, state_at_linear_scan
+from oracles import channel_kinematics_dense, masses_from_epsilon, state_at_linear_scan
 
 
 @st.composite
@@ -31,7 +30,7 @@ def admissible_params(draw):
                   + (limit - eps * sigma0x) * draw(st.floats(0.01, 1.0)))
     return ScenarioParams(x_M0=x_M0, y_M0=y_M0, sigma0x=sigma0x, sigma0y=sigma0y,
                           p_x0=draw(st.floats(1.0, 1e4)),
-                          masses=MassPair.from_epsilon(eps))
+                          masses=masses_from_epsilon(eps))
 
 
 def draw_instant(data, times) -> float:
@@ -118,6 +117,6 @@ def test_channel_kinematics_memory_linear_in_channels():
 def test_state_at_before_start_rejected():
     traj = reference_trajectory(ScenarioParams(
         x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5, p_x0=190.0,
-        masses=MassPair.from_epsilon(0.05)))
+        masses=masses_from_epsilon(0.05)))
     with pytest.raises(ValueError, match="precedes"):
         traj.state_at(-1e-9)
