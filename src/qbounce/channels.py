@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical
-from .classical import (ClassicalState, ClassicalTrajectory, channel_rotation,
+from .classical import (ClassicalTrajectory, channel_rotation,
                         closed_form_velocities, collision_table, critical_count,
                         ensemble_widths, event_driven_trajectory, max_collisions)
 from .gaussian import (GaussianPacket, MassPair, QuadraticFormState,
@@ -164,14 +164,6 @@ class EntanglementReport:
     schmidt_entropy: float
 
 
-def initial_ensemble(params: ScenarioParams) -> ChannelEnsemble:
-    """Ensemble at t = 0: a delta in x_m times a Gaussian in y_m."""
-    dsigma_y0, _ = split_width(params)
-    return ChannelEnsemble(n=0, x_center=params.x_M0, y_center=params.y_M0,
-                           dsigma_y_n=dsigma_y0, p_xn=params.p_x0, p_yn=0.0,
-                           t=0.0)
-
-
 @functools.lru_cache(maxsize=32)
 def reference_trajectory(params: ScenarioParams) -> ClassicalTrajectory:
     """Exact event-driven run from the packet centres (cached per scenario)."""
@@ -179,41 +171,21 @@ def reference_trajectory(params: ScenarioParams) -> ClassicalTrajectory:
                                    params.masses)
 
 
-@functools.lru_cache(maxsize=32)
-def _endpoint_pair_times(params: ScenarioParams) -> np.ndarray:
-    """Pair-collision times of the -3 sigma and +3 sigma channels, shape (2, K).
-
-    Each row is non-decreasing, so a searchsorted count equals the exact
-    per-channel count of channel_kinematics.
-    """
-    dsigma_y0, _ = split_width(params)
-    ends = np.array([params.y_M0 - 3 * dsigma_y0, params.y_M0 + 3 * dsigma_y0])
-    times = classical.pair_collision_times(ends, params.x_M0, params.v_x0,
-                                           collision_table(params.eps))
-    times.flags.writeable = False
-    return times
-
-
 def mixed_phase_gate(params: ScenarioParams, t):
     """True when the +-3 sigma span of channels shares one collision count at t.
 
-    Exact per-channel counting at the span endpoints (counts are monotone in
-    the initial offset, so the endpoints decide).  t may be an array of
-    instants, giving a bool array; one instant gives a bool.  Wall proximity
-    is a separate concern handled by the schedule: use auto_schedule to
-    sample midway between consecutive events.
+    Exact per-channel counting (pair_counts) at the span endpoints: counts
+    are monotone in the initial offset, so the endpoints decide.  t may be
+    an array of instants, giving a bool array; one instant gives a bool.
+    Wall proximity is a separate concern handled by the schedule: use
+    auto_schedule to sample midway between consecutive events.
     """
-    lo, hi = _endpoint_pair_times(params)
-    same = np.searchsorted(lo, t, "right") == np.searchsorted(hi, t, "right")
+    dsigma_y0, _ = split_width(params)
+    ends = np.array([[params.y_M0 - 3 * dsigma_y0], [params.y_M0 + 3 * dsigma_y0]])
+    lo, hi = classical.pair_counts(np.ravel(t), ends, params.x_M0, params.v_x0,
+                                   collision_table(params.eps))
+    same = (lo == hi).reshape(np.shape(t))
     return same if np.ndim(t) else bool(same)
-
-
-def gate_schedule(params: ScenarioParams, ts) -> None:
-    """Raise MixedPhaseError at the first instant of ts that fails mixed_phase_gate."""
-    ts = np.atleast_1d(ts)
-    unsafe = ts[~mixed_phase_gate(params, ts)].tolist()
-    if unsafe:
-        raise MixedPhaseError(unsafe[0], *nearest_safe_instants(params, unsafe[0]))
 
 
 def auto_schedule(params: ScenarioParams) -> list[float]:
@@ -238,26 +210,21 @@ def nearest_safe_instants(params: ScenarioParams, t: float) -> tuple[float | Non
     return before, after
 
 
-def propagate_ensemble(e: ChannelEnsemble, params: ScenarioParams,
-                       t: float) -> ChannelEnsemble:
-    """Ensemble parameters at a later between-collision instant.
+def propagate_ensemble(params: ScenarioParams, t) -> ChannelEnsemble:
+    """Ensemble at the between-collision instant(s) t, fields shaped like t.
 
-    reference_ensemble at the reference trajectory's state at t.  Raises
-    MixedPhaseError when channels straddle an event at t.
+    Raises MixedPhaseError at the first instant of t where channels straddle
+    a pair collision.  Collision count and centres come from the reference
+    trajectory's state at t, momenta from the closed-form speeds (the
+    trajectory's own past n_max, where the folding fails), width from the
+    rotation law at the current count.  At t = 0 it is the initial ensemble:
+    a delta in x_m times a Gaussian of width dsigma_y0 in y_m.
     """
-    if t < e.t:
-        raise ValueError("cannot propagate backwards")
-    gate_schedule(params, t)
-    return reference_ensemble(params, reference_trajectory(params).states_at(t))
-
-
-def reference_ensemble(params: ScenarioParams, ref: ClassicalState) -> ChannelEnsemble:
-    """Ungated ensemble at the instant(s) of ref, the reference state(s) there.
-
-    Collision count and centres come from ref, momenta from the closed-form
-    speeds (ref's own past n_max, where the folding fails), width from the
-    rotation law at the current count.  Elementwise over arrays.
-    """
+    ts = np.atleast_1d(t)
+    unsafe = ts[~mixed_phase_gate(params, ts)].tolist()
+    if unsafe:
+        raise MixedPhaseError(unsafe[0], *nearest_safe_instants(params, unsafe[0]))
+    ref = reference_trajectory(params).states_at(t)
     n = ref.n
     eps = params.eps
     m_x, m_y = params.masses.m_x, params.masses.m_y

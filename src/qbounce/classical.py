@@ -281,7 +281,7 @@ def pair_collision_times(y_m0, x_m0: float, v_x0: float,
             + y_m0[..., None] * rel / v_x0)
 
 
-def _count_error(t: float, k: np.ndarray, y_m0: np.ndarray, start: np.ndarray,
+def _count_error(t: np.ndarray, k: np.ndarray, y_m0: np.ndarray, start: np.ndarray,
                  v_x0: float, rel: np.ndarray) -> np.ndarray:
     """+1 where count k is one short at t, -1 where it is one over, else 0.
 
@@ -294,24 +294,31 @@ def _count_error(t: float, k: np.ndarray, y_m0: np.ndarray, start: np.ndarray,
     return short.astype(int) - over
 
 
-def _pair_count(t: float, y_m0: np.ndarray, start: np.ndarray, v_x0: float,
-                rel: np.ndarray) -> np.ndarray:
-    """Per channel, how many of the times start + y_m0 rel / v_x0 are <= t.
+def pair_counts(t, y_m0, x_m0: float, v_x0: float, table: CollisionTable) -> np.ndarray:
+    """Pair collisions completed by time t in the channel(s) starting at y_m0.
 
-    Each channel's row of times is non-decreasing (y_m0 > 0), so a
-    searchsorted on the unit gap sequence gives the count up to rounding;
-    the guess is then stepped, one collision at a time and only where it is
-    off, until the exact row entries on either side bracket t.
+    The count of a channel's pair_collision_times that are <= t, exactly.
+    t and y_m0 (all positive) broadcast against each other.  Each channel's
+    times are non-decreasing, so a searchsorted on the unit gap sequence
+    gives the count up to rounding; the guess is then stepped, one collision
+    at a time and only where it is off, until the exact entries on either
+    side bracket t.  O(log K) per element; no (..., K) array is formed.
     """
+    shape = np.broadcast_shapes(np.shape(t), np.shape(y_m0))
+    # broadcast views, not copies: a scalar t costs no (channels,) array
+    t, y_m0 = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
+                                  np.atleast_1d(np.asarray(y_m0, dtype=float)))
+    rel = table.times[1:] - table.times[1]        # as pair_collision_times
+    start = (y_m0 - x_m0) / v_x0                  # first collision time
     k = np.searchsorted(rel, (t - start) * v_x0 / y_m0, "right")
     step = _count_error(t, k, y_m0, start, v_x0, rel)
-    rows = np.flatnonzero(step)
-    step = step[rows]
-    while rows.size:
-        k[rows] += step
-        step = _count_error(t, k[rows], y_m0[rows], start[rows], v_x0, rel)
-        rows, step = rows[step != 0], step[step != 0]
-    return k
+    off = np.nonzero(step)
+    step = step[off]
+    while step.size:
+        k[off] += step
+        step = _count_error(t[off], k[off], y_m0[off], start[off], v_x0, rel)
+        off, step = tuple(i[step != 0] for i in off), step[step != 0]
+    return k.reshape(shape)
 
 
 def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
@@ -320,15 +327,14 @@ def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
 
     y_m0 is a scalar or 1-D array of initial heavy positions, all positive.
     Between collisions the light particle follows |y(k) - (t - t_k) v_x(k)|,
-    which folds the wall bounce into one expression.  The pair count is a
-    per-channel search over the channel's entries of pair_collision_times,
-    evaluated by the same expression, so it costs O(log K) per channel and
-    no (channels, K) array is formed.
+    which folds the wall bounce into one expression.  The pair count is
+    pair_counts, so it costs O(log K) per channel and no (channels, K)
+    array is formed.
     """
     y_m0 = np.atleast_1d(np.asarray(y_m0, dtype=float))
     rel = table.times[1:] - table.times[1]                    # as pair_collision_times
     start = (y_m0 - x_m0) / v_x0                              # first collision time
-    k = _pair_count(t, y_m0, start, v_x0, rel)                # collisions so far
+    k = pair_counts(t, y_m0, x_m0, v_x0, table)               # collisions so far
     before = k == 0
     ki = np.maximum(k - 1, 0)                                 # index into table rows
     pos_k = y_m0 * table.positions[1:][ki]

@@ -177,28 +177,23 @@ def _fmt(value) -> str:
 def compute_series(cfg: ScenarioConfig) -> tuple[list[dict], dict]:
     """Rows for every scheduled instant plus oracle summary details.
 
-    The analytic columns are array expressions over the whole schedule, by
-    the same channel laws that propagate_ensemble, assemble_quadratic_form
-    and entanglement_report apply to one instant.
+    The analytic columns come from the scalar API evaluated over the whole
+    schedule at once: propagate_ensemble gates every instant and gives the
+    ensembles, entanglement_report the entanglement of their (unnormalized:
+    no column reads log_norm) channel integrals.
     """
     params = cfg.params
-    if cfg.schedule == "auto":      # keeps only instants that pass the gate
-        schedule = channels.auto_schedule(params)
-    else:
-        schedule = list(cfg.schedule)
-        channels.gate_schedule(params, schedule)
+    schedule = channels.auto_schedule(params) if cfg.schedule == "auto" else list(cfg.schedule)
     ts = np.array(schedule, dtype=float)
     dsigma_y0, _ = split_width(params)
-    ref = channels.reference_trajectory(params).states_at(ts)
-    e = channels.reference_ensemble(params, ref)
-    q = channels.channel_integral(e, params)    # unnormalized: no column reads log_norm
-    purity = channels.purity_from_coefficients(q.a_xx, q.a_yy, q.a_xy)
+    e = channels.propagate_ensemble(params, ts)
+    rep = channels.entanglement_report(channels.channel_integral(e, params))
     columns = {
         "t": ts, "n": e.n, "x_M": e.x_center, "y_M": e.y_center,
         "dsigma_y_n": e.dsigma_y_n,
         "dsigma_x_n": classical.ensemble_widths(e.n, params.eps, dsigma_y0).dsigma_x,
-        "abs_a_xy": np.abs(q.a_xy), "purity": purity,
-        "schmidt_entropy": channels.schmidt_entropy_from_purity(purity),
+        "abs_a_xy": np.abs(rep.a_xy), "purity": rep.purity,
+        "schmidt_entropy": rep.schmidt_entropy,
         "p_xn": e.p_xn, "p_yn": e.p_yn,
         "validity_figure": np.full(ts.shape, params.validity_figure),
     }
@@ -206,6 +201,7 @@ def compute_series(cfg: ScenarioConfig) -> tuple[list[dict], dict]:
     if cfg.event_driven:
         # momenta re-derived from the recorded trajectory rather than the
         # closed forms; lets `compare` quantify the two routes' agreement
+        ref = channels.reference_trajectory(params).states_at(ts)
         p_xn, p_yn = params.masses.m_x * ref.v_x, params.masses.m_y * ref.v_y
         details["oracle_checks"]["event_driven_max_p_dev"] = float(max(
             np.max(np.abs(p_xn - e.p_xn), initial=0.0),

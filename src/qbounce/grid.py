@@ -261,7 +261,7 @@ def evolve(field: GridField, masses: MassPair, dt: float, steps: int) -> GridFie
         if (k + 1) % NORM_CHECK_EVERY == 0 or k == steps - 1:
             now = float(np.sum(np.abs(psi) ** 2))
             drift = abs(now - last) / (norm0 * (k + 1 - last_k))
-            if drift > NORM_DRIFT_LIMIT:
+            if not drift <= NORM_DRIFT_LIMIT:        # a NaN drift fails too
                 raise RuntimeError(
                     f"norm drift {drift:.2e} per step exceeds "
                     f"{NORM_DRIFT_LIMIT:.0e} at step {k + 1}: unstable configuration")

@@ -11,6 +11,8 @@ the package's one implementation cannot move its reference along with it.
 import csv
 import json
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad
@@ -79,6 +81,21 @@ def collision_velocity_map(v_x: float, v_y: float, masses) -> tuple[float, float
     v_x_new = ((masses.m_y - masses.m_x) * v_x - 2 * masses.m_y * v_y) / m
     v_y_new = (2 * masses.m_x * v_x + (masses.m_y - masses.m_x) * v_y) / m
     return v_x_new, v_y_new
+
+
+def folded_speeds_exact(masses, v_x0: float, count: int) -> list[tuple[Fraction, Fraction]]:
+    """Folded speeds after 0, 1, ..., count pair collisions, in exact arithmetic.
+
+    collision_velocity_map iterated in fractions.Fraction from the exact
+    values of the float masses and v_x0, heavy particle at rest: the only
+    rounding left is the caller's float() of each entry.
+    """
+    m_x, m_y = Fraction(masses.m_x), Fraction(masses.m_y)
+    exact = SimpleNamespace(m_x=m_x, m_y=m_y, total=m_x + m_y)
+    speeds = [(Fraction(v_x0), Fraction(0))]
+    for _ in range(count):
+        speeds.append(collision_velocity_map(*speeds[-1], exact))
+    return speeds
 
 
 def evaluate_with_image(p, x) -> np.ndarray:

@@ -11,8 +11,8 @@ import pytest
 
 from qbounce.channels import (ScenarioParams, assemble_quadratic_form,
                               auto_schedule, ensemble_at_count,
-                              entanglement_report, initial_ensemble,
-                              propagate_ensemble, split_width)
+                              entanglement_report, propagate_ensemble,
+                              split_width)
 from qbounce.classical import (closed_form_velocities, collision_position_approx,
                                collision_table, collision_time_approx,
                                event_driven_trajectory, max_collisions,
@@ -35,15 +35,14 @@ def report(num, text):
 def test_criterion_1_entanglement_arc():
     p = ARC_PARAMS
     assert p.validity_figure >= 3.0
-    e0 = initial_ensemble(p)
 
     purity_start = entanglement_report(
-        assemble_quadratic_form(propagate_ensemble(e0, p, 0.0), p)).purity
+        assemble_quadratic_form(propagate_ensemble(p, 0.0), p)).purity
     assert purity_start == 1.0
 
     best_purity, best_state, best_n = 2.0, None, None
     for t in auto_schedule(p):
-        e = propagate_ensemble(e0, p, t)
+        e = propagate_ensemble(p, t)
         if 0 < e.n < p.n_cr:
             st = assemble_quadratic_form(e, p)
             rep = entanglement_report(st)
@@ -161,11 +160,10 @@ def test_criterion_5_monte_carlo_width_laws():
 def test_criterion_6_assembly_matches_quadrature():
     p = ARC_PARAMS
     d0, _ = split_width(p)
-    e0 = initial_ensemble(p)
     ensembles = []
     seen = set()
     for t in auto_schedule(p):
-        e = propagate_ensemble(e0, p, t)
+        e = propagate_ensemble(p, t)
         if e.n in (1, 3) and e.n not in seen:
             seen.add(e.n)
             ensembles.append(e)

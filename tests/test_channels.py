@@ -9,10 +9,10 @@ from qbounce.channels import (ChannelEnsemble, MixedPhaseError, ScenarioParams,
                               assemble_quadratic_form, auto_schedule,
                               axy_formula, energy_exchange_check,
                               ensemble_at_count, entanglement_report,
-                              initial_ensemble, mixed_phase_gate,
-                              nearest_safe_instants, propagate_ensemble,
-                              purity_from_coefficients, reference_trajectory,
-                              schmidt_entropy_from_purity, split_width, _betas)
+                              mixed_phase_gate, nearest_safe_instants,
+                              propagate_ensemble, purity_from_coefficients,
+                              reference_trajectory, schmidt_entropy_from_purity,
+                              split_width, _betas)
 from qbounce.gaussian import (MassPair, QuadraticFormState, log_norm_sq,
                               product_form)
 from oracles import (assembled_coefficients_by_quadrature, axx_formula,
@@ -94,7 +94,7 @@ class TestSplitWidth:
 class TestInitialEnsemble:
     def test_structure(self):
         p = make_params()
-        e = initial_ensemble(p)
+        e = propagate_ensemble(p, 0.0)
         dsigma, _ = split_width(p)
         assert e.n == 0
         assert e.dsigma_y_n == pytest.approx(dsigma)
@@ -122,7 +122,7 @@ class TestMixedPhaseGate:
         p = make_params()
         t1 = pair_events(reference_trajectory(p))[0].t
         with pytest.raises(MixedPhaseError) as err:
-            propagate_ensemble(initial_ensemble(p), p, t1)
+            propagate_ensemble(p, t1)
         assert err.value.safe_before is not None
         assert err.value.safe_after is not None
         assert err.value.safe_before < t1 < err.value.safe_after
@@ -135,11 +135,11 @@ class TestMixedPhaseGate:
 class TestPropagateEnsemble:
     def test_free_flight_before_first_collision(self):
         p = make_params()
-        e = propagate_ensemble(initial_ensemble(p), p, 0.05)
+        e = propagate_ensemble(p, 0.05)
         assert e.n == 0
         assert e.x_center == pytest.approx(p.x_M0 + p.v_x0 * 0.05)
         assert e.y_center == pytest.approx(p.y_M0)
-        assert e.dsigma_y_n == pytest.approx(initial_ensemble(p).dsigma_y_n)
+        assert e.dsigma_y_n == pytest.approx(propagate_ensemble(p, 0.0).dsigma_y_n)
 
     def test_counts_and_widths_along_schedule(self):
         p = make_params()
@@ -147,7 +147,7 @@ class TestPropagateEnsemble:
         eps = p.eps
         last_n = -1
         for t in auto_schedule(p):
-            e = propagate_ensemble(initial_ensemble(p), p, t)
+            e = propagate_ensemble(p, t)
             assert e.n >= last_n
             last_n = e.n
             assert e.dsigma_y_n == pytest.approx(dsigma0 * abs(math.cos(2 * eps * e.n)))
@@ -158,11 +158,11 @@ class TestPropagateEnsemble:
         pair1 = pair_events(traj)[0]
         wall1 = next(e for e in traj.events if e.kind == "wall")
         mid_in = (pair1.t + wall1.t) / 2
-        e = propagate_ensemble(initial_ensemble(p), p, mid_in)
+        e = propagate_ensemble(p, mid_in)
         assert e.p_xn < 0
         after = next(e2 for e2 in traj.events if e2.t > wall1.t)
         mid_out = (wall1.t + after.t) / 2
-        e = propagate_ensemble(initial_ensemble(p), p, mid_out)
+        e = propagate_ensemble(p, mid_out)
         assert e.p_xn > 0
 
     def test_contraction_at_critical_count(self):
@@ -176,7 +176,7 @@ class TestAssembleQuadraticForm:
     def test_initial_state_recovered(self):
         # at n = 0 the blur of narrow channels reassembles the original product
         p = make_params()
-        e = propagate_ensemble(initial_ensemble(p), p, 0.0)
+        e = propagate_ensemble(p, 0.0)
         st = assemble_quadratic_form(e, p)
         want = product_form(p.packet_x(), p.packet_y())
         assert abs(st.a_xy) < 1e-14
@@ -188,14 +188,14 @@ class TestAssembleQuadraticForm:
     def test_normalized(self):
         p = make_params()
         for t in auto_schedule(p)[:6]:
-            e = propagate_ensemble(initial_ensemble(p), p, t)
+            e = propagate_ensemble(p, t)
             st = assemble_quadratic_form(e, p)
             assert log_norm_sq(st) == pytest.approx(0.0, abs=1e-10)
 
     def test_centers_and_momenta_encoded(self):
         p = make_params()
         t = auto_schedule(p)[7]
-        e = propagate_ensemble(initial_ensemble(p), p, t)
+        e = propagate_ensemble(p, t)
         st = assemble_quadratic_form(e, p)
         mx, my = st.means()
         assert mx == pytest.approx(e.x_center, rel=1e-9)
@@ -207,7 +207,7 @@ class TestAssembleQuadraticForm:
     def test_coefficients_match_quadrature(self):
         p = make_params()
         t = auto_schedule(p)[5]
-        e = propagate_ensemble(initial_ensemble(p), p, t)
+        e = propagate_ensemble(p, t)
         st = assemble_quadratic_form(e, p)
         d0, _ = split_width(p)
         want = assembled_coefficients_by_quadrature(p, e, d0)
@@ -218,7 +218,7 @@ class TestAssembleQuadraticForm:
         p = make_params()
         for idx in (3, 9, 15):
             t = auto_schedule(p)[idx]
-            e = propagate_ensemble(initial_ensemble(p), p, t)
+            e = propagate_ensemble(p, t)
             st = assemble_quadratic_form(e, p)
             cov = st.covariance()
             var_x, var_y = composed_marginal_variances(p, e.n, t)
@@ -239,7 +239,7 @@ class TestCoefficientFormulas:
         p = make_params()
         for idx in (3, 7, 11):
             t = auto_schedule(p)[idx]
-            e = propagate_ensemble(initial_ensemble(p), p, t)
+            e = propagate_ensemble(p, t)
             st = assemble_quadratic_form(e, p)
             bx2, by2 = _betas(p, t)
             want = axy_formula(e.n, p.eps, bx2, by2)
@@ -296,7 +296,7 @@ class TestEntanglementReport:
         p = make_params()
         for idx in (2, 8, 14):
             t = auto_schedule(p)[idx]
-            e = propagate_ensemble(initial_ensemble(p), p, t)
+            e = propagate_ensemble(p, t)
             st = assemble_quadratic_form(e, p)
             rep = entanglement_report(st)
             if abs(rep.a_xy) < 1e-10:
@@ -320,7 +320,7 @@ class TestEntanglementArc:
         p = make_params()
         purities = {}
         for t in auto_schedule(p):
-            e = propagate_ensemble(initial_ensemble(p), p, t)
+            e = propagate_ensemble(p, t)
             rep = entanglement_report(assemble_quadratic_form(e, p))
             purities.setdefault(e.n, rep.purity)
         assert purities[0] == 1.0
@@ -336,9 +336,9 @@ class TestEntanglementArc:
         p = make_params()
         traj = reference_trajectory(p)
         t_a = auto_schedule(p)[3]
-        e_a = propagate_ensemble(initial_ensemble(p), p, t_a)
+        e_a = propagate_ensemble(p, t_a)
         t_b = auto_schedule(p)[4]
-        e_b = propagate_ensemble(initial_ensemble(p), p, t_b)
+        e_b = propagate_ensemble(p, t_b)
         assert e_a.n == e_b.n
         pa = entanglement_report(assemble_quadratic_form(e_a, p)).purity
         pb = entanglement_report(assemble_quadratic_form(e_b, p)).purity
@@ -366,5 +366,5 @@ class TestNearestSafeInstants:
         assert auto_schedule(p) == mids[:18] + mids[61:]
         assert nearest_safe_instants(p, mids[18]) == (mids[17], mids[61])
         with pytest.raises(MixedPhaseError) as err:
-            propagate_ensemble(initial_ensemble(p), p, mids[18])
+            propagate_ensemble(p, mids[18])
         assert (err.value.safe_before, err.value.safe_after) == (mids[17], mids[61])

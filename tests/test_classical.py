@@ -12,8 +12,8 @@ from qbounce.classical import (channel_kinematics,
                                pair_collision_times)
 from qbounce.gaussian import MassPair
 from oracles import (channel_coords, collision_velocity_map, counts_at_linear_scan,
-                     ks_distance_to_gaussian, masses_from_epsilon, monte_carlo_positions,
-                     pair_events)
+                     folded_speeds_exact, ks_distance_to_gaussian, masses_from_epsilon,
+                     monte_carlo_positions, pair_events)
 
 
 class TestCollisionVelocityMap:
@@ -98,6 +98,15 @@ class TestClosedFormVelocities:
             vx, vy = collision_velocity_map(vx, vy, m)
             cf = closed_form_velocities(n, eps, 1.0)
             assert cf == pytest.approx((vx, vy), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m_y", [400.0, 2500.0, 1e6])
+    def test_match_exact_rational_map_up_to_n_max(self, m_y):
+        masses, v_x0 = MassPair(1.0, m_y), 190.0
+        n = np.arange(max_collisions(masses.epsilon) + 1)
+        exact = folded_speeds_exact(masses, v_x0, n[-1])
+        want = np.array([(float(v_x), float(v_y)) for v_x, v_y in exact])
+        got = np.column_stack(closed_form_velocities(n, masses.epsilon, v_x0))
+        assert np.max(np.abs(got - want)) <= 1e-14 * v_x0
 
     def test_rotation_invariant_exact(self):
         for n in range(max_collisions(0.05) + 1):

@@ -16,8 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from qbounce import channels, cli
 from qbounce.channels import (WIDTH_RATIO_GATE, MixedPhaseError, ScenarioParams,
                               assemble_quadratic_form, entanglement_report,
-                              initial_ensemble, propagate_ensemble,
-                              reference_trajectory, split_width)
+                              propagate_ensemble, reference_trajectory, split_width)
 from qbounce.classical import ClassicalTrajectory, collision_table, ensemble_widths
 from qbounce.cli import (ConfigError, compute_series, main, parse_config,
                          SERIES_COLUMNS)
@@ -315,6 +314,20 @@ class TestRun:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert done.stdout.strip() == "[]"
 
+    def test_traced_benchmark_run_completes(self, tmp_path):
+        # perfbench/tracer.py wraps the package's functions by name and reads
+        # reference_trajectory's cache, so a rename in src/ would break it
+        repo = Path(__file__).resolve().parents[1]
+        spans = tmp_path / "spans.json"
+        done = subprocess.run(
+            [sys.executable, str(repo / "perfbench" / "tracer.py"), "trace", str(spans),
+             "smoke", "--", "run", str(write_config(tmp_path)), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONPATH": str(repo / "src")})
+        assert done.returncode == 0, done.stderr
+        lookups = json.loads(spans.read_text())["reference_trajectory"]
+        assert lookups["hits"] + lookups["misses"] >= 1
+
     def test_series_builds_collision_table_once(self, tmp_path):
         # one table per scenario, not one per instant: the per-instant
         # rebuilds made the analytic series O(n_max^2)
@@ -346,23 +359,30 @@ class TestRun:
         # counts, not timing: a return to per-instant evaluation fails here
         cfg = parse_config(write_config(tmp_path, SMALL_EPS_1E4_CONFIG))
         gate, gate_calls = channels.mixed_phase_gate, []
+        propagate, propagate_calls = channels.propagate_ensemble, []
 
         def counted_gate(params, t):
             gate_calls.append(np.size(t))
             return gate(params, t)
 
+        def counted_propagate(params, t):
+            propagate_calls.append(np.size(t))
+            return propagate(params, t)
+
         def per_instant(*args, **kwargs):
             raise AssertionError("compute_series evaluated one instant at a time")
 
         monkeypatch.setattr(channels, "mixed_phase_gate", counted_gate)
-        for module in (channels, cli):
-            monkeypatch.setattr(module, "propagate_ensemble", per_instant, raising=False)
+        monkeypatch.setattr(channels, "propagate_ensemble", counted_propagate)
         monkeypatch.setattr(ClassicalTrajectory, "state_at", per_instant)
         collision_table.cache_clear()
         rows, _ = compute_series(cfg)
         assert len(rows) == 15708
+        assert propagate_calls == [15708]
         assert len(gate_calls) <= 2
-        assert collision_table.cache_info().misses <= 1
+        lookups = collision_table.cache_info()
+        assert lookups.misses <= 1
+        assert lookups.hits + lookups.misses <= 2
 
 
 class TestCompare:
@@ -660,18 +680,17 @@ def test_series_equals_the_scalar_api(keys):
         path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         cfg = parse_config(path)
     params = cfg.params
-    e0 = initial_ensemble(params)
     try:
         rows, _ = compute_series(cfg)
     except MixedPhaseError as err:
         # the series stops where the scalar API stops, with the same diagnosis
         with pytest.raises(MixedPhaseError, match=re.escape(str(err))):
-            propagate_ensemble(e0, params, err.t)
+            propagate_ensemble(params, err.t)
         assert all(channels.mixed_phase_gate(params, t) for t in cfg.schedule if t < err.t)
         return
     dsigma_y0, _ = split_width(params)
     for row in rows:
-        e = propagate_ensemble(e0, params, row["t"])
+        e = propagate_ensemble(params, row["t"])
         rep = entanglement_report(assemble_quadratic_form(e, params))
         want = {"n": e.n, "x_M": e.x_center, "y_M": e.y_center,
                 "dsigma_y_n": e.dsigma_y_n,

@@ -153,6 +153,16 @@ class TestEvolve:
         assert np.all(f.psi[outside] == 0)
 
 
+    def test_nan_amplitude_fails_the_unitarity_guard(self):
+        # a NaN drift compares false with the limit, so it must not pass it
+        spec = GridSpec(n=64, length=8.0)
+        psi = random_triangle_field(spec)
+        psi[10, 40] = np.nan
+        field = grid.GridField(psi=psi, spec=spec, t=0.0)
+        with pytest.raises(RuntimeError, match="norm drift nan"):
+            evolve(field, MASSES, dt=2e-3, steps=30)
+
+
 class TestLineSolver:
     @pytest.mark.parametrize("gamma", [0.07, 5.0])
     def test_sweeps_match_dense_solves(self, gamma):

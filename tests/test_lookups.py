@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from qbounce.channels import (WIDTH_RATIO_GATE, ScenarioParams, mixed_phase_gate,
                               reference_trajectory, split_width)
-from qbounce.classical import channel_kinematics, collision_table, pair_collision_times
+from qbounce.classical import (channel_kinematics, collision_table, pair_collision_times,
+                               pair_counts)
 from oracles import channel_kinematics_dense, masses_from_epsilon, state_at_linear_scan
 
 
@@ -75,6 +76,19 @@ def test_mixed_phase_gate_matches_channel_counts(params, data):
                                              params.v_x0, table)[2][0])
                       for y0 in (lo, hi))
         assert mixed_phase_gate(params, t) is (n_lo == n_hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=admissible_params(), data=st.data())
+def test_pair_counts_broadcast_over_channels_and_instants(params, data):
+    dsigma_y0, _ = split_width(params)
+    y0 = params.y_M0 + dsigma_y0 * np.linspace(-4, 4, 9)
+    table = collision_table(params.eps)
+    pair = pair_collision_times(y0, params.x_M0, params.v_x0, table)
+    times = np.sort(np.concatenate([[0.0], pair.ravel()]))
+    ts = np.array([draw_instant(data, times) for _ in range(8)])
+    got = pair_counts(ts, y0[:, None], params.x_M0, params.v_x0, table)
+    assert np.array_equal(got, (pair[:, None, :] <= ts[:, None]).sum(axis=-1))
 
 
 @settings(max_examples=60, deadline=None)
