@@ -225,10 +225,14 @@ def compute_series(cfg: ScenarioConfig) -> tuple[list[dict], dict]:
     snapshots = []
     if cfg.grid_oracle is not None:
         f = grid.init_field(params, cfg.grid_oracle)
+        # the grid samples whole steps: up to dt/2 away from the scheduled t
+        sampled = details["grid"] = {"steps": 0, "max_t_offset": 0.0}
         for row in rows:
             steps = int(round((row["t"] - f.t) / cfg.grid_dt))
             if steps > 0:
                 f = grid.evolve(f, params.masses, cfg.grid_dt, steps)
+                sampled["steps"] += steps
+            sampled["max_t_offset"] = max(sampled["max_t_offset"], abs(f.t - row["t"]))
             snapshots.append((row["t"], f))
             if cfg.purity_source == "grid":     # both from one Gram matrix
                 row["grid_purity"], row["schmidt_entropy"] = grid.schmidt_measures(f)
@@ -326,6 +330,8 @@ def cmd_run(args) -> int:
         "columns": _columns_for(rows),
         "oracle_checks": details["oracle_checks"],
     }
+    if "grid" in details:
+        manifest["grid"] = details["grid"]
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")

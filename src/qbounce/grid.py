@@ -5,19 +5,23 @@ square so the contact line x = y passes exactly through nodes, which are
 pinned to zero together with x = 0 and y = L.  Time stepping is a Strang
 split of Crank-Nicolson half steps per direction; each 1D solve is a Cayley
 transform of a Hermitian tridiagonal operator on its row/column segment, so
-every step is exactly unitary in the discrete norm and the only errors are
-O(dt^2) splitting and O(h^2) dispersion.
+the step is unitary in the discrete norm.  Its errors are O(dt^2) splitting,
+O(h^2) dispersion and the truncation to the field's support window, which
+drops only amplitudes below about SUPPORT_CUTOFF * max|psi| (bound next to
+the constant).
 
 Every x-segment starts at the wall node i = 1, so one Thomas elimination along
 axis 0 solves them all at once; the anti-diagonal mirror (x, y) -> (L - y,
 L - x) maps the triangle onto itself and turns the y-segments into such
-x-segments, so the same routine does the y sweep.
+x-segments, so the same routine does the y sweep.  Each step runs the sweeps
+on the rows and columns where the field is, and leaves the rest exactly zero.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -30,12 +34,24 @@ MIN_POINTS_PER_WAVELENGTH = 8
 NORM_DRIFT_LIMIT = 1e-8      # per-step unitarity guard
 NORM_CHECK_EVERY = 25        # steps between two unitarity checks
 # Amplitudes below this fraction of max|psi| are left out of the Schmidt
-# measures.  Dropping them is a perturbation E of the (n+1) x (n+1) amplitude
-# matrix with ||E||_F <= (n + 1) * SUPPORT_CUTOFF * max|psi|, and max|psi| is
-# at most the largest singular value s_max, so by Weyl's inequality no
-# singular value moves by more than (n + 1) * 1e-20 * s_max (5e-18 s_max at
-# n = 512), below the rounding of the Gram matrix itself (about 1e-16 s_max^2
-# in each squared singular value).
+# measures and of the grid step.
+# - Schmidt measures.  Dropping them is a perturbation E of the (n+1) x (n+1)
+#   amplitude matrix with ||E||_F <= (n + 1) * SUPPORT_CUTOFF * max|psi|, and
+#   max|psi| is at most the largest singular value s_max, so by Weyl's
+#   inequality no singular value moves by more than (n + 1) * 1e-20 * s_max
+#   (5e-18 s_max at n = 512), below the rounding of the Gram matrix itself
+#   (about 1e-16 s_max^2 in each squared singular value).
+# - Step.  A step sweeps only the bounding box of the amplitudes at or above
+#   the cutoff, padded along each sweep's axis by the M cells with
+#   |cp|^M < SUPPORT_CUTOFF, cp being the elimination factor, which damps a
+#   line's solution by |cp| per cell.  A sweep thus drops the input outside
+#   the window and the solution's continuation past it, each amplitude below
+#   about SUPPORT_CUTOFF * max|psi|: ||E||_F <~ 2 (n + 1) SUPPORT_CUTOFF
+#   max|psi| per sweep.  The sweeps are unitary, so these errors add up over
+#   the steps without growing: after K steps the field is within about
+#   6 K (n + 1) SUPPORT_CUTOFF ||psi|| of the whole-triangle step (1.2e-13
+#   ||psi|| after criterion 8's 4,000 steps at n = 512).  Measured on the
+#   desk field at n = 512: 1.2e-25 max|psi| after 60 steps.
 SUPPORT_CUTOFF = 1e-20
 
 _SNAP_MAGIC = b"QBGRID1\x00"
@@ -179,13 +195,42 @@ def _cn_coeffs(gamma: complex, n: int):
     return cp.tolist(), inv.tolist()
 
 
-def _sweep_lines(psi, gamma, cp, inv, out, d, row):
-    """CN solve along axis 0 for every segment [1, j-1] of column j at once.
+def _margin(cp) -> int:
+    """Smallest M with max|cp|^M < SUPPORT_CUTOFF: the cells over which the
+    elimination damps a line's solution below the cutoff."""
+    c = max(map(abs, cp))
+    return math.floor(math.log(SUPPORT_CUTOFF) / math.log(c)) + 1
+
+
+def _triangle(n: int) -> tuple[range, range]:
+    """The window of the whole triangle: rows 1 ... n-2, columns 2 ... n-1."""
+    return range(1, n - 1), range(2, n)
+
+
+def _box(rows: range, cols: range) -> tuple[slice, slice]:
+    return np.s_[rows.start:rows.stop, cols.start:cols.stop]
+
+
+def _mirror(window: tuple[range, range], n: int) -> tuple[range, range]:
+    """The window under the (x, y) -> (L - y, L - x) reflection."""
+    rows, cols = window
+    return (range(n + 1 - cols.stop, n + 1 - cols.start),
+            range(n + 1 - rows.stop, n + 1 - rows.start))
+
+
+def _sweep_lines(psi, gamma, cp, inv, out, d, row, rows, cols):
+    """CN solve along axis 0 for every segment [1, j-1] of column j in cols,
+    on the rows of the window alone.
 
     Row i takes part only in the segments of columns i+1 ... n-1, so each row
-    of the elimination touches just those.  psi must vanish outside the
-    triangle; out, which must not be psi, is overwritten and does too, because
-    no row writes outside it.  d (psi's shape) and row (one row) are workspace.
+    of the elimination touches just those inside cols.  The forward pass
+    starts at rows.start as if every row before it were zero, and the back
+    substitution starts at rows.stop - 1 as if row rows.stop of the solution
+    were; over the whole triangle (_triangle) both hold exactly.  psi is read
+    on rows.start - 1 ... rows.stop and cols, and must vanish outside the
+    triangle there.  out, which must not be psi, is written on rows.start ...
+    rows.stop and cols only (zero off the triangle and on the last of those
+    rows).  d (psi's shape) and row (one row) are workspace.
 
     Every product keeps the operand order of (d - a * d_prev) * inv and
     d - cp * x and writes into a buffer that is not one of its operands:
@@ -193,23 +238,29 @@ def _sweep_lines(psi, gamma, cp, inv, out, d, row):
     for a leading scalar, a trailing scalar or an in-place operand need not
     round alike.  Sums and differences are exact per element and may alias.
     """
-    n = psi.shape[0] - 1
+    r0, r1 = rows.start, rows.stop
+    c0, c1 = cols.start, cols.stop
     a = -1j * gamma
     # d = (1 - 2 i gamma) psi + i gamma (psi[i-1] + psi[i+1]), with out as workspace
-    np.add(psi[:-2], psi[2:], out=d[1:-1])
-    np.multiply(1j * gamma, d[1:-1], out=out[1:-1])
-    np.multiply(1 - 2j * gamma, psi, out=d)
-    d[1:-1] += out[1:-1]
-    out.fill(0)
-    for i in range(1, n - 1):
-        di, r = d[i, i + 1:n], row[:n - i - 1]
-        np.multiply(a, d[i - 1, i + 1:n], out=r)
+    box = _box(rows, cols)
+    ws = out[box]
+    np.add(psi[r0 - 1:r1 - 1, c0:c1], psi[r0 + 1:r1 + 1, c0:c1], out=d[box])
+    np.multiply(1j * gamma, d[box], out=ws)
+    np.multiply(1 - 2j * gamma, psi[box], out=d[box])
+    d[box] += ws
+    d[r0 - 1, c0:c1] = 0
+    out[r0:r1 + 1, c0:c1] = 0
+    for i in rows:
+        s = max(i + 1, c0)
+        di, r = d[i, s:c1], row[:c1 - s]
+        np.multiply(a, d[i - 1, s:c1], out=r)
         np.subtract(di, r, out=r)
         np.multiply(r, inv[i], out=di)
-    for i in range(n - 2, 0, -1):
-        r = row[:n - i - 1]
-        np.multiply(cp[i], out[i + 1, i + 1:n], out=r)
-        np.subtract(d[i, i + 1:n], r, out=out[i, i + 1:n])
+    for i in reversed(rows):
+        s = max(i + 1, c0)
+        r = row[:c1 - s]
+        np.multiply(cp[i], out[i + 1, s:c1], out=r)
+        np.subtract(d[i, s:c1], r, out=out[i, s:c1])
 
 
 def _reflect(psi):
@@ -219,7 +270,8 @@ def _reflect(psi):
 
 
 class _Stepper:
-    """Precomputed sweep coefficients and workspace for one (spec, masses, dt)."""
+    """Precomputed sweep coefficients and workspace for one (spec, masses, dt),
+    and the window of the field it last stepped."""
 
     def __init__(self, spec: GridSpec, masses: MassPair, dt: float):
         if dt <= 0:
@@ -229,20 +281,63 @@ class _Stepper:
         gy = dt / (4 * masses.m_y * h * h)   # full step in y
         self.x = (gx, *_cn_coeffs(gx, spec.n))
         self.y = (gy, *_cn_coeffs(gy, spec.n))
+        self.pad = (_margin(self.x[1]), _margin(self.y[1]))   # rows, columns
+        self.n = spec.n
+        self.window = _triangle(spec.n)      # where the next input may be nonzero
         shape = (spec.n + 1, spec.n + 1)
         # the sweeps' elimination array and row, then the fields between sweeps
         self.work = (np.empty(shape, dtype=complex), np.empty(spec.n + 1, dtype=complex))
         self.swept = np.empty(shape, dtype=complex)
         self.mirrored = np.empty(shape, dtype=complex)
+        # the steps' outputs, used in turn; the one not holding the field is zero
+        self.fields = (np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
+
+    def support_window(self, psi: np.ndarray) -> tuple[range, range]:
+        """Bounding rows and columns of the amplitudes at or above
+        SUPPORT_CUTOFF * max|psi|, padded by the sweeps' margins and clipped
+        to the triangle.  Reads psi on self.window only."""
+        rows, cols = self.window
+        mag = np.abs(psi[_box(rows, cols)])
+        top = mag.max()
+        if not math.isfinite(top):        # a NaN field sweeps the whole triangle
+            return _triangle(self.n)
+        keep = mag >= SUPPORT_CUTOFF * top
+        hit_r = np.flatnonzero(keep.any(axis=1))
+        hit_c = np.flatnonzero(keep.any(axis=0))
+        pad_r, pad_c = self.pad
+        r0 = max(1, rows.start + int(hit_r[0]) - pad_r)
+        c1 = min(self.n, cols.start + int(hit_c[-1]) + pad_c + 1)
+        r1 = min(rows.start + int(hit_r[-1]) + pad_r + 1, c1 - 1)
+        c0 = max(cols.start + int(hit_c[0]) - pad_c, r0 + 1)
+        return range(r0, r1), range(c0, c1)
+
+    def _mirror_swept(self, rows: range, cols: range) -> None:
+        """mirrored = the reflection of swept on the window, with the zero
+        rows either side that the next sweep reads."""
+        box = _box(rows, cols)
+        self.mirrored[box] = _reflect(self.swept)[box]
+        self.mirrored[rows.start - 1, box[1]] = 0
+        self.mirrored[rows.stop, box[1]] = 0
 
     def step(self, psi: np.ndarray) -> np.ndarray:
-        """One Strang step into a new array; psi is left as it is."""
-        _sweep_lines(psi, *self.x, self.swept, *self.work)
-        np.copyto(self.mirrored, _reflect(self.swept))
-        _sweep_lines(self.mirrored, *self.y, self.swept, *self.work)
-        np.copyto(self.mirrored, _reflect(self.swept))
-        out = np.empty_like(psi)
-        _sweep_lines(self.mirrored, *self.x, out, *self.work)
+        """One Strang step of psi, which must vanish outside self.window,
+        over its support window.
+
+        The result is one of self.fields and vanishes outside the new
+        self.window.  A psi that is the other one is zeroed for the step
+        after, so a result stays valid until the next step; any other psi is
+        left as it is."""
+        win = self.support_window(psi)
+        mir = _mirror(win, self.n)
+        out = self.fields[psi is self.fields[0]]
+        _sweep_lines(psi, *self.x, self.swept, *self.work, *win)
+        self._mirror_swept(*mir)
+        _sweep_lines(self.mirrored, *self.y, self.swept, *self.work, *mir)
+        self._mirror_swept(*win)
+        _sweep_lines(self.mirrored, *self.x, out, *self.work, *win)
+        if any(psi is f for f in self.fields):    # zero again, for the step after next
+            psi[_box(*self.window)] = 0
+        self.window = win
         return out
 
 
@@ -253,20 +348,20 @@ def evolve(field: GridField, masses: MassPair, dt: float, steps: int) -> GridFie
     phase per step stays small (dt <~ m_x h^2 is comfortable).
     """
     stepper = _Stepper(field.spec, masses, dt)
-    psi = field.psi.copy()
+    psi = field.psi
     norm0 = float(np.sum(np.abs(psi) ** 2))
     last, last_k = norm0, 0
     for k in range(steps):
         psi = stepper.step(psi)
         if (k + 1) % NORM_CHECK_EVERY == 0 or k == steps - 1:
-            now = float(np.sum(np.abs(psi) ** 2))
+            now = float(np.sum(np.abs(psi[_box(*stepper.window)]) ** 2))
             drift = abs(now - last) / (norm0 * (k + 1 - last_k))
             if not drift <= NORM_DRIFT_LIMIT:        # a NaN drift fails too
                 raise RuntimeError(
                     f"norm drift {drift:.2e} per step exceeds "
                     f"{NORM_DRIFT_LIMIT:.0e} at step {k + 1}: unstable configuration")
             last, last_k = now, k + 1
-    return GridField(psi=psi, spec=field.spec, t=field.t + steps * dt)
+    return GridField(psi=psi if steps else psi.copy(), spec=field.spec, t=field.t + steps * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +441,12 @@ def energy(field: GridField, masses: MassPair) -> float:
 
 def save_snapshot(field: GridField, path) -> None:
     """Binary snapshot: magic, n_x, n_y (int64 LE), dx, dy, t (float64 LE),
-    then row-major interleaved re/im float64 pairs."""
+    then row-major interleaved re/im float64 pairs, i.e. psi as <c16."""
     n = field.spec.n + 1
     with open(path, "wb") as fh:
         fh.write(_SNAP_MAGIC)
         fh.write(struct.pack("<qqddd", n, n, field.h, field.h, field.t))
-        inter = np.empty((n, n, 2))
-        inter[:, :, 0] = field.psi.real
-        inter[:, :, 1] = field.psi.imag
-        fh.write(inter.astype("<f8").tobytes(order="C"))
+        fh.write(np.ascontiguousarray(field.psi, dtype="<c16").data)
 
 
 def load_snapshot(path) -> GridField:
@@ -366,9 +458,13 @@ def load_snapshot(path) -> GridField:
         nx, ny, dx, dy, t = struct.unpack("<qqddd", fh.read(40))
         if nx != ny:
             raise ValueError("snapshot grid is not square")
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(nx, ny, 2)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != nx * ny * 16:
+            raise ValueError(f"snapshot payload is {size} bytes, expected "
+                             f"{nx} x {ny} x 16 = {nx * ny * 16}")
+        psi = np.empty((nx, ny), dtype="<c16")
+        fh.readinto(psi)
     spec = GridSpec(n=nx - 1, length=dx * (nx - 1))
-    psi = raw[:, :, 0] + 1j * raw[:, :, 1]
     return GridField(psi=psi, spec=spec, t=t)
 
 

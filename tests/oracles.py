@@ -11,6 +11,7 @@ the package's one implementation cannot move its reference along with it.
 import csv
 import json
 import math
+import struct
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ from qbounce.classical import (ClassicalState, channel_kinematics, collision_tab
                                pair_collision_times)
 from qbounce.cli import _columns_for, _fmt
 from qbounce.gaussian import MassPair, QuadraticFormState, evaluate_packet
-from qbounce.grid import marginals
+from qbounce.grid import GridField, _cn_coeffs, marginals
 
 
 def masses_from_epsilon(eps: float, m_x: float = 1.0) -> MassPair:
@@ -297,6 +298,37 @@ def sweep_lines_reference(psi, gamma, cp, inv):
         s = slice(i + 1, n)
         out[i, s] = d[i, s] - cp[i] * out[i + 1, s]
     return out
+
+
+def evolve_reference(field, masses, dt: float, steps: int):
+    """grid.evolve before support windows: the Strang step X(dt/2) Y(dt)
+    X(dt/2) over the whole triangle, each sweep by sweep_lines_reference, the
+    y sweep between two (x, y) -> (L - y, L - x) mirrors.  No norm guard."""
+    h = field.h
+    coeffs = []
+    for gamma in (dt / (8 * masses.m_x * h * h), dt / (4 * masses.m_y * h * h)):
+        cp, inv = _cn_coeffs(gamma, field.spec.n)
+        coeffs.append((gamma, np.array(cp), np.array(inv)))
+    (gx, cpx, invx), (gy, cpy, invy) = coeffs
+    psi = field.psi
+    for _ in range(steps):
+        psi = sweep_lines_reference(psi, gx, cpx, invx)
+        psi = sweep_lines_reference(np.ascontiguousarray(psi[::-1, ::-1].T), gy, cpy, invy)
+        psi = sweep_lines_reference(np.ascontiguousarray(psi[::-1, ::-1].T), gx, cpx, invx)
+    return GridField(psi=psi, spec=field.spec, t=field.t + steps * dt)
+
+
+def save_snapshot_reference(field, path) -> None:
+    """grid.save_snapshot as first written: re and im interleaved through a
+    (n, n, 2) float array, then converted and copied to bytes."""
+    n = field.spec.n + 1
+    with open(path, "wb") as fh:
+        fh.write(b"QBGRID1\x00")
+        fh.write(struct.pack("<qqddd", n, n, field.h, field.h, field.t))
+        inter = np.empty((n, n, 2))
+        inter[:, :, 0] = field.psi.real
+        inter[:, :, 1] = field.psi.imag
+        fh.write(inter.astype("<f8").tobytes(order="C"))
 
 
 def purity_by_full_gram(psi: np.ndarray) -> float:

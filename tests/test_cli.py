@@ -587,6 +587,10 @@ seed     = 0
         from qbounce.grid import load_snapshot
         f = load_snapshot(snaps[0])
         assert f.spec.n == 512
+        # 25 + 25 steps of 2e-3; the sampled times are off by rounding only
+        block = json.loads((out / "manifest.json").read_text())["grid"]
+        assert block["steps"] == 50
+        assert 0 <= block["max_t_offset"] <= 1e-15
 
     def test_cross_oracle_compare(self, tmp_path):
         # same schedule, purity from the analytic pipeline in one run and

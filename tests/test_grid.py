@@ -14,8 +14,8 @@ from qbounce.grid import (GridSpec, evolve, energy, field_from_packets,
                           marginals, overlap, overlap_fields, save_snapshot,
                           schmidt_measures, schmidt_purity, write_marginals_csv)
 
-from oracles import (cn_lines_dense, moments, purity_by_full_gram, schmidt_by_svd,
-                     sweep_lines_reference)
+from oracles import (cn_lines_dense, evolve_reference, moments, purity_by_full_gram,
+                     save_snapshot_reference, schmidt_by_svd, sweep_lines_reference)
 
 MASSES = MassPair(1.0, 25.0)
 DESK_SPEC = GridSpec(n=512, length=30.0)
@@ -34,10 +34,11 @@ def compliant_params():
 
 
 def sweep_lines(psi, gamma, cp, inv):
-    """grid._sweep_lines into a new array, with fresh workspace."""
-    out = np.empty_like(psi)
+    """grid._sweep_lines over the whole triangle into a new array, with
+    fresh workspace."""
+    out = np.zeros_like(psi)
     grid._sweep_lines(psi, gamma, cp, inv, out, np.empty_like(psi),
-                      np.empty(len(psi), dtype=complex))
+                      np.empty(len(psi), dtype=complex), *grid._triangle(len(psi) - 1))
     return out
 
 
@@ -163,6 +164,35 @@ class TestEvolve:
             evolve(field, MASSES, dt=2e-3, steps=30)
 
 
+def assert_matches_whole_triangle_steps(field, dt, steps):
+    # the windowed step drops only amplitudes below SUPPORT_CUTOFF * max|psi|
+    got = evolve(field, MASSES, dt, steps).psi
+    want = evolve_reference(field, MASSES, dt, steps).psi
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.all(got[~field.spec.domain_mask()] == 0)
+
+
+class TestSupportWindow:
+    def test_desk_field_matches_whole_triangle_steps(self):
+        p = compliant_params()
+        assert_matches_whole_triangle_steps(init_field(p, DESK_SPEC), dt=2e-3, steps=60)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=resolved_packet_pairs())
+    @example(case=(                 # the fastest light packet the grid resolves
+        GridSpec(n=128, length=10.0),
+        GaussianPacket.initial(3.0, grid.MIN_POINTS_PER_SIGMA * 10 / 128, 9.9, 1.0),
+        GaussianPacket.initial(6.0, 0.625, 0.0, 25.0)))
+    @example(case=(                 # thrown at the wall from next to it
+        GridSpec(n=128, length=10.0),
+        GaussianPacket.initial(1.0, 0.7, -9.9, 1.0),
+        GaussianPacket.initial(2.5, 0.7, 9.9, 25.0)))
+    def test_resolved_packet_pairs_match_whole_triangle_steps(self, case):
+        # steps long enough for the fast packets to cross their tails' margin
+        spec, px, py = case
+        assert_matches_whole_triangle_steps(field_from_packets(px, py, spec), dt=1e-2, steps=40)
+
+
 class TestLineSolver:
     @pytest.mark.parametrize("gamma", [0.07, 5.0])
     def test_sweeps_match_dense_solves(self, gamma):
@@ -184,7 +214,7 @@ class TestLineSolver:
         # numpy's complex multiply rounds with fused multiply-adds, so a
         # product with its operands swapped shows in the last bit
         p = compliant_params()
-        f = evolve(init_field(p, DESK_SPEC), p.masses, dt=2e-3, steps=5)
+        f = evolve_reference(init_field(p, DESK_SPEC), p.masses, dt=2e-3, steps=5)
         assert np.any(np.abs(f.psi[f.psi != 0]) < np.finfo(float).tiny)
         gamma, cp, inv = getattr(grid._Stepper(DESK_SPEC, p.masses, 2e-3), axis)
         if axis == "x":
@@ -328,6 +358,24 @@ class TestSnapshotRoundTrip:
         assert g.spec.n == f.spec.n
         assert g.t == f.t
         np.testing.assert_array_equal(g.psi, f.psi)
+
+    def test_bytes_match_the_interleaving_writer(self, tmp_path):
+        spec = GridSpec(n=64, length=8.0)
+        psi = random_triangle_field(spec, seed=3)
+        psi[5, 9] = complex(-0.0, np.nan)
+        f = grid.GridField(psi=psi, spec=spec, t=0.25)
+        save_snapshot(f, tmp_path / "new.bin")
+        save_snapshot_reference(f, tmp_path / "old.bin")
+        assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+
+    def test_truncated_payload_names_both_sizes(self, tmp_path):
+        spec = GridSpec(n=64, length=8.0)
+        f = grid.GridField(psi=random_triangle_field(spec), spec=spec, t=0.0)
+        path = tmp_path / "snap.bin"
+        save_snapshot(f, path)
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(ValueError, match=r"is 67590 bytes, expected 65 x 65 x 16 = 67600"):
+            load_snapshot(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.bin"
