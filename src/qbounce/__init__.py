@@ -13,14 +13,11 @@ from .gaussian import (GaussianPacket, MassPair, QuadraticFormState,
                        collide_gaussians, collide_velocities, evaluate,
                        evaluate_packet, free_evolve, wall_reflect, width_param)
 from .classical import (ClassicalState, ClassicalTrajectory, EnsembleWidths,
-                        closed_form_velocities, collision_angle,
-                        collision_position_approx, collision_time_approx,
-                        collisions_by_time, critical_count, ensemble_widths,
-                        event_driven_trajectory, max_collisions,
+                        closed_form_velocities, collision_angle, critical_count,
+                        ensemble_widths, event_driven_trajectory, max_collisions,
                         pair_collision_times)
 from .channels import (ChannelEnsemble, EntanglementReport, MixedPhaseError,
-                       ScenarioParams, assemble_quadratic_form, axy_formula,
-                       energy_exchange_check, entanglement_report,
+                       ScenarioParams, assemble_quadratic_form, entanglement_report,
                        mixed_phase_gate, propagate_ensemble, split_width)
 from .grid import (GridField, GridSpec, energy, evolve, init_field,
                    load_snapshot, marginals, overlap, schmidt_purity)

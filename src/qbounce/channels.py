@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical
-from .classical import (ClassicalTrajectory, channel_rotation,
-                        closed_form_velocities, collision_table, critical_count,
-                        ensemble_widths, event_driven_trajectory, max_collisions)
+from .classical import (ClassicalTrajectory, CollisionTable, channel_rotation,
+                        collision_table, critical_count, ensemble_widths,
+                        max_collisions)
 from .gaussian import (GaussianPacket, MassPair, QuadraticFormState,
                        normalized, width_param)
 
@@ -106,6 +106,11 @@ class ScenarioParams:
     def validity_figure(self) -> float:
         return self.eps * self.masses.m_x * self.sigma0x * self.v_x0 / math.pi
 
+    @functools.cached_property
+    def table(self) -> CollisionTable:
+        """The collision sequence, looked up once per scenario."""
+        return collision_table(self.eps)
+
     @property
     def n_max(self) -> int:
         return max_collisions(self.eps)
@@ -166,9 +171,8 @@ class EntanglementReport:
 
 @functools.lru_cache(maxsize=32)
 def reference_trajectory(params: ScenarioParams) -> ClassicalTrajectory:
-    """Exact event-driven run from the packet centres (cached per scenario)."""
-    return event_driven_trajectory(params.x_M0, params.y_M0, params.v_x0,
-                                   params.masses)
+    """The centre channel's run (y_m0 = y_M0) from the collision table (cached per scenario)."""
+    return classical.channel_trajectory(params.y_M0, params.x_M0, params.v_x0, params.table)
 
 
 def mixed_phase_gate(params: ScenarioParams, t):
@@ -182,8 +186,7 @@ def mixed_phase_gate(params: ScenarioParams, t):
     """
     dsigma_y0, _ = split_width(params)
     ends = np.array([[params.y_M0 - 3 * dsigma_y0], [params.y_M0 + 3 * dsigma_y0]])
-    lo, hi = classical.pair_counts(np.ravel(t), ends, params.x_M0, params.v_x0,
-                                   collision_table(params.eps))
+    lo, hi = classical.pair_counts(np.ravel(t), ends, params.x_M0, params.v_x0, params.table)
     same = (lo == hi).reshape(np.shape(t))
     return same if np.ndim(t) else bool(same)
 
@@ -195,10 +198,8 @@ def auto_schedule(params: ScenarioParams) -> list[float]:
     sampled on top of the wall, plus one tail instant after the final event,
     and keeps the midpoints that pass mixed_phase_gate.
     """
-    ts = reference_trajectory(params).state_columns.t
-    out = (ts[:-1] + ts[1:]) / 2
-    if len(ts) > 1:
-        out = np.append(out, ts[-1] + (ts[-1] - ts[-2]) / 2)
+    ts = reference_trajectory(params).t          # at least one collision: two rows
+    out = np.append((ts[:-1] + ts[1:]) / 2, ts[-1] + (ts[-1] - ts[-2]) / 2)
     return out[mixed_phase_gate(params, out)].tolist()
 
 
@@ -214,49 +215,21 @@ def propagate_ensemble(params: ScenarioParams, t) -> ChannelEnsemble:
     """Ensemble at the between-collision instant(s) t, fields shaped like t.
 
     Raises MixedPhaseError at the first instant of t where channels straddle
-    a pair collision.  Collision count and centres come from the reference
-    trajectory's state at t, momenta from the closed-form speeds (the
-    trajectory's own past n_max, where the folding fails), width from the
-    rotation law at the current count.  At t = 0 it is the initial ensemble:
-    a delta in x_m times a Gaussian of width dsigma_y0 in y_m.
+    a pair collision.  Collision count, centres and momenta come from the
+    reference trajectory's state at t, width from the rotation law at the
+    current count.  At t = 0 it is the initial ensemble: a delta in x_m
+    times a Gaussian of width dsigma_y0 in y_m.
     """
     ts = np.atleast_1d(t)
     unsafe = ts[~mixed_phase_gate(params, ts)].tolist()
     if unsafe:
         raise MixedPhaseError(unsafe[0], *nearest_safe_instants(params, unsafe[0]))
     ref = reference_trajectory(params).states_at(t)
-    n = ref.n
-    eps = params.eps
-    m_x, m_y = params.masses.m_x, params.masses.m_y
     dsigma_y0, _ = split_width(params)
-    folded = n <= params.n_max
-    v_x, v_y = closed_form_velocities(np.where(folded, n, 0), eps, params.v_x0)
-    sign = np.where(ref.v_x >= 0, 1, -1)
     return ChannelEnsemble(
-        n=n, x_center=ref.x, y_center=ref.y,
-        dsigma_y_n=ensemble_widths(n, eps, dsigma_y0).dsigma_y,
-        p_xn=np.where(folded, sign * m_x * v_x, m_x * ref.v_x)[()],
-        p_yn=np.where(folded, m_y * v_y, m_y * ref.v_y)[()], t=ref.t)
-
-
-def ensemble_at_count(params: ScenarioParams, n, t: float) -> ChannelEnsemble:
-    """Ensemble at a prescribed (possibly fractional) collision count.
-
-    Continuum evaluation of the rotation laws, used to probe the critical
-    count pi/(4 eps) which falls between integer collision indices; centres
-    are placed on the asymptotic reference so entanglement quantities, which
-    do not depend on them, are evaluated at physically sensible positions.
-    The light particle is taken to move away from the wall.
-    """
-    eps = params.eps
-    dsigma_y0, _ = split_width(params)
-    n_eff = min(n, params.n_max)
-    v_x, v_y = closed_form_velocities(n_eff, eps, params.v_x0)
-    y_c = classical.collision_position_approx(n_eff, params.y_M0, eps)
-    return ChannelEnsemble(
-        n=n, x_center=y_c / 2, y_center=y_c,
-        dsigma_y_n=ensemble_widths(n, eps, dsigma_y0).dsigma_y,
-        p_xn=params.masses.m_x * v_x, p_yn=params.masses.m_y * v_y, t=t)
+        n=ref.n, x_center=ref.x, y_center=ref.y,
+        dsigma_y_n=ensemble_widths(ref.n, params.eps, dsigma_y0).dsigma_y,
+        p_xn=params.masses.m_x * ref.v_x, p_yn=params.masses.m_y * ref.v_y, t=ref.t)
 
 
 def _betas(params: ScenarioParams, t: float) -> tuple[complex, complex]:
@@ -307,34 +280,6 @@ def channel_integral(e: ChannelEnsemble, params: ScenarioParams) -> QuadraticFor
     if np.ndim(e.t) == 0:
         coefficients = {key: value[0] for key, value in coefficients.items()}
     return QuadraticFormState(**coefficients)
-
-
-def axy_formula(n, eps: float, beta_x_sq: complex, beta_y_sq: complex) -> complex:
-    """Cross coefficient sin(4 eps n)[beta_y^2 - eps^2 beta_x^2]/(2 eps beta_x^2 beta_y^2).
-
-    Equals the channel integral's cross coefficient identically; zero at
-    n = 0 and at the critical count where 4 eps n = pi.
-    """
-    return (math.sin(4 * eps * n) * (beta_y_sq - eps**2 * beta_x_sq)
-            / (2 * eps * beta_x_sq * beta_y_sq))
-
-
-def energy_exchange_check(t: float, params: ScenarioParams) -> bool:
-    """At the critical count the diagonal coefficients swap roles.
-
-    Checks a_xx(n_cr) = -eps^2/(2 beta_y^2) and a_yy(n_cr) = -1/(2 eps^2
-    beta_x^2) to a relative 1e-8: the packets have exchanged the kinetic
-    energies stored in their rest-frame momentum spreads.
-    """
-    rtol = 1e-8
-    eps = params.eps
-    e = ensemble_at_count(params, params.n_cr, t)
-    state = assemble_quadratic_form(e, params)
-    bx2, by2 = _betas(params, t)
-    want_xx = -eps**2 / (2 * by2)
-    want_yy = -1 / (2 * eps**2 * bx2)
-    return (abs(state.a_xx - want_xx) <= rtol * abs(want_xx)
-            and abs(state.a_yy - want_yy) <= rtol * abs(want_yy))
 
 
 def purity_from_coefficients(a_xx, a_yy, a_xy):

@@ -5,22 +5,20 @@ Two independent routes are provided on purpose:
 * closed forms and exact recursions for the collision sequence, where the
   light particle's velocity is folded by the wall bounce so that speeds stay
   positive: v_x(n) = v_x0 cos(n phi), v_y(n) = v_x0 eps sin(n phi) with
-  phi = arctan(2 eps / (1 - eps^2));
+  phi = arctan(2 eps / (1 - eps^2)); collision_table holds the sequence, and
+  every run reads it, the reference trajectory included (channel_trajectory);
 * an event-driven simulator with raw signed velocities and geometric event
   detection, used as the oracle everything else is checked against.
 
 Collision counting: n counts pair collisions only; wall bounces are recorded
-in trajectories but do not increment n.  The asymptotic position/time laws
-y(n) = y0 exp(2 n^2 eps^2) and t(n) = (2 y0 / v0) n [1 + eps^2 (...)] measure
-time from a fictitious zeroth collision at the heavy particle's initial
-position, so the light particle's initial half-flight is not part of them.
+in trajectories but do not increment n.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,46 +79,29 @@ class ClassicalState:
 
 
 @dataclass(frozen=True)
-class TrajectoryEvent:
-    t: float
-    kind: str                 # "wall" or "pair"
-    state: ClassicalState     # state immediately after the event
+class ClassicalTrajectory(ClassicalState):
+    """One exact run as read-only columns: the initial state, then the state
+    after each event, and its kind ("start", then "pair" or "wall").  Motion
+    is linear between events."""
+    kind: np.ndarray
 
-
-@dataclass(frozen=True)
-class ClassicalTrajectory:
-    """Event record of one exact run; motion is linear between events."""
-    initial: ClassicalState
-    events: tuple[TrajectoryEvent, ...] = field(default_factory=tuple)
-
-    @property
-    def final(self) -> ClassicalState:
-        return self.events[-1].state if self.events else self.initial
-
-    @functools.cached_property
-    def state_columns(self) -> ClassicalState:
-        """Initial state, then the state after each event: one read-only array per field."""
-        states = (self.initial, *(e.state for e in self.events))
-        columns = {}
-        for name in ("x", "y", "v_x", "v_y", "t", "n"):
-            columns[name] = np.array([getattr(s, name) for s in states])
-            columns[name].flags.writeable = False
-        return ClassicalState(**columns)
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.flags.writeable = False
 
     def states_at(self, t) -> ClassicalState:
         """Interpolated states at the instant(s) t, as arrays shaped like t.
 
-        Each starts from the last event with e.t <= t, or the initial state,
-        and moves linearly from there (freely past the last event).
+        Each starts from the last event with event time <= t, or the initial
+        state, and moves linearly from there (freely past the last event).
         """
         t = np.asarray(t, dtype=float)[()]
-        if np.any(t < self.initial.t):
+        if np.any(t < self.t[0]):
             raise ValueError("t precedes the trajectory start")
-        c = self.state_columns
-        i = np.searchsorted(c.t[1:], t, "right")
-        dt = t - c.t[i]
-        return ClassicalState(x=c.x[i] + c.v_x[i] * dt, y=c.y[i] + c.v_y[i] * dt,
-                              v_x=c.v_x[i], v_y=c.v_y[i], t=t, n=c.n[i])
+        i = np.searchsorted(self.t[1:], t, "right")
+        dt = t - self.t[i]
+        return ClassicalState(x=self.x[i] + self.v_x[i] * dt, y=self.y[i] + self.v_y[i] * dt,
+                              v_x=self.v_x[i], v_y=self.v_y[i], t=t, n=self.n[i])
 
     def state_at(self, t: float) -> ClassicalState:
         """states_at for one instant, with plain float and int fields."""
@@ -130,7 +111,7 @@ class ClassicalTrajectory:
 
 def event_driven_trajectory(x0: float, y0: float, v_x0: float, masses: MassPair,
                             t_end: float | None = None) -> ClassicalTrajectory:
-    """Exact event-driven run of the wall / light / heavy system.
+    """Exact event-driven run of the wall / light / heavy system: the oracle.
 
     The heavy particle starts at rest.  Next-event times come from
     closed-form linear motion, so there is no stepping error: wall hits flip
@@ -142,38 +123,32 @@ def event_driven_trajectory(x0: float, y0: float, v_x0: float, masses: MassPair,
         raise ValueError("need 0 < x0 < y0")
     if v_x0 == 0:
         raise ValueError("need a moving light particle")
-    initial = ClassicalState(x=x0, y=y0, v_x=v_x0, v_y=0.0, t=0.0, n=0)
-    state = initial
-    events: list[TrajectoryEvent] = []
+    x, y, v_x, v_y, t, n = x0, y0, v_x0, 0.0, 0.0, 0
+    rows = [(x, y, v_x, v_y, t, n, "start")]
     # generous cap; the energy argument guarantees far earlier termination
     cap = 4 * max_collisions(min(masses.epsilon, 0.999)) + 64 if masses.epsilon < 1 else 64
     for _ in range(cap):
-        t_wall = -state.x / state.v_x if state.v_x < 0 else math.inf
-        t_pair = ((state.y - state.x) / (state.v_x - state.v_y)
-                  if state.v_x > state.v_y else math.inf)
+        t_wall = -x / v_x if v_x < 0 else math.inf
+        t_pair = (y - x) / (v_x - v_y) if v_x > v_y else math.inf
         if not math.isfinite(t_wall) and not math.isfinite(t_pair):
             break
         # near-simultaneous events: take the wall bounce first
-        if t_wall <= t_pair * (1 + _TIE):
-            dt, kind = t_wall, "wall"
-        else:
-            dt, kind = t_pair, "pair"
-        t_next = state.t + dt
-        if t_end is not None and t_next > t_end:
+        wall = t_wall <= t_pair * (1 + _TIE)
+        dt = t_wall if wall else t_pair
+        if t_end is not None and t + dt > t_end:
             break
-        x = state.x + state.v_x * dt
-        y = state.y + state.v_y * dt
-        if kind == "wall":
-            state = ClassicalState(x=0.0, y=y, v_x=-state.v_x, v_y=state.v_y,
-                                   t=t_next, n=state.n)
+        t += dt
+        y += v_y * dt
+        if wall:
+            x, v_x, kind = 0.0, -v_x, "wall"
         else:
-            v_x_new, v_y_new = collide_velocities(state.v_x, state.v_y, masses)
-            state = ClassicalState(x=x, y=y, v_x=v_x_new, v_y=v_y_new,
-                                   t=t_next, n=state.n + 1)
-        events.append(TrajectoryEvent(t=t_next, kind=kind, state=state))
+            x += v_x * dt
+            v_x, v_y = collide_velocities(v_x, v_y, masses)
+            n, kind = n + 1, "pair"
+        rows.append((x, y, v_x, v_y, t, n, kind))
     else:
         raise RuntimeError("event cap exceeded; inconsistent dynamics")
-    return ClassicalTrajectory(initial=initial, events=tuple(events))
+    return ClassicalTrajectory(*map(np.array, zip(*rows)))
 
 
 @dataclass(frozen=True)
@@ -200,67 +175,24 @@ class CollisionTable:
 def collision_table(eps: float) -> CollisionTable:
     """Exact positions/times of the collision sequence (unit y0 and v0).
 
-    Cached per eps; every caller shares the returned arrays, so they are
-    read-only.
+    pos(k+1) = pos(k) (v_x + v_y) / closing and t(k+1) = t(k) + 2 pos(k) /
+    closing, with closing = v_x(k) - v_y(k), while the closing speed is > 0.
+    Cached per eps; the shared arrays are read-only.
     """
     phi = collision_angle(eps)
-    total = max_collisions(eps) + 1
-    ks = np.arange(total + 1)
+    ks = np.arange(max_collisions(eps) + 2)
     v_x = np.cos(ks * phi)
     v_y = eps * np.sin(ks * phi)
-    times = np.zeros(total + 1)
-    pos = np.ones(total + 1)
-    for k in range(total):
-        closing = v_x[k] - v_y[k]
-        if closing <= 0:
-            # the (k+1)-th collision never happens; truncate
-            ks, v_x, v_y = ks[:k + 1], v_x[:k + 1], v_y[:k + 1]
-            times, pos = times[:k + 1], pos[:k + 1]
-            break
-        times[k + 1] = times[k] + 2 * pos[k] / closing
-        pos[k + 1] = pos[k] * (v_x[k] + v_y[k]) / closing
+    closing = v_x - v_y
+    stop = np.flatnonzero(closing[:-1] <= 0)
+    count = int(stop[0]) if stop.size else len(ks) - 1     # collisions that happen
+    closing = closing[:count]
+    pos = np.concatenate(([1.0], np.cumprod((v_x[:count] + v_y[:count]) / closing)))
+    times = np.concatenate(([0.0], np.cumsum(2 * pos[:count] / closing)))
+    v_x, v_y = v_x[:count + 1], v_y[:count + 1]
     for arr in (times, pos, v_x, v_y):
         arr.flags.writeable = False
     return CollisionTable(eps=eps, times=times, positions=pos, v_x=v_x, v_y=v_y)
-
-
-def collision_position_approx(n, y_m0: float, eps: float) -> float:
-    """Asymptotic position of the n-th collision, y_m0 exp(2 n^2 eps^2)."""
-    if n < 0 or n > max_collisions(eps):
-        raise ValueError(f"n={n} outside [0, {max_collisions(eps)}]")
-    return y_m0 * math.exp(2 * n * n * eps * eps)
-
-
-def collision_time_approx(n, y_m0: float, v_x0: float, eps: float) -> float:
-    """Asymptotic time of the n-th collision in the zeroth-collision convention.
-
-    (2 y_m0 / v_x0) n [1 + eps^2 (4 n^2 / 3 + n + 1/3)]: growing positions and
-    shrinking closing speed make each round trip longer than 2 y_m0 / v_x0.
-    """
-    if n < 0 or n > max_collisions(eps):
-        raise ValueError(f"n={n} outside [0, {max_collisions(eps)}]")
-    return (2 * y_m0 / v_x0) * n * (1 + eps * eps * (4 * n * n / 3 + n + 1 / 3))
-
-
-def collisions_by_time(t: float, y_m0: float, v_x0: float, eps: float) -> int:
-    """Number of collisions completed by time t, by inverting the time law.
-
-    Floor of the numerical inverse of collision_time_approx; shares that
-    law's validity window and counting convention.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    n_top = max_collisions(eps)
-    if t >= collision_time_approx(n_top, y_m0, v_x0, eps):
-        return n_top
-    lo, hi = 0, n_top
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if collision_time_approx(mid, y_m0, v_x0, eps) <= t:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +202,22 @@ def collisions_by_time(t: float, y_m0: float, v_x0: float, eps: float) -> int:
 
 def pair_collision_times(y_m0, x_m0: float, v_x0: float,
                          table: CollisionTable) -> np.ndarray:
-    """Actual times of collisions 1..K for initial heavy position(s) y_m0.
+    """Actual times of collisions 1..K for initial heavy position(s) y_m0."""
+    y_m0 = np.asarray(y_m0, dtype=float)[..., None]
+    return _after_collision(np.arange(table.count), y_m0, x_m0, v_x0, table)[0]
 
-    The first collision happens at (y_m0 - x_m0)/v_x0 at position y_m0 exactly
-    (the heavy particle has not moved yet); later gaps scale with y_m0.
-    """
-    y_m0 = np.asarray(y_m0, dtype=float)
-    rel = table.times[1:] - table.times[1]        # zero-based gap sequence
-    return ((y_m0[..., None] - x_m0) / v_x0
-            + y_m0[..., None] * rel / v_x0)
+
+def _after_collision(ki, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
+    """Time, position and folded speeds after collision ki + 1 of the channel(s)
+    y_m0 (broadcast with ki), and the time of the wall bounce that follows where
+    vx_k > 0.  Collision 1 is at ((y_m0 - x_m0)/v_x0, y_m0); gaps scale with y_m0."""
+    rel = table.times[1:] - table.times[1]                    # zero-based gap sequence
+    t_k = (y_m0 - x_m0) / v_x0 + y_m0 * rel[ki] / v_x0
+    pos_k = y_m0 * table.positions[1:][ki]
+    vx_k = v_x0 * table.v_x[1:][ki]
+    with np.errstate(divide="ignore"):
+        t_wall = t_k + pos_k / vx_k
+    return t_k, pos_k, vx_k, v_x0 * table.v_y[1:][ki], t_wall
 
 
 def _count_error(t: np.ndarray, k: np.ndarray, y_m0: np.ndarray, start: np.ndarray,
@@ -332,15 +271,10 @@ def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
     array is formed.
     """
     y_m0 = np.atleast_1d(np.asarray(y_m0, dtype=float))
-    rel = table.times[1:] - table.times[1]                    # as pair_collision_times
-    start = (y_m0 - x_m0) / v_x0                              # first collision time
     k = pair_counts(t, y_m0, x_m0, v_x0, table)               # collisions so far
     before = k == 0
     ki = np.maximum(k - 1, 0)                                 # index into table rows
-    pos_k = y_m0 * table.positions[1:][ki]
-    t_k = start + y_m0 * rel[ki] / v_x0
-    vx_k = v_x0 * table.v_x[1:][ki]
-    vy_k = v_x0 * table.v_y[1:][ki]
+    t_k, pos_k, vx_k, vy_k, t_wall = _after_collision(ki, y_m0, x_m0, v_x0, table)
     tau = t - t_k
     y_m = np.where(before, y_m0, pos_k + tau * vy_k)
     x_m = np.where(before, x_m0 + v_x0 * t, np.abs(pos_k - tau * vx_k))
@@ -350,9 +284,29 @@ def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
     # but the one after the latest collision has happened by t.
     toward_wall = table.v_x[1:] > 0
     earlier = np.concatenate(([0], np.cumsum(toward_wall)))
-    with np.errstate(divide="ignore"):
-        latest = ~before & toward_wall[ki] & (t_k + pos_k / vx_k <= t)
+    latest = ~before & toward_wall[ki] & (t_wall <= t)
     return x_m, y_m, k, earlier[ki] + latest
+
+
+def channel_trajectory(y_m0: float, x_m0: float, v_x0: float,
+                       table: CollisionTable) -> ClassicalTrajectory:
+    """The run of the channel starting at y_m0, with channel_kinematics'
+    expressions: after the initial state, collision k's pair row and, where
+    vx_k > 0, its wall row, with raw velocities -+vx_k and vy_k.
+    event_driven_trajectory's states up to rounding, without a loop."""
+    ki = np.arange(table.count)
+    t_k, pos_k, vx_k, vy_k, t_wall = _after_collision(ki, y_m0, x_m0, v_x0, table)
+    keep = np.stack((np.ones(table.count, bool), vx_k > 0), axis=-1).ravel()
+
+    def rows(start, pair, wall):
+        events = np.stack(np.broadcast_arrays(pair, wall, ki)[:2], axis=-1).ravel()[keep]
+        return np.concatenate(([start], events))
+
+    return ClassicalTrajectory(
+        x=rows(x_m0, pos_k, 0.0), y=rows(y_m0, pos_k, pos_k + vy_k * (t_wall - t_k)),
+        v_x=rows(v_x0, -vx_k, vx_k), v_y=rows(0.0, vy_k, vy_k),
+        t=rows(0.0, t_k, t_wall), n=rows(0, ki + 1, ki + 1),
+        kind=rows("start", "pair", "wall"))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,10 @@ SERIES_COLUMNS = [
 ]
 OPTIONAL_COLUMNS = ["grid_purity", "mc_dsigma_y", "mc_dsigma_x"]
 
+# Admission bound on the reference run's events, at most 2 (n_max + 1); at
+# eps = 1e-6 (1.57 million) `run` with event_driven peaks at 752 MiB (README).
+MAX_EVENTS = 2_000_000
+
 _KNOWN_KEYS = {
     "m_x", "m_y", "x_m0", "y_m0", "sigma0x", "sigma0y", "p_x0",
     "schedule", "oracles", "seed", "purity_source",
@@ -126,6 +130,10 @@ def parse_config(path) -> ScenarioConfig:
             masses=MassPair(m_x=fnum("m_x", "1.0"), m_y=fnum("m_y")))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    events = 2 * (params.n_max + 1)
+    if events > MAX_EVENTS:
+        raise ConfigError(f"{path}: eps = {params.eps:.3g} gives up to {events:,} reference "
+                          f"events, over the limit of {MAX_EVENTS:,}")
 
     cfg = ScenarioConfig(params=params, raw=dict(raw))
     sched = raw.get("schedule", "auto").strip()
@@ -199,14 +207,15 @@ def compute_series(cfg: ScenarioConfig) -> tuple[list[dict], dict]:
     }
     details: dict = {"oracle_checks": {}}
     if cfg.event_driven:
-        # momenta re-derived from the recorded trajectory rather than the
-        # closed forms; lets `compare` quantify the two routes' agreement
-        ref = channels.reference_trajectory(params).states_at(ts)
-        p_xn, p_yn = params.masses.m_x * ref.v_x, params.masses.m_y * ref.v_y
-        details["oracle_checks"]["event_driven_max_p_dev"] = float(max(
-            np.max(np.abs(p_xn - e.p_xn), initial=0.0),
-            np.max(np.abs(p_yn - e.p_yn), initial=0.0)))
-        columns["p_xn"], columns["p_yn"] = p_xn, p_yn
+        # the event-driven simulator re-derives the rows' centres and momenta
+        # without the collision table: record its largest deviations from them
+        o = classical.event_driven_trajectory(
+            params.x_M0, params.y_M0, params.v_x0, params.masses).states_at(ts)
+        m = params.masses
+        dev = np.abs([o.x - e.x_center, o.y - e.y_center, m.m_x * o.v_x - e.p_xn,
+                      m.m_y * o.v_y - e.p_yn]).max(axis=1, initial=0.0)
+        details["oracle_checks"].update(event_driven_max_center_dev=float(dev[:2].max()),
+                                        event_driven_max_p_dev=float(dev[2:].max()))
     rows = [dict(zip(columns, values))
             for values in zip(*(c.tolist() for c in columns.values()))]
 
@@ -215,10 +224,9 @@ def compute_series(cfg: ScenarioConfig) -> tuple[list[dict], dict]:
         # instant: O(N) memory whatever the number of instants
         y0 = np.random.default_rng(cfg.seed).normal(params.y_M0, dsigma_y0,
                                                     size=cfg.monte_carlo)
-        table = classical.collision_table(params.eps)
         for row in rows:
             x, y, _, _ = classical.channel_kinematics(
-                float(row["t"]), y0, params.x_M0, params.v_x0, table)
+                float(row["t"]), y0, params.x_M0, params.v_x0, params.table)
             row["mc_dsigma_y"] = float(np.std(y, ddof=1))
             row["mc_dsigma_x"] = float(np.std(x, ddof=1))
 
@@ -432,7 +440,7 @@ def cmd_validate(args) -> int:
         "validity_warning": params.validity_figure < 1.0,
         "auto_schedule_len": len(auto),
         # of the reference midpoints: one per event, plus the tail instant
-        "auto_schedule_dropped": len(channels.reference_trajectory(params).events) + 1 - len(auto),
+        "auto_schedule_dropped": len(channels.reference_trajectory(params).t) - len(auto),
     }
     # run gates every scheduled instant and exits 3 at the first that fails
     schedule = np.array(auto if cfg.schedule == "auto" else cfg.schedule, dtype=float)

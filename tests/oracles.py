@@ -18,8 +18,10 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.integrate import quad
 
-from qbounce.channels import _betas, split_width
-from qbounce.classical import (ClassicalState, channel_kinematics, collision_table,
+from qbounce.channels import (ChannelEnsemble, _betas, assemble_quadratic_form,
+                              split_width)
+from qbounce.classical import (ClassicalState, channel_kinematics, closed_form_velocities,
+                               collision_table, ensemble_widths, max_collisions,
                                pair_collision_times)
 from qbounce.cli import _columns_for, _fmt
 from qbounce.gaussian import MassPair, QuadraticFormState, evaluate_packet
@@ -33,9 +35,43 @@ def masses_from_epsilon(eps: float, m_x: float = 1.0) -> MassPair:
     return MassPair(m_x=m_x, m_y=m_x / eps**2)
 
 
+def trajectory_state(traj, i: int) -> ClassicalState:
+    """Row i of a classical trajectory's columns, with plain float and int fields."""
+    return ClassicalState(*(getattr(traj, name)[i].item()
+                            for name in ("x", "y", "v_x", "v_y", "t", "n")))
+
+
+def events(traj) -> tuple:
+    """The events of a classical trajectory, in order: each its time t, its
+    kind ("pair" or "wall") and the state after it."""
+    return tuple(SimpleNamespace(t=traj.t[i].item(), kind=str(traj.kind[i]),
+                                 state=trajectory_state(traj, i))
+                 for i in range(1, len(traj.t)))
+
+
 def pair_events(traj) -> tuple:
     """The pair collisions of a classical trajectory, in order."""
-    return tuple(e for e in traj.events if e.kind == "pair")
+    return tuple(e for e in events(traj) if e.kind == "pair")
+
+
+def collision_table_recursion(eps: float) -> SimpleNamespace:
+    """classical.collision_table by the one-collision-at-a-time loop it replaced.
+
+    pos(k+1) = pos(k) (v_x + v_y) / closing and t(k+1) = t(k) + 2 pos(k) /
+    closing with closing = v_x(k) - v_y(k), until the closing speed is <= 0.
+    """
+    phi = math.atan2(2 * eps, 1 - eps * eps)
+    times, pos = [0.0], [1.0]
+    v_x, v_y = [1.0], [0.0]
+    while v_x[-1] - v_y[-1] > 0:
+        closing = v_x[-1] - v_y[-1]
+        times.append(times[-1] + 2 * pos[-1] / closing)
+        pos.append(pos[-1] * (v_x[-1] + v_y[-1]) / closing)
+        k = len(pos) - 1
+        v_x.append(math.cos(k * phi))
+        v_y.append(eps * math.sin(k * phi))
+    return SimpleNamespace(count=len(times) - 1, times=np.array(times), positions=np.array(pos),
+                           v_x=np.array(v_x), v_y=np.array(v_y))
 
 
 def write_series_reference(rows: list[dict], out_dir) -> None:
@@ -50,6 +86,96 @@ def write_series_reference(rows: list[dict], out_dir) -> None:
     with open(out_dir / "series.json", "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def collision_position_approx(n, y_m0: float, eps: float) -> float:
+    """Asymptotic position of the n-th collision, y_m0 exp(2 n^2 eps^2)."""
+    if n < 0 or n > max_collisions(eps):
+        raise ValueError(f"n={n} outside [0, {max_collisions(eps)}]")
+    return y_m0 * math.exp(2 * n * n * eps * eps)
+
+
+def collision_time_approx(n, y_m0: float, v_x0: float, eps: float) -> float:
+    """Asymptotic time of the n-th collision in the zeroth-collision convention.
+
+    (2 y_m0 / v_x0) n [1 + eps^2 (4 n^2 / 3 + n + 1/3)]: growing positions and
+    shrinking closing speed make each round trip longer than 2 y_m0 / v_x0.
+    The law measures time from a fictitious zeroth collision at the heavy
+    particle's initial position, so the light particle's initial half-flight
+    is not part of it.
+    """
+    if n < 0 or n > max_collisions(eps):
+        raise ValueError(f"n={n} outside [0, {max_collisions(eps)}]")
+    return (2 * y_m0 / v_x0) * n * (1 + eps * eps * (4 * n * n / 3 + n + 1 / 3))
+
+
+def collisions_by_time(t: float, y_m0: float, v_x0: float, eps: float) -> int:
+    """Number of collisions completed by time t, by inverting the time law.
+
+    Floor of the numerical inverse of collision_time_approx; shares that
+    law's validity window and counting convention.
+    """
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    n_top = max_collisions(eps)
+    if t >= collision_time_approx(n_top, y_m0, v_x0, eps):
+        return n_top
+    lo, hi = 0, n_top
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if collision_time_approx(mid, y_m0, v_x0, eps) <= t:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def ensemble_at_count(params, n, t: float) -> ChannelEnsemble:
+    """Ensemble at a prescribed (possibly fractional) collision count.
+
+    Continuum evaluation of the rotation laws, used to probe the critical
+    count pi/(4 eps) which falls between integer collision indices; centres
+    are placed on the asymptotic reference so entanglement quantities, which
+    do not depend on them, are evaluated at physically sensible positions.
+    The light particle is taken to move away from the wall.
+    """
+    eps = params.eps
+    dsigma_y0, _ = split_width(params)
+    n_eff = min(n, params.n_max)
+    v_x, v_y = closed_form_velocities(n_eff, eps, params.v_x0)
+    y_c = collision_position_approx(n_eff, params.y_M0, eps)
+    return ChannelEnsemble(
+        n=n, x_center=y_c / 2, y_center=y_c,
+        dsigma_y_n=ensemble_widths(n, eps, dsigma_y0).dsigma_y,
+        p_xn=params.masses.m_x * v_x, p_yn=params.masses.m_y * v_y, t=t)
+
+
+def axy_formula(n, eps: float, beta_x_sq: complex, beta_y_sq: complex) -> complex:
+    """Cross coefficient sin(4 eps n)[beta_y^2 - eps^2 beta_x^2]/(2 eps beta_x^2 beta_y^2).
+
+    Equals the channel integral's cross coefficient identically; zero at
+    n = 0 and at the critical count where 4 eps n = pi.
+    """
+    return (math.sin(4 * eps * n) * (beta_y_sq - eps**2 * beta_x_sq)
+            / (2 * eps * beta_x_sq * beta_y_sq))
+
+
+def energy_exchange_check(t: float, params) -> bool:
+    """At the critical count the diagonal coefficients swap roles.
+
+    Checks a_xx(n_cr) = -eps^2/(2 beta_y^2) and a_yy(n_cr) = -1/(2 eps^2
+    beta_x^2) to a relative 1e-8: the packets have exchanged the kinetic
+    energies stored in their rest-frame momentum spreads.
+    """
+    rtol = 1e-8
+    eps = params.eps
+    e = ensemble_at_count(params, params.n_cr, t)
+    state = assemble_quadratic_form(e, params)
+    bx2, by2 = _betas(params, t)
+    want_xx = -eps**2 / (2 * by2)
+    want_yy = -1 / (2 * eps**2 * bx2)
+    return (abs(state.a_xx - want_xx) <= rtol * abs(want_xx)
+            and abs(state.a_yy - want_yy) <= rtol * abs(want_yy))
 
 
 def post_collision_momenta(p_x: float, p_y: float, masses) -> tuple[float, float]:
@@ -84,6 +210,12 @@ def collision_velocity_map(v_x: float, v_y: float, masses) -> tuple[float, float
     return v_x_new, v_y_new
 
 
+def _exact_masses(masses) -> SimpleNamespace:
+    """The float masses as exact fractions, in the shape collision_velocity_map reads."""
+    m_x, m_y = Fraction(masses.m_x), Fraction(masses.m_y)
+    return SimpleNamespace(m_x=m_x, m_y=m_y, total=m_x + m_y)
+
+
 def folded_speeds_exact(masses, v_x0: float, count: int) -> list[tuple[Fraction, Fraction]]:
     """Folded speeds after 0, 1, ..., count pair collisions, in exact arithmetic.
 
@@ -91,12 +223,32 @@ def folded_speeds_exact(masses, v_x0: float, count: int) -> list[tuple[Fraction,
     values of the float masses and v_x0, heavy particle at rest: the only
     rounding left is the caller's float() of each entry.
     """
-    m_x, m_y = Fraction(masses.m_x), Fraction(masses.m_y)
-    exact = SimpleNamespace(m_x=m_x, m_y=m_y, total=m_x + m_y)
+    exact = _exact_masses(masses)
     speeds = [(Fraction(v_x0), Fraction(0))]
     for _ in range(count):
         speeds.append(collision_velocity_map(*speeds[-1], exact))
     return speeds
+
+
+def pair_collisions_exact(masses, x0: float, y0: float, v_x0: float) -> list[tuple[Fraction, Fraction]]:
+    """(time, heavy position) of every pair collision, in exact arithmetic.
+
+    The first is at ((y0 - x0) / v_x0, y0).  After one at (t, y) that leaves
+    the folded speeds (u, w), the light particle runs to the wall and back
+    while the heavy one runs on, so the next follows after dt = 2 y / (u - w)
+    at y + w dt, as long as u > w.  The speeds are folded_speeds_exact's
+    iteration, all of it in fractions.Fraction from the exact float inputs.
+    """
+    exact = _exact_masses(masses)
+    t, y = (Fraction(y0) - Fraction(x0)) / Fraction(v_x0), Fraction(y0)
+    u, w = collision_velocity_map(Fraction(v_x0), Fraction(0), exact)
+    out = [(t, y)]
+    while u > w:
+        dt = 2 * y / (u - w)
+        t, y = t + dt, y + w * dt
+        out.append((t, y))
+        u, w = collision_velocity_map(u, w, exact)
+    return out
 
 
 def evaluate_with_image(p, x) -> np.ndarray:
@@ -171,10 +323,10 @@ def momentum_means(state: QuadraticFormState) -> tuple[float, float]:
 
 def state_at_linear_scan(traj, t: float) -> ClassicalState:
     """ClassicalTrajectory.state_at by scanning every event in order."""
-    if t < traj.initial.t:
+    s = trajectory_state(traj, 0)
+    if t < s.t:
         raise ValueError("t precedes the trajectory start")
-    s = traj.initial
-    for e in traj.events:
+    for e in events(traj):
         if e.t > t:
             break
         s = e.state
@@ -185,8 +337,8 @@ def state_at_linear_scan(traj, t: float) -> ClassicalState:
 
 def counts_at_linear_scan(traj, t: float) -> tuple[int, int]:
     """(pair, wall) event counts of a trajectory up to and including time t."""
-    pair = sum(1 for e in traj.events if e.kind == "pair" and e.t <= t)
-    wall = sum(1 for e in traj.events if e.kind == "wall" and e.t <= t)
+    pair = sum(1 for e in events(traj) if e.kind == "pair" and e.t <= t)
+    wall = sum(1 for e in events(traj) if e.kind == "wall" and e.t <= t)
     return pair, wall
 
 

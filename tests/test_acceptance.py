@@ -10,19 +10,19 @@ import numpy as np
 import pytest
 
 from qbounce.channels import (ScenarioParams, assemble_quadratic_form,
-                              auto_schedule, ensemble_at_count,
-                              entanglement_report, propagate_ensemble,
-                              split_width)
-from qbounce.classical import (closed_form_velocities, collision_position_approx,
-                               collision_table, collision_time_approx,
+                              auto_schedule, entanglement_report,
+                              propagate_ensemble, split_width)
+from qbounce.classical import (closed_form_velocities, collision_table,
                                event_driven_trajectory, max_collisions,
                                pair_collision_times)
 from qbounce.gaussian import (GaussianPacket, MassPair, collide_gaussians,
                               free_evolve, normalized)
 from qbounce import grid
 from qbounce.channels import purity_from_coefficients
-from oracles import (assembled_coefficients_by_quadrature, masses_from_epsilon,
-                     monte_carlo_positions, pair_events, purity_by_quadrature)
+from oracles import (assembled_coefficients_by_quadrature, collision_position_approx,
+                     collision_time_approx, energy_exchange_check, ensemble_at_count,
+                     events, masses_from_epsilon, monte_carlo_positions, pair_events,
+                     purity_by_quadrature)
 
 ARC_PARAMS = ScenarioParams(x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5,
                             p_x0=190.0, masses=masses_from_epsilon(0.05))
@@ -124,7 +124,7 @@ def test_criterion_5_monte_carlo_width_laws():
     m = masses_from_epsilon(eps)
     traj = event_driven_trajectory(x0, y0, v0, m)
     pairs = pair_events(traj)
-    walls = [e for e in traj.events if e.kind == "wall"]
+    walls = [e for e in events(traj) if e.kind == "wall"]
     times = [pairs[0].t / 2]
     for pe in pairs:
         w = next((we for we in walls if we.t > pe.t), None)
@@ -187,7 +187,7 @@ def test_criterion_6_assembly_matches_quadrature():
 
 
 def test_criterion_7_energy_exchange_identity():
-    from qbounce.channels import _betas, energy_exchange_check
+    from qbounce.channels import _betas
     p = ARC_PARAMS
     assert energy_exchange_check(8.0, p)
     e = ensemble_at_count(p, p.n_cr, 8.0)

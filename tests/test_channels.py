@@ -7,17 +7,17 @@ from scipy.integrate import quad
 
 from qbounce.channels import (ChannelEnsemble, MixedPhaseError, ScenarioParams,
                               assemble_quadratic_form, auto_schedule,
-                              axy_formula, energy_exchange_check,
-                              ensemble_at_count, entanglement_report,
+                              entanglement_report,
                               mixed_phase_gate, nearest_safe_instants,
                               propagate_ensemble, purity_from_coefficients,
                               reference_trajectory, schmidt_entropy_from_purity,
                               split_width, _betas)
 from qbounce.gaussian import (MassPair, QuadraticFormState, log_norm_sq,
                               product_form)
-from oracles import (assembled_coefficients_by_quadrature, axx_formula,
-                     ayy_formula, composed_marginal_variances, masses_from_epsilon,
-                     momentum_means, pair_events, purity_by_quadrature)
+from oracles import (assembled_coefficients_by_quadrature, axx_formula, axy_formula,
+                     ayy_formula, composed_marginal_variances, energy_exchange_check,
+                     ensemble_at_count, events, masses_from_epsilon, momentum_means,
+                     pair_events, purity_by_quadrature)
 
 
 def make_params(eps=0.05, sigma0x=1.0, sigma0y=0.5, x_M0=25.0, y_M0=50.0,
@@ -156,11 +156,11 @@ class TestPropagateEnsemble:
         p = make_params()
         traj = reference_trajectory(p)
         pair1 = pair_events(traj)[0]
-        wall1 = next(e for e in traj.events if e.kind == "wall")
+        wall1 = next(e for e in events(traj) if e.kind == "wall")
         mid_in = (pair1.t + wall1.t) / 2
         e = propagate_ensemble(p, mid_in)
         assert e.p_xn < 0
-        after = next(e2 for e2 in traj.events if e2.t > wall1.t)
+        after = next(e2 for e2 in events(traj) if e2.t > wall1.t)
         mid_out = (wall1.t + after.t) / 2
         e = propagate_ensemble(p, mid_out)
         assert e.p_xn > 0
@@ -358,7 +358,7 @@ class TestNearestSafeInstants:
         # the nearest safe instants are midpoints 17 and 61
         p = ScenarioParams(x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5,
                            p_x0=190.0, masses=MassPair(1.0, 2500.0))
-        ts = [0.0] + [e.t for e in reference_trajectory(p).events]
+        ts = reference_trajectory(p).t.tolist()
         mids = [(a + b) / 2 for a, b in zip(ts[:-1], ts[1:])]
         mids.append(ts[-1] + (ts[-1] - ts[-2]) / 2)
         unsafe = [i for i, t in enumerate(mids) if not mixed_phase_gate(p, t)]

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from qbounce.classical import (channel_kinematics,
+from qbounce.classical import (channel_kinematics, channel_trajectory,
                                closed_form_velocities, collision_angle,
-                               collision_position_approx, collision_table,
-                               collision_time_approx, collisions_by_time,
-                               critical_count, ensemble_widths,
+                               collision_table, critical_count, ensemble_widths,
                                event_driven_trajectory, max_collisions,
                                pair_collision_times)
 from qbounce.gaussian import MassPair
-from oracles import (channel_coords, collision_velocity_map, counts_at_linear_scan,
-                     folded_speeds_exact, ks_distance_to_gaussian, masses_from_epsilon,
-                     monte_carlo_positions, pair_events)
+from oracles import (channel_coords, collision_position_approx, collision_time_approx,
+                     collision_velocity_map, collisions_by_time, counts_at_linear_scan,
+                     collision_table_recursion, events, folded_speeds_exact, ks_distance_to_gaussian,
+                     masses_from_epsilon, monte_carlo_positions, pair_collisions_exact,
+                     pair_events)
 
 
 class TestCollisionVelocityMap:
@@ -145,15 +145,14 @@ class TestEventDrivenTrajectory:
     def test_terminates_with_no_catchup(self):
         m = masses_from_epsilon(0.1)
         traj = event_driven_trajectory(1.0, 3.0, 1.0, m)
-        final = traj.final
-        assert final.v_y > 0
-        assert final.v_x <= final.v_y
+        assert traj.v_y[-1] > 0
+        assert traj.v_x[-1] <= traj.v_y[-1]
 
     def test_energy_conserved_across_events(self):
         m = masses_from_epsilon(0.05)
         traj = event_driven_trajectory(1.0, 3.0, 1.0, m)
         e0 = 0.5 * m.m_x
-        for e in traj.events:
+        for e in events(traj):
             s = e.state
             en = 0.5 * (m.m_x * s.v_x**2 + m.m_y * s.v_y**2)
             assert en == pytest.approx(e0, rel=1e-12)
@@ -161,7 +160,7 @@ class TestEventDrivenTrajectory:
     def test_events_alternate_after_first_pair(self):
         m = masses_from_epsilon(0.08)
         traj = event_driven_trajectory(0.5, 2.0, 1.0, m)
-        kinds = [e.kind for e in traj.events]
+        kinds = [e.kind for e in events(traj)]
         assert kinds[0] == "pair"
         for a, b in zip(kinds[:-1], kinds[1:]):
             assert a != b
@@ -169,7 +168,7 @@ class TestEventDrivenTrajectory:
     def test_times_strictly_increasing(self):
         m = masses_from_epsilon(0.12)
         traj = event_driven_trajectory(0.5, 2.0, 1.0, m)
-        ts = [e.t for e in traj.events]
+        ts = [e.t for e in events(traj)]
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
     @pytest.mark.parametrize("eps", [0.1, 0.05, 0.02])
@@ -200,6 +199,28 @@ class TestCollisionTableBridge:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
+    @pytest.mark.parametrize("eps", [0.2, 0.05, 0.001])
+    def test_cumulative_table_matches_the_recursion(self, eps):
+        tab, want = collision_table(eps), collision_table_recursion(eps)
+        assert tab.count == want.count
+        for name in ("times", "positions", "v_x", "v_y"):
+            got, ref = getattr(tab, name), getattr(want, name)
+            assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [0.05, 0.02, 0.01])
+    def test_both_routes_match_exact_collisions(self, eps):
+        # pair times and positions in exact rational arithmetic; the table
+        # route and the event-driven simulator each hold them to 1e-12
+        m = masses_from_epsilon(eps)
+        x0, y0, v0 = 25.0, 50.0, 190.0
+        exact = np.array([(float(t), float(y)) for t, y in pair_collisions_exact(m, x0, y0, v0)])
+        for traj in (channel_trajectory(y0, x0, v0, collision_table(eps)),
+                     event_driven_trajectory(x0, y0, v0, m)):
+            pair = traj.kind == "pair"
+            got = np.column_stack((traj.t[pair], traj.y[pair]))
+            assert got.shape == exact.shape
+            assert np.max(np.abs(got - exact) / exact) <= 1e-12
+
     @pytest.mark.parametrize("eps", [0.1, 0.05])
     def test_times_and_positions_match_oracle(self, eps):
         m = masses_from_epsilon(eps)
@@ -217,7 +238,7 @@ class TestCollisionTableBridge:
         y0, x0, v0 = 4.0, 1.5, 1.0
         traj = event_driven_trajectory(x0, y0, v0, m)
         tab = collision_table(eps)
-        for t in np.linspace(0.1, traj.final.t * 0.9, 17):
+        for t in np.linspace(0.1, traj.t[-1] * 0.9, 17):
             s = traj.state_at(float(t))
             x_m, y_m, n, w = channel_kinematics(float(t), np.array([y0]), x0, v0, tab)
             assert x_m[0] == pytest.approx(s.x, rel=1e-9, abs=1e-9)
@@ -294,7 +315,7 @@ class TestChannelCoords:
         eps = 0.05
         m = masses_from_epsilon(eps)
         traj = event_driven_trajectory(1.0, 3.0, 2.0, m)
-        t = (traj.events[4].t + traj.events[5].t) / 2
+        t = (traj.t[5] + traj.t[6]) / 2      # between events 5 and 6
         x_m, y_m = channel_coords(3.0, t, x_M0=1.0, y_M0=3.0, v_x0=2.0, eps=eps)
         s = traj.state_at(t)
         assert x_m == pytest.approx(s.x, rel=1e-9)
@@ -309,7 +330,7 @@ class TestChannelCoords:
         other = event_driven_trajectory(x0, y0 + dy, v0, m)
         # mid-flight instant with five collisions behind the ensemble
         pair_ts = [e.t for e in pair_events(ref)]
-        wall_ts = [e.t for e in ref.events if e.kind == "wall"]
+        wall_ts = [e.t for e in events(ref) if e.kind == "wall"]
         t = (pair_ts[4] + wall_ts[4]) / 2
         x_m, y_m = channel_coords(y0 + dy, t, x_M0=x0, y_M0=y0, v_x0=v0, eps=eps)
         s = other.state_at(t)
@@ -332,7 +353,7 @@ class TestChannelCoords:
         x0, y0, v0 = 1.0, 3.0, 2.0
         ref = event_driven_trajectory(x0, y0, v0, m)
         pair_ts = [e.t for e in pair_events(ref)]
-        wall_ts = [e.t for e in ref.events if e.kind == "wall"]
+        wall_ts = [e.t for e in events(ref) if e.kind == "wall"]
         t = (pair_ts[4] + wall_ts[4]) / 2
         offs = np.array([-0.01, 0.004, 0.012])
         xs, ys = [], []
@@ -365,7 +386,7 @@ class TestEnsembleWidths:
         m = masses_from_epsilon(eps)
         traj = event_driven_trajectory(10.0, 30.0, 2.0, m)
         pair_ts = [e.t for e in pair_events(traj)]
-        wall_ts = [e.t for e in traj.events if e.kind == "wall"]
+        wall_ts = [e.t for e in events(traj) if e.kind == "wall"]
         t = (pair_ts[n_probe - 1] + wall_ts[n_probe - 1]) / 2
         xs, ys, ns = monte_carlo_positions(
             [t], 10_000, seed=7, y_M0=30.0, dsigma_y0=d0, x_M0=10.0,
@@ -380,7 +401,7 @@ class TestEnsembleWidths:
         m = masses_from_epsilon(eps)
         traj = event_driven_trajectory(10.0, 30.0, 2.0, m)
         pair_ts = [e.t for e in pair_events(traj)]
-        wall_ts = [e.t for e in traj.events if e.kind == "wall"]
+        wall_ts = [e.t for e in events(traj) if e.kind == "wall"]
         t = (pair_ts[6] + wall_ts[6]) / 2      # n = 7 <= n_max / 2
         xs, ys, _ = monte_carlo_positions(
             [t], 10_000, seed=11, y_M0=30.0, dsigma_y0=d0, x_M0=10.0,

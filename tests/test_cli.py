@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbounce import channels, cli
+from qbounce import channels, classical, cli
 from qbounce.channels import (WIDTH_RATIO_GATE, MixedPhaseError, ScenarioParams,
-                              assemble_quadratic_form, entanglement_report,
-                              propagate_ensemble, reference_trajectory, split_width)
-from qbounce.classical import ClassicalTrajectory, collision_table, ensemble_widths
+                              assemble_quadratic_form, auto_schedule, entanglement_report,
+                              mixed_phase_gate, propagate_ensemble, reference_trajectory,
+                              split_width)
+from qbounce.classical import (ClassicalTrajectory, collision_table, ensemble_widths,
+                               event_driven_trajectory)
 from qbounce.cli import (ConfigError, compute_series, main, parse_config,
                          SERIES_COLUMNS)
 
@@ -302,6 +304,34 @@ class TestRun:
         assert manifest["config"]["oracles"] == "monte_carlo:500,event_driven"
         header = (out / "series.csv").read_text().splitlines()[0].split(",")
         assert header[-2:] == ["mc_dsigma_y", "mc_dsigma_x"]
+
+    def test_manifest_reports_the_event_driven_deviations(self, tmp_path):
+        cfg = write_config(tmp_path, config_with(BASE_CONFIG, oracles="event_driven"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        checks = json.loads((out / "manifest.json").read_text())["oracle_checks"]
+        # the oracle's centres and momenta against the table-built rows
+        assert 0 <= checks["event_driven_max_center_dev"] <= 1e-10 * 50.0
+        assert 0 <= checks["event_driven_max_p_dev"] <= 1e-10 * 190.0
+
+    def test_over_the_event_limit_exits_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # eps = 1e-7 gives 15.7 million reference events: rejected from n_max
+        # alone, so no collision table is built
+        def fail(eps):
+            raise AssertionError("a collision table was built")
+        monkeypatch.setattr(classical, "collision_table", fail)
+        monkeypatch.setattr(channels, "collision_table", fail)
+        cfg = write_config(tmp_path, config_with(BASE_CONFIG, m_y="1e14", p_x0="4000.0"))
+        out = tmp_path / "o"
+        for command in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {cfg}: eps = 1e-07 gives up to 15,707,964 reference events, "
+                f"over the limit of {cli.MAX_EVENTS:,}\n")
+        assert not out.exists()
+        # eps = 7.9e-7 (up to 1,986,918 events) is just inside the limit
+        assert parse_config(write_config(tmp_path, config_with(
+            BASE_CONFIG, m_y="1.6e12", p_x0="4000.0"))).params.n_max == 993458
 
     def test_import_loads_neither_scipy_nor_numba(self):
         # either would add to every run's start-up time and peak memory
@@ -638,7 +668,7 @@ def admissible_configs(draw) -> dict[str, str]:
                             masses=masses_from_epsilon(eps))
     schedule = "auto"
     if draw(st.booleans()):
-        t_end = 1.1 * reference_trajectory(params).final.t
+        t_end = 1.1 * float(reference_trajectory(params).t[-1])
         fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
         schedule = ",".join(repr(f * t_end) for f in fractions)
     return {"m_x": repr(params.masses.m_x), "m_y": repr(params.masses.m_y),
@@ -668,6 +698,32 @@ def test_validate_predicts_run(keys):
         if keys["schedule"] == "auto":
             assert ran == 0
         assert out.exists() == (ran == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys=admissible_configs())
+@example(keys=HEAVY_WIDTH)
+@example(keys=SMALL_EPS)
+def test_reference_is_the_event_driven_run(keys):
+    """The reference trajectory, built from the collision table, is the
+    event-driven simulator's run up to rounding: the same events in the same
+    order, the same states to a relative 1e-10, the same auto schedule."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        params = parse_config(path).params
+    ref = reference_trajectory(params)
+    oracle = event_driven_trajectory(params.x_M0, params.y_M0, params.v_x0, params.masses)
+    assert np.array_equal(ref.kind, oracle.kind)
+    assert np.array_equal(ref.n, oracle.n)
+    for name in ("t", "x", "y"):
+        np.testing.assert_allclose(getattr(ref, name), getattr(oracle, name), rtol=1e-10, atol=0)
+    for name in ("v_x", "v_y"):
+        np.testing.assert_allclose(getattr(ref, name), getattr(oracle, name),
+                                   rtol=0, atol=1e-10 * params.v_x0)
+    ts = oracle.t
+    mids = np.append((ts[:-1] + ts[1:]) / 2, ts[-1] + (ts[-1] - ts[-2]) / 2)
+    assert len(auto_schedule(params)) == np.count_nonzero(mixed_phase_gate(params, mids))
 
 
 @settings(max_examples=40, deadline=None)

@@ -58,7 +58,7 @@ def endpoint_offsets(params):
 def test_state_at_matches_linear_scan(params, data):
     traj = reference_trajectory(params)
     for _ in range(8):
-        t = draw_instant(data, traj.state_columns.t)
+        t = draw_instant(data, traj.t)
         assert traj.state_at(t) == state_at_linear_scan(traj, t)
 
 
@@ -69,7 +69,7 @@ def test_mixed_phase_gate_matches_channel_counts(params, data):
     table = collision_table(params.eps)
     ends = pair_collision_times(np.array([lo, hi]), params.x_M0, params.v_x0, table)
     times = np.sort(np.concatenate([[0.0], *ends,
-                                    reference_trajectory(params).state_columns.t[1:]]))
+                                    reference_trajectory(params).t[1:]]))
     for _ in range(8):
         t = draw_instant(data, times)
         n_lo, n_hi = (int(channel_kinematics(t, np.array([y0]), params.x_M0,
