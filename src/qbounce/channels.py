@@ -40,17 +40,12 @@ WIDTH_RATIO_GATE = 0.05
 
 
 class MixedPhaseError(ValueError):
-    """Requested instant has channels straddling a collision or wall bounce."""
+    """Requested instant lies in the event window [start, stop) (event_windows)."""
 
-    def __init__(self, t: float, before: float | None, after: float | None):
-        self.t = t
-        self.safe_before = before
-        self.safe_after = after
-        msg = f"t={t:g} is not a whole-ensemble between-collision instant"
-        if before is not None or after is not None:
-            sides = ("none" if s is None else f"{s:g}" for s in (before, after))
-            msg += " (nearest safe instants: {} and {})".format(*sides)
-        super().__init__(msg)
+    def __init__(self, t: float, start: float, stop: float):
+        self.t, self.start, self.stop = t, start, stop
+        super().__init__(f"t={t:g} is not a whole-ensemble between-event instant: "
+                         f"channels straddle an event from {start:g} until {stop:g}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +105,24 @@ class ScenarioParams:
     def table(self) -> CollisionTable:
         """The collision sequence, looked up once per scenario."""
         return collision_table(self.eps)
+
+    @functools.cached_property
+    def event_windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted starts and stops of the disjoint windows [start, stop) in
+        which the +-3 sigma channels straddle a pair collision or wall bounce.
+
+        An event's time (after_collision) rises with y_m0, so its window runs
+        from the -3 sigma channel's time to the +3 sigma one's.  Overlapping
+        windows merge; only their union counts, so the edges sort apart."""
+        dsigma_y0, _ = split_width(self)
+        ends = np.array([[self.y_M0 - 3 * dsigma_y0], [self.y_M0 + 3 * dsigma_y0]])
+        t_k, _, vx_k, _, t_wall = classical.after_collision(
+            np.arange(self.table.count), ends, self.x_M0, self.v_x0, self.table)
+        lo, hi = np.sort(np.concatenate((t_k, t_wall[:, vx_k > 0]), axis=1), axis=1)
+        first = np.append(True, lo[1:] > hi[:-1])    # no window covers the gap before
+        starts, stops = lo[first], hi[np.append(first[1:], True)]
+        starts.flags.writeable = stops.flags.writeable = False
+        return starts, stops
 
     @property
     def n_max(self) -> int:
@@ -176,54 +189,40 @@ def reference_trajectory(params: ScenarioParams) -> ClassicalTrajectory:
 
 
 def mixed_phase_gate(params: ScenarioParams, t):
-    """True when the +-3 sigma span of channels shares one collision count at t.
-
-    Exact per-channel counting (pair_counts) at the span endpoints: counts
-    are monotone in the initial offset, so the endpoints decide.  t may be
-    an array of instants, giving a bool array; one instant gives a bool.
-    Wall proximity is a separate concern handled by the schedule: use
-    auto_schedule to sample midway between consecutive events.
-    """
-    dsigma_y0, _ = split_width(params)
-    ends = np.array([[params.y_M0 - 3 * dsigma_y0], [params.y_M0 + 3 * dsigma_y0]])
-    lo, hi = classical.pair_counts(np.ravel(t), ends, params.x_M0, params.v_x0, params.table)
-    same = (lo == hi).reshape(np.shape(t))
-    return same if np.ndim(t) else bool(same)
+    """True when the +-3 sigma span of channels shares one count of pair
+    collisions and one of wall bounces at t: t lies in no event window.
+    t may be an array of instants, giving a bool array, or one, giving a bool."""
+    starts, stops = params.event_windows
+    t = np.asarray(t, dtype=float)
+    i = np.searchsorted(starts, t, "right") - 1
+    safe = (i < 0) | (t >= stops[i])
+    return safe if np.ndim(t) else bool(safe)
 
 
 def auto_schedule(params: ScenarioParams) -> list[float]:
-    """Safe reporting instants: midpoints of the reference event intervals.
-
-    Uses all events (wall bounces included) so the light packet is never
-    sampled on top of the wall, plus one tail instant after the final event,
-    and keeps the midpoints that pass mixed_phase_gate.
-    """
+    """Safe reporting instants: of the midpoints between the reference events
+    (wall bounces included) and one tail instant after the last, those that
+    pass mixed_phase_gate."""
     ts = reference_trajectory(params).t          # at least one collision: two rows
     out = np.append((ts[:-1] + ts[1:]) / 2, ts[-1] + (ts[-1] - ts[-2]) / 2)
     return out[mixed_phase_gate(params, out)].tolist()
 
 
-def nearest_safe_instants(params: ScenarioParams, t: float) -> tuple[float | None, float | None]:
-    """Closest auto-schedule instants before and after t."""
-    sched = auto_schedule(params)
-    before = max((s for s in sched if s <= t), default=None)
-    after = min((s for s in sched if s > t), default=None)
-    return before, after
-
-
 def propagate_ensemble(params: ScenarioParams, t) -> ChannelEnsemble:
-    """Ensemble at the between-collision instant(s) t, fields shaped like t.
+    """Ensemble at the between-event instant(s) t, fields shaped like t.
 
-    Raises MixedPhaseError at the first instant of t where channels straddle
-    a pair collision.  Collision count, centres and momenta come from the
-    reference trajectory's state at t, width from the rotation law at the
-    current count.  At t = 0 it is the initial ensemble: a delta in x_m
-    times a Gaussian of width dsigma_y0 in y_m.
+    Raises MixedPhaseError, naming the event window, at the first instant of
+    t that fails mixed_phase_gate.  Collision count, centres and momenta come
+    from the reference trajectory's state at t, width from the rotation law
+    at the current count.  At t = 0 it is the initial ensemble: a delta in
+    x_m times a Gaussian of width dsigma_y0 in y_m.
     """
     ts = np.atleast_1d(t)
-    unsafe = ts[~mixed_phase_gate(params, ts)].tolist()
-    if unsafe:
-        raise MixedPhaseError(unsafe[0], *nearest_safe_instants(params, unsafe[0]))
+    unsafe = ts[~mixed_phase_gate(params, ts)]
+    if unsafe.size:
+        starts, stops = params.event_windows
+        i = np.searchsorted(starts, unsafe[0], "right") - 1
+        raise MixedPhaseError(float(unsafe[0]), float(starts[i]), float(stops[i]))
     ref = reference_trajectory(params).states_at(t)
     dsigma_y0, _ = split_width(params)
     return ChannelEnsemble(

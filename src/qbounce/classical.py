@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,11 +124,14 @@ def event_driven_trajectory(x0: float, y0: float, v_x0: float, masses: MassPair,
         raise ValueError("need 0 < x0 < y0")
     if v_x0 == 0:
         raise ValueError("need a moving light particle")
-    x, y, v_x, v_y, t, n = x0, y0, v_x0, 0.0, 0.0, 0
-    rows = [(x, y, v_x, v_y, t, n, "start")]
+    x, y, v_x, v_y, t, n, kind = x0, y0, v_x0, 0.0, 0.0, 0, "start"
+    # the states' columns, one compact buffer each: 8 bytes a value, no tuples
+    columns = (*(array("d") for _ in range(5)), array("q"), [])
     # generous cap; the energy argument guarantees far earlier termination
     cap = 4 * max_collisions(min(masses.epsilon, 0.999)) + 64 if masses.epsilon < 1 else 64
     for _ in range(cap):
+        for column, value in zip(columns, (x, y, v_x, v_y, t, n, kind)):
+            column.append(value)                # the state after the last event
         t_wall = -x / v_x if v_x < 0 else math.inf
         t_pair = (y - x) / (v_x - v_y) if v_x > v_y else math.inf
         if not math.isfinite(t_wall) and not math.isfinite(t_pair):
@@ -145,10 +149,9 @@ def event_driven_trajectory(x0: float, y0: float, v_x0: float, masses: MassPair,
             x += v_x * dt
             v_x, v_y = collide_velocities(v_x, v_y, masses)
             n, kind = n + 1, "pair"
-        rows.append((x, y, v_x, v_y, t, n, kind))
     else:
         raise RuntimeError("event cap exceeded; inconsistent dynamics")
-    return ClassicalTrajectory(*map(np.array, zip(*rows)))
+    return ClassicalTrajectory(*map(np.array, columns))
 
 
 @dataclass(frozen=True)
@@ -204,10 +207,10 @@ def pair_collision_times(y_m0, x_m0: float, v_x0: float,
                          table: CollisionTable) -> np.ndarray:
     """Actual times of collisions 1..K for initial heavy position(s) y_m0."""
     y_m0 = np.asarray(y_m0, dtype=float)[..., None]
-    return _after_collision(np.arange(table.count), y_m0, x_m0, v_x0, table)[0]
+    return after_collision(np.arange(table.count), y_m0, x_m0, v_x0, table)[0]
 
 
-def _after_collision(ki, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
+def after_collision(ki, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
     """Time, position and folded speeds after collision ki + 1 of the channel(s)
     y_m0 (broadcast with ki), and the time of the wall bounce that follows where
     vx_k > 0.  Collision 1 is at ((y_m0 - x_m0)/v_x0, y_m0); gaps scale with y_m0."""
@@ -220,44 +223,38 @@ def _after_collision(ki, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
     return t_k, pos_k, vx_k, v_x0 * table.v_y[1:][ki], t_wall
 
 
-def _count_error(t: np.ndarray, k: np.ndarray, y_m0: np.ndarray, start: np.ndarray,
+def _count_error(t: float, k: np.ndarray, y_m0: np.ndarray, start: np.ndarray,
                  v_x0: float, rel: np.ndarray) -> np.ndarray:
-    """+1 where count k is one short at t, -1 where it is one over, else 0.
-
-    Compares t with the channel's entries k-1 and k of the times
-    start + y_m0 rel / v_x0, evaluated exactly as pair_collision_times does.
-    """
+    """+1 where count k is one short at t, -1 where it is one over, else 0:
+    t against the channel's entries k-1 and k of the times start + y_m0 rel /
+    v_x0, evaluated exactly as pair_collision_times does."""
     last = len(rel) - 1
     short = (k <= last) & (start + y_m0 * rel[np.minimum(k, last)] / v_x0 <= t)
     over = (k > 0) & (start + y_m0 * rel[np.maximum(k - 1, 0)] / v_x0 > t)
     return short.astype(int) - over
 
 
-def pair_counts(t, y_m0, x_m0: float, v_x0: float, table: CollisionTable) -> np.ndarray:
-    """Pair collisions completed by time t in the channel(s) starting at y_m0.
+def pair_counts(t: float, y_m0: np.ndarray, x_m0: float, v_x0: float,
+                table: CollisionTable) -> np.ndarray:
+    """Pair collisions completed by the instant t in each channel of the 1-D
+    array y_m0 (all positive): the count of its pair_collision_times <= t.
 
-    The count of a channel's pair_collision_times that are <= t, exactly.
-    t and y_m0 (all positive) broadcast against each other.  Each channel's
-    times are non-decreasing, so a searchsorted on the unit gap sequence
-    gives the count up to rounding; the guess is then stepped, one collision
-    at a time and only where it is off, until the exact entries on either
-    side bracket t.  O(log K) per element; no (..., K) array is formed.
+    A searchsorted on the unit gap sequence gives it up to rounding; the
+    guess is then stepped, one collision at a time and only where it is off,
+    until the exact entries on either side bracket t.  O(log K) per channel;
+    no (channels, K) array is formed.
     """
-    shape = np.broadcast_shapes(np.shape(t), np.shape(y_m0))
-    # broadcast views, not copies: a scalar t costs no (channels,) array
-    t, y_m0 = np.broadcast_arrays(np.atleast_1d(np.asarray(t, dtype=float)),
-                                  np.atleast_1d(np.asarray(y_m0, dtype=float)))
     rel = table.times[1:] - table.times[1]        # as pair_collision_times
     start = (y_m0 - x_m0) / v_x0                  # first collision time
     k = np.searchsorted(rel, (t - start) * v_x0 / y_m0, "right")
     step = _count_error(t, k, y_m0, start, v_x0, rel)
-    off = np.nonzero(step)
+    off = np.flatnonzero(step)
     step = step[off]
     while step.size:
         k[off] += step
-        step = _count_error(t[off], k[off], y_m0[off], start[off], v_x0, rel)
-        off, step = tuple(i[step != 0] for i in off), step[step != 0]
-    return k.reshape(shape)
+        step = _count_error(t, k[off], y_m0[off], start[off], v_x0, rel)
+        off, step = off[step != 0], step[step != 0]
+    return k
 
 
 def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
@@ -267,14 +264,13 @@ def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
     y_m0 is a scalar or 1-D array of initial heavy positions, all positive.
     Between collisions the light particle follows |y(k) - (t - t_k) v_x(k)|,
     which folds the wall bounce into one expression.  The pair count is
-    pair_counts, so it costs O(log K) per channel and no (channels, K)
-    array is formed.
+    pair_counts: O(log K) per channel, with no (channels, K) array.
     """
     y_m0 = np.atleast_1d(np.asarray(y_m0, dtype=float))
     k = pair_counts(t, y_m0, x_m0, v_x0, table)               # collisions so far
     before = k == 0
     ki = np.maximum(k - 1, 0)                                 # index into table rows
-    t_k, pos_k, vx_k, vy_k, t_wall = _after_collision(ki, y_m0, x_m0, v_x0, table)
+    t_k, pos_k, vx_k, vy_k, t_wall = after_collision(ki, y_m0, x_m0, v_x0, table)
     tau = t - t_k
     y_m = np.where(before, y_m0, pos_k + tau * vy_k)
     x_m = np.where(before, x_m0 + v_x0 * t, np.abs(pos_k - tau * vx_k))
@@ -295,7 +291,7 @@ def channel_trajectory(y_m0: float, x_m0: float, v_x0: float,
     vx_k > 0, its wall row, with raw velocities -+vx_k and vy_k.
     event_driven_trajectory's states up to rounding, without a loop."""
     ki = np.arange(table.count)
-    t_k, pos_k, vx_k, vy_k, t_wall = _after_collision(ki, y_m0, x_m0, v_x0, table)
+    t_k, pos_k, vx_k, vy_k, t_wall = after_collision(ki, y_m0, x_m0, v_x0, table)
     keep = np.stack((np.ones(table.count, bool), vx_k > 0), axis=-1).ravel()
 
     def rows(start, pair, wall):

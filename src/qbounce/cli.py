@@ -33,7 +33,7 @@ SERIES_COLUMNS = [
 OPTIONAL_COLUMNS = ["grid_purity", "mc_dsigma_y", "mc_dsigma_x"]
 
 # Admission bound on the reference run's events, at most 2 (n_max + 1); at
-# eps = 1e-6 (1.57 million) `run` with event_driven peaks at 752 MiB (README).
+# eps = 1e-6 (1.57 million) `run` with event_driven peaks at 414 MiB (README).
 MAX_EVENTS = 2_000_000
 
 _KNOWN_KEYS = {
@@ -386,14 +386,15 @@ def cmd_compare(args) -> int:
         if len(rows_a) != len(rows_b):
             raise ConfigError("runs have different numbers of instants")
         ia, ib = head_a.index("t"), head_b.index("t")
-        if any(abs(a[ia] - b[ib]) > 1e-12 * max(1.0, abs(a[ia])) for a, b in zip(rows_a, rows_b)):
+        t_a = np.array([r[ia] for r in rows_a])
+        limit = tol.get("t", 1e-12 * np.maximum(1.0, np.abs(t_a)))   # --tol t= bounds it too
+        if np.any(np.abs(t_a - [r[ib] for r in rows_b]) > limit):
             raise ConfigError("runs do not share a schedule")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     status = 0
     report = {}
-    t_a = np.array([r[ia] for r in rows_a])
     for col in shared:
         ca, cb = head_a.index(col), head_b.index(col)
         va = np.array([r[ca] for r in rows_a])

@@ -211,6 +211,12 @@ def _box(rows: range, cols: range) -> tuple[slice, slice]:
     return np.s_[rows.start:rows.stop, cols.start:cols.stop]
 
 
+def _support_box(keep: np.ndarray) -> tuple[range, range]:
+    """The bounding rows and columns of the True entries of keep."""
+    (r0, r1), (c0, c1) = (np.flatnonzero(keep.any(axis=axis))[[0, -1]] for axis in (1, 0))
+    return range(r0, r1 + 1), range(c0, c1 + 1)
+
+
 def _mirror(window: tuple[range, range], n: int) -> tuple[range, range]:
     """The window under the (x, y) -> (L - y, L - x) reflection."""
     rows, cols = window
@@ -301,14 +307,12 @@ class _Stepper:
         top = mag.max()
         if not math.isfinite(top):        # a NaN field sweeps the whole triangle
             return _triangle(self.n)
-        keep = mag >= SUPPORT_CUTOFF * top
-        hit_r = np.flatnonzero(keep.any(axis=1))
-        hit_c = np.flatnonzero(keep.any(axis=0))
+        hit_r, hit_c = _support_box(mag >= SUPPORT_CUTOFF * top)
         pad_r, pad_c = self.pad
-        r0 = max(1, rows.start + int(hit_r[0]) - pad_r)
-        c1 = min(self.n, cols.start + int(hit_c[-1]) + pad_c + 1)
-        r1 = min(rows.start + int(hit_r[-1]) + pad_r + 1, c1 - 1)
-        c0 = max(cols.start + int(hit_c[0]) - pad_c, r0 + 1)
+        r0 = max(1, rows.start + hit_r.start - pad_r)
+        c1 = min(self.n, cols.start + hit_c.stop + pad_c)
+        r1 = min(rows.start + hit_r.stop + pad_r, c1 - 1)
+        c0 = max(cols.start + hit_c.start - pad_c, r0 + 1)
         return range(r0, r1), range(c0, c1)
 
     def _mirror_swept(self, rows: range, cols: range) -> None:
@@ -377,9 +381,7 @@ def _gram(psi: np.ndarray) -> np.ndarray:
     the product and eigvalsh run on slow subnormal floats."""
     mag = np.abs(psi)
     keep = ~(mag < SUPPORT_CUTOFF * mag.max())    # a NaN field keeps every amplitude
-    rows = np.flatnonzero(keep.any(axis=1))
-    cols = np.flatnonzero(keep.any(axis=0))
-    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    box = _box(*_support_box(keep))
     core = np.where(keep[box], psi[box], 0)
     return core.conj().T @ core
 

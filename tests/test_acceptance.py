@@ -217,6 +217,7 @@ def _desk_run(sigma0y):
     return f2, st
 
 
+@pytest.mark.slow
 def test_criterion_8_grid_cross_validation():
     # generic (entangling) widths
     f_gen, st_gen = _desk_run(sigma0y=0.7)
@@ -237,6 +238,7 @@ def test_criterion_8_grid_cross_validation():
               f"matched widths |ov|={ov_eq:.3f}, grid purity {p_eq:.5f} >= 0.999")
 
 
+@pytest.mark.slow
 def test_criterion_9_grid_unitarity_and_convergence():
     # per-step norm drift on a live collision configuration
     spec = grid.GridSpec(n=256, length=16.0)

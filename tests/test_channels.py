@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from qbounce.channels import (ChannelEnsemble, MixedPhaseError, ScenarioParams,
                               assemble_quadratic_form, auto_schedule,
                               entanglement_report,
-                              mixed_phase_gate, nearest_safe_instants,
+                              mixed_phase_gate,
                               propagate_ensemble, purity_from_coefficients,
                               reference_trajectory, schmidt_entropy_from_purity,
                               split_width, _betas)
@@ -113,23 +113,30 @@ class TestMixedPhaseGate:
         assert not mixed_phase_gate(p, t1)
 
     def test_true_between_first_and_second(self):
+        # the midpoint of the first collision and the wall bounce after it
+        # passes; the bounce itself, with channels on both sides, does not
         p = make_params()
-        traj = reference_trajectory(p)
-        t1, t2 = (e.t for e in pair_events(traj)[:2])
-        assert mixed_phase_gate(p, (t1 + t2) / 2)
+        ev = events(reference_trajectory(p))
+        assert [e.kind for e in ev[:2]] == ["pair", "wall"]
+        assert mixed_phase_gate(p, (ev[0].t + ev[1].t) / 2)
+        assert not mixed_phase_gate(p, ev[1].t)
 
     def test_error_reports_safe_instants(self):
         p = make_params()
         t1 = pair_events(reference_trajectory(p))[0].t
         with pytest.raises(MixedPhaseError) as err:
             propagate_ensemble(p, t1)
-        assert err.value.safe_before is not None
-        assert err.value.safe_after is not None
-        assert err.value.safe_before < t1 < err.value.safe_after
+        assert_names_the_event_window(p, err.value, t1)
 
-    def test_error_prints_missing_side_as_none(self):
-        msg = str(MixedPhaseError(4.5, None, 5.25))
-        assert "nearest safe instants: none and 5.25" in msg
+
+def assert_names_the_event_window(p, err, t):
+    """err's window [start, stop) holds t, its edges are the nearest instants
+    the gate accepts, and the auto schedule keeps no instant inside it."""
+    assert err.t == t
+    assert err.start <= t < err.stop
+    assert mixed_phase_gate(p, err.stop)
+    assert mixed_phase_gate(p, np.nextafter(err.start, -np.inf))
+    assert not any(err.start <= s < err.stop for s in auto_schedule(p))
 
 
 class TestPropagateEnsemble:
@@ -349,13 +356,13 @@ class TestNearestSafeInstants:
     def test_bracket_requested_instant(self):
         p = make_params()
         t1 = pair_events(reference_trajectory(p))[0].t
-        before, after = nearest_safe_instants(p, t1)
-        assert before < t1 < after
+        with pytest.raises(MixedPhaseError) as err:
+            propagate_ensemble(p, t1)
+        assert_names_the_event_window(p, err.value, t1)
 
     def test_skips_auto_instants_that_fail_the_gate(self):
         # eps = 0.02: the +-3 sigma span of channels straddles a collision at
-        # reference midpoints 18 to 60; the auto schedule leaves them out, so
-        # the nearest safe instants are midpoints 17 and 61
+        # reference midpoints 18 to 60; the auto schedule leaves them out
         p = ScenarioParams(x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5,
                            p_x0=190.0, masses=MassPair(1.0, 2500.0))
         ts = reference_trajectory(p).t.tolist()
@@ -364,7 +371,7 @@ class TestNearestSafeInstants:
         unsafe = [i for i, t in enumerate(mids) if not mixed_phase_gate(p, t)]
         assert unsafe == list(range(18, 61))
         assert auto_schedule(p) == mids[:18] + mids[61:]
-        assert nearest_safe_instants(p, mids[18]) == (mids[17], mids[61])
-        with pytest.raises(MixedPhaseError) as err:
-            propagate_ensemble(p, mids[18])
-        assert (err.value.safe_before, err.value.safe_after) == (mids[17], mids[61])
+        for t in mids[18], mids[60]:
+            with pytest.raises(MixedPhaseError) as err:
+                propagate_ensemble(p, t)
+            assert_names_the_event_window(p, err.value, t)

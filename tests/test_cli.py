@@ -182,8 +182,25 @@ class TestRun:
             "schedule = auto", f"schedule = {t_bad:.12g}"), name="bad.cfg")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert "nearest safe instants" in err
+        assert "channels straddle an event from " in err
         assert not (tmp_path / "o").exists()
+
+    def test_wall_bounce_instant_fails_the_gate(self, tmp_path, capsys):
+        # the first wall bounce: the -3 sigma channel's light particle has
+        # bounced off the wall by then, the +3 sigma one's has not
+        base = parse_config(write_config(tmp_path))
+        ref = reference_trajectory(base.params)
+        t_wall = float(ref.t[list(ref.kind).index("wall")])
+        cfg = write_config(tmp_path, config_with(BASE_CONFIG, schedule=repr(t_wall)),
+                           name="wall.cfg")
+        out = tmp_path / "o"
+        assert main(["validate", str(cfg)]) == 3
+        assert "schedule_unsafe = 1\n" in capsys.readouterr().out
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        window = re.search(r"channels straddle an event from (\S+) until (\S+)$",
+                           capsys.readouterr().err)
+        assert float(window[1]) <= t_wall < float(window[2])
+        assert not out.exists()
 
     def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, monkeypatch):
         # a config that parses, then an error while the series is computed
@@ -313,6 +330,11 @@ class TestRun:
         # the oracle's centres and momenta against the table-built rows
         assert 0 <= checks["event_driven_max_center_dev"] <= 1e-10 * 50.0
         assert 0 <= checks["event_driven_max_p_dev"] <= 1e-10 * 190.0
+        # the oracle only reports: the series is the run's without it
+        plain = tmp_path / "plain"
+        cfg = write_config(tmp_path, name="plain.cfg")
+        assert main(["run", str(cfg), "--out", str(plain)]) == 0
+        assert (out / "series.csv").read_bytes() == (plain / "series.csv").read_bytes()
 
     def test_over_the_event_limit_exits_before_any_work(self, tmp_path, capsys, monkeypatch):
         # eps = 1e-7 gives 15.7 million reference events: rejected from n_max
@@ -424,18 +446,6 @@ class TestCompare:
         text = capsys.readouterr().out
         assert "purity: max_abs=0" in text
 
-    def test_closed_form_vs_event_driven_momenta(self, tmp_path):
-        cfg_a = write_config(tmp_path)
-        cfg_b = write_config(tmp_path, BASE_CONFIG.replace(
-            "schedule = auto", "schedule = auto\noracles  = event_driven"),
-            name="oracle.cfg")
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["run", str(cfg_a), "--out", str(out_a)])
-        main(["run", str(cfg_b), "--out", str(out_b)])
-        # closed-form momenta against trajectory momenta: identical to 1e-12
-        assert main(["compare", str(out_a), str(out_b),
-                     "--tol", "p_xn=1e-9", "--tol", "p_yn=1e-9"]) == 0
-
     def test_threshold_failure_sets_exit_code(self, tmp_path):
         cfg_a = write_config(tmp_path)
         out_a = tmp_path / "a"
@@ -461,6 +471,21 @@ class TestCompare:
         main(["run", str(cfg_a), "--out", str(out_a)])
         main(["run", str(cfg_b), "--out", str(out_b)])
         assert main(["compare", str(out_a), str(out_b)]) == 2
+
+    def test_tol_t_bounds_the_schedule_check(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "series.csv").read_text().splitlines()))
+        rows = rows[:1] + [row for row in rows[1:] if 1 < float(row[0]) < 50]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("".join(",".join(row) + "\n" for row in rows))
+        for row in rows[1:]:            # t moved by 1e-11 relative: under 1e-9
+            row[0] = repr(float(row[0]) * (1 + 1e-11))
+        b.write_text("".join(",".join(row) + "\n" for row in rows))
+        assert main(["compare", str(a), str(b)]) == 2
+        assert capsys.readouterr().err == "error: runs do not share a schedule\n"
+        assert main(["compare", str(a), str(b), "--tol", "t=1e-9"]) == 0
+        assert main(["compare", str(a), str(b), "--tol", "t=1e-11"]) == 2
 
     @pytest.mark.parametrize("tol, message", [
         ("purity=abc", "--tol purity=abc: expected a number, got 'abc'"),
@@ -724,6 +749,66 @@ def test_reference_is_the_event_driven_run(keys):
     ts = oracle.t
     mids = np.append((ts[:-1] + ts[1:]) / 2, ts[-1] + (ts[-1] - ts[-2]) / 2)
     assert len(auto_schedule(params)) == np.count_nonzero(mixed_phase_gate(params, mids))
+
+
+def scenario_of(keys: dict[str, str]) -> ScenarioParams:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        return parse_config(path).params
+
+
+def reference_midpoints(params: ScenarioParams) -> np.ndarray:
+    """The instants auto_schedule chooses from: midway between events, and a tail."""
+    ts = reference_trajectory(params).t
+    return np.append((ts[:-1] + ts[1:]) / 2, ts[-1] + (ts[-1] - ts[-2]) / 2)
+
+
+def end_channels_agree(params: ScenarioParams, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the -3 and +3 sigma channels share their pair count, and their
+    wall count, at each instant of ts (channel_kinematics, one at a time)."""
+    dsigma_y0, _ = split_width(params)
+    ends = np.array([params.y_M0 - 3 * dsigma_y0, params.y_M0 + 3 * dsigma_y0])
+    counts = np.array([classical.channel_kinematics(float(t), ends, params.x_M0,
+                                                    params.v_x0, params.table)[2:]
+                       for t in ts])                 # (instants, pair/wall, channel)
+    same = counts[..., 0] == counts[..., 1]
+    return same[:, 0], same[:, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys=admissible_configs())
+@example(keys=HEAVY_WIDTH)
+@example(keys=SMALL_EPS)
+def test_auto_schedule_keeps_the_midpoints_where_the_end_channels_agree(keys):
+    """Every reference event fails the gate, and a reference midpoint passes
+    it exactly when the end channels agree on both counts there."""
+    params = scenario_of(keys)
+    assert not mixed_phase_gate(params, reference_trajectory(params).t[1:]).any()
+    mids = reference_midpoints(params)
+    pairs, walls = end_channels_agree(params, mids)
+    assert np.array_equal(mixed_phase_gate(params, mids), pairs & walls)
+    assert auto_schedule(params) == mids[pairs & walls].tolist()
+
+
+@pytest.mark.parametrize("keys, wall_only", [
+    ({**HEAVY_WIDTH, "m_y": "400.0"}, 0), (HEAVY_WIDTH, 0), (SMALL_EPS, 0),
+    ({**HEAVY_WIDTH, "m_y": "1e6", "sigma0y": "0.005", "p_x0": "4000.0"}, 0),
+    ({**HEAVY_WIDTH, "m_y": "1e8", "sigma0y": "5e-4", "p_x0": "4e4"}, 0),
+    ({"m_y": "25.0", "x_m0": "10.0", "y_m0": "20.0", "sigma0x": "0.5", "sigma0y": "0.5",
+      "p_x0": "4.0"}, 0),
+    ({**HEAVY_WIDTH, "m_y": "400.0", "sigma0y": "0.8"}, 1),
+], ids=["arc", "heavy-width", "small-eps", "eps-1e-3", "eps-1e-4", "desk", "arc-sigma0y-0.8"])
+def test_midpoints_only_a_wall_window_drops(keys, wall_only):
+    # the first six keep the auto schedules of the pair-collision gate alone;
+    # at sigma0y = 0.8 one midpoint between a collision and the wall bounce
+    # after it has the end channels on both sides of the bounce only
+    params = scenario_of(keys)
+    mids = reference_midpoints(params)
+    pairs, _ = end_channels_agree(params, mids)
+    gate = mixed_phase_gate(params, mids)
+    assert not (gate & ~pairs).any()
+    assert np.count_nonzero(pairs & ~gate) == wall_only
 
 
 @settings(max_examples=40, deadline=None)

@@ -98,6 +98,7 @@ class TestInitField:
 
 
 class TestEvolve:
+    @pytest.mark.slow
     def test_free_packet_follows_exact_law(self):
         # drift and ballistic spreading against the closed-form packet
         spec = GridSpec(n=320, length=18.0)
@@ -131,6 +132,7 @@ class TestEvolve:
         f2 = evolve(f, MASSES, dt=1e-3, steps=400)
         assert energy(f2, MASSES) == pytest.approx(e0, rel=1e-6)
 
+    @pytest.mark.slow
     def test_wall_reflection_matches_mirror_packet(self):
         # light packet thrown at the wall; after the bounce the field is the
         # freely evolved mirror image times the undisturbed heavy packet
@@ -396,6 +398,7 @@ class TestSnapshotRoundTrip:
 
 
 class TestCollisionCrossCheck:
+    @pytest.mark.slow
     def test_reduced_desk_collision_against_analytic(self):
         # half-resolution version of the desk-scale cross-validation: evolve
         # through one pair collision until the packets separate again, then

@@ -65,30 +65,36 @@ def test_state_at_matches_linear_scan(params, data):
 @settings(max_examples=60, deadline=None)
 @given(params=admissible_params(), data=st.data())
 def test_mixed_phase_gate_matches_channel_counts(params, data):
-    lo, hi = endpoint_offsets(params)
+    # the gate passes t exactly when the end channels agree on both counts
+    ends = np.array(endpoint_offsets(params))
     table = collision_table(params.eps)
-    ends = pair_collision_times(np.array([lo, hi]), params.x_M0, params.v_x0, table)
-    times = np.sort(np.concatenate([[0.0], *ends,
+    pair = pair_collision_times(ends, params.x_M0, params.v_x0, table)
+    bounce = table.v_x[1:] > 0
+    # the end channels' wall bounces, timed as channel_kinematics times them
+    wall = pair[:, bounce] + (ends[:, None] * table.positions[1:][bounce]
+                              / (params.v_x0 * table.v_x[1:][bounce]))
+    times = np.sort(np.concatenate([[0.0], *pair, *wall,
                                     reference_trajectory(params).t[1:]]))
     for _ in range(8):
         t = draw_instant(data, times)
-        n_lo, n_hi = (int(channel_kinematics(t, np.array([y0]), params.x_M0,
-                                             params.v_x0, table)[2][0])
-                      for y0 in (lo, hi))
-        assert mixed_phase_gate(params, t) is (n_lo == n_hi)
+        _, _, pairs, walls = channel_kinematics(t, ends, params.x_M0, params.v_x0, table)
+        agree = bool(pairs[0] == pairs[1] and walls[0] == walls[1])
+        assert mixed_phase_gate(params, t) is agree
 
 
 @settings(max_examples=60, deadline=None)
 @given(params=admissible_params(), data=st.data())
 def test_pair_counts_broadcast_over_channels_and_instants(params, data):
+    # one instant at a time against an array of channels
     dsigma_y0, _ = split_width(params)
     y0 = params.y_M0 + dsigma_y0 * np.linspace(-4, 4, 9)
     table = collision_table(params.eps)
     pair = pair_collision_times(y0, params.x_M0, params.v_x0, table)
     times = np.sort(np.concatenate([[0.0], pair.ravel()]))
-    ts = np.array([draw_instant(data, times) for _ in range(8)])
-    got = pair_counts(ts, y0[:, None], params.x_M0, params.v_x0, table)
-    assert np.array_equal(got, (pair[:, None, :] <= ts[:, None]).sum(axis=-1))
+    for _ in range(8):
+        t = draw_instant(data, times)
+        got = pair_counts(t, y0, params.x_M0, params.v_x0, table)
+        assert np.array_equal(got, (pair <= t).sum(axis=-1))
 
 
 @settings(max_examples=60, deadline=None)
