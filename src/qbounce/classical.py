@@ -82,9 +82,8 @@ class ClassicalState:
 @dataclass(frozen=True)
 class ClassicalTrajectory(ClassicalState):
     """One exact run as read-only columns: the initial state, then the state
-    after each event, and its kind ("start", then "pair" or "wall").  Motion
-    is linear between events."""
-    kind: np.ndarray
+    after each event.  An event is a pair collision where n rises, else a
+    wall bounce.  Motion is linear between events."""
 
     def __post_init__(self):
         for column in vars(self).values():
@@ -116,21 +115,22 @@ def event_driven_trajectory(x0: float, y0: float, v_x0: float, masses: MassPair,
 
     The heavy particle starts at rest.  Next-event times come from
     closed-form linear motion, so there is no stepping error: wall hits flip
-    v_x, pair hits apply collide_velocities.
-    Stops when no further event can occur (light particle slower than the
-    heavy one and not wall-bound) or when t_end is passed.
+    v_x, pair hits apply collide_velocities and raise n.  Records the state
+    after each event, 48 bytes a row.  Stops when no further event can occur
+    (light particle slower than the heavy one and not wall-bound) or when
+    t_end is passed.
     """
     if not 0 < x0 < y0:
         raise ValueError("need 0 < x0 < y0")
     if v_x0 == 0:
         raise ValueError("need a moving light particle")
-    x, y, v_x, v_y, t, n, kind = x0, y0, v_x0, 0.0, 0.0, 0, "start"
+    x, y, v_x, v_y, t, n = x0, y0, v_x0, 0.0, 0.0, 0
     # the states' columns, one compact buffer each: 8 bytes a value, no tuples
-    columns = (*(array("d") for _ in range(5)), array("q"), [])
+    columns = (*(array("d") for _ in range(5)), array("q"))
     # generous cap; the energy argument guarantees far earlier termination
     cap = 4 * max_collisions(min(masses.epsilon, 0.999)) + 64 if masses.epsilon < 1 else 64
     for _ in range(cap):
-        for column, value in zip(columns, (x, y, v_x, v_y, t, n, kind)):
+        for column, value in zip(columns, (x, y, v_x, v_y, t, n)):
             column.append(value)                # the state after the last event
         t_wall = -x / v_x if v_x < 0 else math.inf
         t_pair = (y - x) / (v_x - v_y) if v_x > v_y else math.inf
@@ -144,11 +144,11 @@ def event_driven_trajectory(x0: float, y0: float, v_x0: float, masses: MassPair,
         t += dt
         y += v_y * dt
         if wall:
-            x, v_x, kind = 0.0, -v_x, "wall"
+            x, v_x = 0.0, -v_x
         else:
             x += v_x * dt
             v_x, v_y = collide_velocities(v_x, v_y, masses)
-            n, kind = n + 1, "pair"
+            n += 1
     else:
         raise RuntimeError("event cap exceeded; inconsistent dynamics")
     return ClassicalTrajectory(*map(np.array, columns))
@@ -210,12 +210,18 @@ def pair_collision_times(y_m0, x_m0: float, v_x0: float,
     return after_collision(np.arange(table.count), y_m0, x_m0, v_x0, table)[0]
 
 
+def _pair_time(ki, y_m0, start, v_x0: float, table: CollisionTable):
+    """Time of collision ki + 1 of the channel(s) y_m0, broadcast with ki, given
+    the time of collision 1, start = (y_m0 - x_m0) / v_x0: gaps scale with y_m0."""
+    rel = table.times[1:] - table.times[1]                    # zero-based gap sequence
+    return start + y_m0 * rel[ki] / v_x0
+
+
 def after_collision(ki, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
     """Time, position and folded speeds after collision ki + 1 of the channel(s)
     y_m0 (broadcast with ki), and the time of the wall bounce that follows where
-    vx_k > 0.  Collision 1 is at ((y_m0 - x_m0)/v_x0, y_m0); gaps scale with y_m0."""
-    rel = table.times[1:] - table.times[1]                    # zero-based gap sequence
-    t_k = (y_m0 - x_m0) / v_x0 + y_m0 * rel[ki] / v_x0
+    vx_k > 0."""
+    t_k = _pair_time(ki, y_m0, (y_m0 - x_m0) / v_x0, v_x0, table)
     pos_k = y_m0 * table.positions[1:][ki]
     vx_k = v_x0 * table.v_x[1:][ki]
     with np.errstate(divide="ignore"):
@@ -223,51 +229,25 @@ def after_collision(ki, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
     return t_k, pos_k, vx_k, v_x0 * table.v_y[1:][ki], t_wall
 
 
-def _count_error(t: float, k: np.ndarray, y_m0: np.ndarray, start: np.ndarray,
-                 v_x0: float, rel: np.ndarray) -> np.ndarray:
-    """+1 where count k is one short at t, -1 where it is one over, else 0:
-    t against the channel's entries k-1 and k of the times start + y_m0 rel /
-    v_x0, evaluated exactly as pair_collision_times does."""
-    last = len(rel) - 1
-    short = (k <= last) & (start + y_m0 * rel[np.minimum(k, last)] / v_x0 <= t)
-    over = (k > 0) & (start + y_m0 * rel[np.maximum(k - 1, 0)] / v_x0 > t)
-    return short.astype(int) - over
-
-
-def pair_counts(t: float, y_m0: np.ndarray, x_m0: float, v_x0: float,
-                table: CollisionTable) -> np.ndarray:
-    """Pair collisions completed by the instant t in each channel of the 1-D
-    array y_m0 (all positive): the count of its pair_collision_times <= t.
-
-    A searchsorted on the unit gap sequence gives it up to rounding; the
-    guess is then stepped, one collision at a time and only where it is off,
-    until the exact entries on either side bracket t.  O(log K) per channel;
-    no (channels, K) array is formed.
-    """
-    rel = table.times[1:] - table.times[1]        # as pair_collision_times
-    start = (y_m0 - x_m0) / v_x0                  # first collision time
-    k = np.searchsorted(rel, (t - start) * v_x0 / y_m0, "right")
-    step = _count_error(t, k, y_m0, start, v_x0, rel)
-    off = np.flatnonzero(step)
-    step = step[off]
-    while step.size:
-        k[off] += step
-        step = _count_error(t, k[off], y_m0[off], start[off], v_x0, rel)
-        off, step = off[step != 0], step[step != 0]
-    return k
-
-
 def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
                        table: CollisionTable):
     """Exact (x_m, y_m, pair count, wall count) at time t, vectorized over y_m0.
 
     y_m0 is a scalar or 1-D array of initial heavy positions, all positive.
+    A searchsorted on the unit gap sequence gives each pair count to within one
+    collision; one step up and one down against the channel's exact times
+    (_pair_time) make it exact: O(log K) per channel, no (channels, K) array.
     Between collisions the light particle follows |y(k) - (t - t_k) v_x(k)|,
-    which folds the wall bounce into one expression.  The pair count is
-    pair_counts: O(log K) per channel, with no (channels, K) array.
+    which folds the wall bounce into one expression.
     """
     y_m0 = np.atleast_1d(np.asarray(y_m0, dtype=float))
-    k = pair_counts(t, y_m0, x_m0, v_x0, table)               # collisions so far
+    last = table.count - 1
+    rel = table.times[1:] - table.times[1]
+    start = (y_m0 - x_m0) / v_x0                              # time of collision 1
+    k = np.searchsorted(rel, (t - start) * v_x0 / y_m0, "right")
+    k[(k <= last) & (_pair_time(np.minimum(k, last), y_m0, start, v_x0, table) <= t)] += 1
+    k[(k > 0) & (_pair_time(np.maximum(k - 1, 0), y_m0, start, v_x0, table) > t)] -= 1
+    del start                                                 # one array fewer at the peak below
     before = k == 0
     ki = np.maximum(k - 1, 0)                                 # index into table rows
     t_k, pos_k, vx_k, vy_k, t_wall = after_collision(ki, y_m0, x_m0, v_x0, table)
@@ -295,14 +275,13 @@ def channel_trajectory(y_m0: float, x_m0: float, v_x0: float,
     keep = np.stack((np.ones(table.count, bool), vx_k > 0), axis=-1).ravel()
 
     def rows(start, pair, wall):
-        events = np.stack(np.broadcast_arrays(pair, wall, ki)[:2], axis=-1).ravel()[keep]
+        events = np.stack(np.broadcast_arrays(pair, wall), axis=-1).ravel()[keep]
         return np.concatenate(([start], events))
 
     return ClassicalTrajectory(
         x=rows(x_m0, pos_k, 0.0), y=rows(y_m0, pos_k, pos_k + vy_k * (t_wall - t_k)),
         v_x=rows(v_x0, -vx_k, vx_k), v_y=rows(0.0, vy_k, vy_k),
-        t=rows(0.0, t_k, t_wall), n=rows(0, ki + 1, ki + 1),
-        kind=rows("start", "pair", "wall"))
+        t=rows(0.0, t_k, t_wall), n=rows(0, ki + 1, ki + 1))
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,13 @@ SERIES_COLUMNS = [
 OPTIONAL_COLUMNS = ["grid_purity", "mc_dsigma_y", "mc_dsigma_x"]
 
 # Admission bound on the reference run's events, at most 2 (n_max + 1); at
-# eps = 1e-6 (1.57 million) `run` with event_driven peaks at 414 MiB (README).
+# eps = 1e-6 (1.57 million) `run` with event_driven peaks at 320 MiB (README).
 MAX_EVENTS = 2_000_000
+# Admission bounds on the oracles' work; README gives the run just inside each.
+MAX_MC_SAMPLES = 2_000_000
+MAX_MC_SAMPLE_INSTANTS = 500_000_000
+MAX_GRID_STEPS = 20_000
+MAX_GRID_MIB = 1024         # the fields a grid run holds: (instants + 6) (n + 1)^2 complex
 
 _KNOWN_KEYS = {
     "m_x", "m_y", "x_m0", "y_m0", "sigma0x", "sigma0y", "p_x0",
@@ -173,6 +178,18 @@ def parse_config(path) -> ScenarioConfig:
             raise ConfigError(f"{where}: unknown oracle {name!r}")
     if cfg.purity_source == "grid" and cfg.grid_oracle is None:
         raise ConfigError(f"{path}: purity_source=grid requires the grid oracle")
+    if cfg.monte_carlo or cfg.grid_oracle is not None:
+        # the oracles' work grows with the schedule: an auto one is built to count it
+        schedule = channels.auto_schedule(params) if cfg.schedule == "auto" else cfg.schedule
+        cells = (cfg.grid_oracle.n + 1) ** 2 if cfg.grid_oracle is not None else 0
+        for what, need, limit in (
+                ("monte_carlo samples", cfg.monte_carlo, MAX_MC_SAMPLES),
+                ("monte_carlo samples x instants", cfg.monte_carlo * len(schedule),
+                 MAX_MC_SAMPLE_INSTANTS),
+                ("grid MiB of fields", (len(schedule) + 6) * cells * 16 / 2**20, MAX_GRID_MIB),
+                ("grid steps", max(schedule) / cfg.grid_dt if cells else 0, MAX_GRID_STEPS)):
+            if need > limit:
+                raise ConfigError(f"{where}: {what}: {need:,.0f}, over the limit of {limit:,}")
     return cfg
 
 

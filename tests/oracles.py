@@ -43,8 +43,9 @@ def trajectory_state(traj, i: int) -> ClassicalState:
 
 def events(traj) -> tuple:
     """The events of a classical trajectory, in order: each its time t, its
-    kind ("pair" or "wall") and the state after it."""
-    return tuple(SimpleNamespace(t=traj.t[i].item(), kind=str(traj.kind[i]),
+    kind ("pair" where the pair count rises, else "wall") and the state after it."""
+    return tuple(SimpleNamespace(t=traj.t[i].item(),
+                                 kind="pair" if traj.n[i] > traj.n[i - 1] else "wall",
                                  state=trajectory_state(traj, i))
                  for i in range(1, len(traj.t)))
 

@@ -216,7 +216,7 @@ class TestCollisionTableBridge:
         exact = np.array([(float(t), float(y)) for t, y in pair_collisions_exact(m, x0, y0, v0)])
         for traj in (channel_trajectory(y0, x0, v0, collision_table(eps)),
                      event_driven_trajectory(x0, y0, v0, m)):
-            pair = traj.kind == "pair"
+            pair = np.flatnonzero(np.diff(traj.n)) + 1      # the rows where n rises
             got = np.column_stack((traj.t[pair], traj.y[pair]))
             assert got.shape == exact.shape
             assert np.max(np.abs(got - exact) / exact) <= 1e-12

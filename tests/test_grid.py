@@ -179,6 +179,7 @@ class TestSupportWindow:
         p = compliant_params()
         assert_matches_whole_triangle_steps(init_field(p, DESK_SPEC), dt=2e-3, steps=60)
 
+    @pytest.mark.slow
     @settings(max_examples=25, deadline=None)
     @given(case=resolved_packet_pairs())
     @example(case=(                 # the fastest light packet the grid resolves

@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbounce.channels import (WIDTH_RATIO_GATE, ScenarioParams, mixed_phase_gate,
                               reference_trajectory, split_width)
-from qbounce.classical import (channel_kinematics, collision_table, pair_collision_times,
-                               pair_counts)
+from qbounce.classical import channel_kinematics, collision_table, pair_collision_times
 from oracles import channel_kinematics_dense, masses_from_epsilon, state_at_linear_scan
 
 
@@ -84,7 +83,7 @@ def test_mixed_phase_gate_matches_channel_counts(params, data):
 
 @settings(max_examples=60, deadline=None)
 @given(params=admissible_params(), data=st.data())
-def test_pair_counts_broadcast_over_channels_and_instants(params, data):
+def test_channel_kinematics_pair_counts_over_channels(params, data):
     # one instant at a time against an array of channels
     dsigma_y0, _ = split_width(params)
     y0 = params.y_M0 + dsigma_y0 * np.linspace(-4, 4, 9)
@@ -93,7 +92,7 @@ def test_pair_counts_broadcast_over_channels_and_instants(params, data):
     times = np.sort(np.concatenate([[0.0], pair.ravel()]))
     for _ in range(8):
         t = draw_instant(data, times)
-        got = pair_counts(t, y0, params.x_M0, params.v_x0, table)
+        got = channel_kinematics(t, y0, params.x_M0, params.v_x0, table)[2]
         assert np.array_equal(got, (pair <= t).sum(axis=-1))
 
 
