@@ -229,6 +229,20 @@ def after_collision(ki, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
     return t_k, pos_k, vx_k, v_x0 * table.v_y[1:][ki], t_wall
 
 
+def _positions(t: float, k, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
+    """(x_m, y_m, t_wall) at time t of the channel(s) y_m0 after k pair
+    collisions, broadcast: free flight while k == 0, else linear motion from
+    after_collision's state.  x_m is unfolded there: negative once the light
+    particle is past the wall bounce at t_wall."""
+    before = k == 0
+    t_k, pos_k, vx_k, vy_k, t_wall = after_collision(np.maximum(k - 1, 0), y_m0, x_m0,
+                                                     v_x0, table)
+    tau = t - t_k
+    y_m = np.where(before, y_m0, pos_k + tau * vy_k)
+    x_m = np.where(before, x_m0 + v_x0 * t, pos_k - tau * vx_k)
+    return x_m, y_m, t_wall
+
+
 def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
                        table: CollisionTable):
     """Exact (x_m, y_m, pair count, wall count) at time t, vectorized over y_m0.
@@ -238,7 +252,8 @@ def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
     collision; one step up and one down against the channel's exact times
     (_pair_time) make it exact: O(log K) per channel, no (channels, K) array.
     Between collisions the light particle follows |y(k) - (t - t_k) v_x(k)|,
-    which folds the wall bounce into one expression.
+    which folds the wall bounce into one expression.  For the spreads of many
+    channels over many instants, sample_spreads needs no per-channel work.
     """
     y_m0 = np.atleast_1d(np.asarray(y_m0, dtype=float))
     last = table.count - 1
@@ -250,10 +265,8 @@ def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
     del start                                                 # one array fewer at the peak below
     before = k == 0
     ki = np.maximum(k - 1, 0)                                 # index into table rows
-    t_k, pos_k, vx_k, vy_k, t_wall = after_collision(ki, y_m0, x_m0, v_x0, table)
-    tau = t - t_k
-    y_m = np.where(before, y_m0, pos_k + tau * vy_k)
-    x_m = np.where(before, x_m0 + v_x0 * t, np.abs(pos_k - tau * vx_k))
+    x_m, y_m, t_wall = _positions(t, k, y_m0, x_m0, v_x0, table)
+    np.abs(x_m, out=x_m, where=~before)
     # wall bounces: one after each collision once the light particle reaches
     # x = 0, provided it recoiled toward the wall (folded v_x > 0).  The
     # bounce after collision j comes before collision j+1, so every bounce
@@ -262,6 +275,88 @@ def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
     earlier = np.concatenate(([0], np.cumsum(toward_wall)))
     latest = ~before & toward_wall[ki] & (t_wall <= t)
     return x_m, y_m, k, earlier[ki] + latest
+
+
+def channel_blocks(t: float, y_sorted, x_m0: float, v_x0: float, table: CollisionTable):
+    """The channels y_sorted (ascending) at time t as contiguous blocks of equal
+    (pair count, wall count), counted as channel_kinematics counts them.
+
+    Every collision and bounce time rises with y_m0, in floating point too, so
+    the counts fall along y_sorted.  Returns (edges, pairs, walls): block b is
+    y_sorted[edges[b]:edges[b + 1]].  Each pair count c from the first
+    channel's down to the last channel's has two blocks, either may be empty:
+    first the channels past the wall bounce after collision c, then the rest.
+    Each edge is a bisection over y_sorted with channel_kinematics' exact
+    comparisons: O(blocks log N), no per-channel work.
+    """
+    n = len(y_sorted)
+    k_first, k_last = channel_kinematics(t, y_sorted[[0, -1]], x_m0, v_x0, table)[2]
+    pairs = np.arange(k_first, k_last - 1, -1)
+    ki = np.maximum(pairs - 1, 0)
+    # channels with at least c pair collisions, and those past the bounce after
+    # collision c, both a prefix of y_sorted: bisect for their lengths at once
+    lo, hi = np.zeros((2, len(pairs)), int), np.full((2, len(pairs)), n)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        t_k, _, _, _, t_wall = after_collision(ki, y_sorted[np.minimum(mid, n - 1)],
+                                               x_m0, v_x0, table)
+        done = np.stack((t_k[0], t_wall[1])) <= t
+        hi = np.where(done, hi, mid)
+        lo = np.minimum(np.where(done, mid + 1, lo), hi)      # lo == hi: converged
+    collided, bounced = np.where(pairs > 0, lo, n)
+    lower = np.append(0, collided[:-1])                       # the start of c's channels
+    # a bounce comes after its collision and well before the next one, so a
+    # bounce edge lies between its count's two collision edges
+    toward_wall = (pairs > 0) & (table.v_x[1:][ki] > 0)
+    bounced = np.where(toward_wall, bounced, lower)
+    edges = np.append(0, np.stack((bounced, collided), axis=-1).ravel())
+    earlier = np.concatenate(([0], np.cumsum(table.v_x[1:] > 0)))[ki]
+    walls = np.stack((earlier + toward_wall, earlier), axis=-1).ravel()
+    return edges, np.repeat(pairs, 2), walls
+
+
+def sample_spreads(ts, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
+    """Sample standard deviations (ddof = 1) of x_m and y_m over the channels
+    y_m0 at each instant of ts: channel_kinematics' positions, summed by block.
+
+    Within a channel_blocks block x_m and y_m are affine in u = y_m0 - centre,
+    centre the median channel, with one sign of the wall fold, so a block's
+    mean and spread follow from its count and its sums of u and u^2.  The
+    channels are sorted once and those sums kept as prefix sums: O(N log N)
+    once, then O(blocks log N) per instant.  Each block's coefficients are its
+    positions (_positions) at u = 0 and u = centre.  The variance sums each block's squared
+    distance from the mean and its spread about its own mean: no cancellation
+    between blocks, so a vanishing spread stays accurate (exactly 0.0 while
+    every channel is in free flight).  Returns (sd_x, sd_y), shaped like ts.
+    """
+    y_sorted = np.sort(y_m0)
+    n = len(y_sorted)
+    if n < 2:                                                 # as np.std(ddof=1)
+        return np.full((2, len(ts)), np.nan)
+    centre = y_sorted[n // 2]
+    u = y_sorted - centre
+    s1, s2 = np.zeros((2, n + 1))
+    np.cumsum(u, out=s1[1:])
+    np.cumsum(np.square(u, out=u), out=s2[1:])
+    del u
+    refs = np.array([[centre], [2 * centre]])
+    out = np.empty((2, len(ts)))
+    for j, t in enumerate(map(float, ts)):
+        edges, pairs, _ = channel_blocks(t, y_sorted, x_m0, v_x0, table)
+        full = np.flatnonzero(np.diff(edges))                 # the non-empty blocks
+        start, stop = edges[full], edges[full + 1]
+        count, S1, S2 = stop - start, s1[stop] - s1[start], s2[stop] - s2[start]
+        x_m, y_m, _ = _positions(t, pairs[full], refs, x_m0, v_x0, table)
+        x_m[:, full % 2 == 0] *= -1                           # past the bounce: fold
+        at0, at1 = np.stack((x_m, y_m), axis=1)               # (x, y) at u = 0, centre
+        slope = (at1 - at0) / centre
+        u_mean = S1 / count
+        block_mean = at0 + slope * u_mean
+        mean = (count / n * block_mean).sum(axis=-1)
+        var = (count * (block_mean - mean[:, None]) ** 2
+               + slope * slope * (S2 - S1 * u_mean)).sum(axis=-1)
+        out[:, j] = np.sqrt(np.maximum(var / (n - 1), 0.0))
+    return out
 
 
 def channel_trajectory(y_m0: float, x_m0: float, v_x0: float,

@@ -368,6 +368,27 @@ def channel_kinematics_dense(t: float, y_m0, x_m0: float, v_x0: float, table):
     return x_m, y_m, k, walls
 
 
+def channel_event_times(y_m0, x_m0: float, v_x0: float, table) -> np.ndarray:
+    """Sorted pair-collision and wall-bounce times of the channels y_m0, each
+    bounce timed as channel_kinematics times the one after its collision."""
+    y_m0 = np.atleast_1d(np.asarray(y_m0, dtype=float))
+    pair = pair_collision_times(y_m0, x_m0, v_x0, table)
+    bounce = table.v_x[1:] > 0
+    wall = pair[:, bounce] + (y_m0[:, None] * table.positions[1:][bounce]
+                              / (v_x0 * table.v_x[1:][bounce]))
+    return np.sort(np.concatenate([pair.ravel(), wall.ravel()]))
+
+
+def monte_carlo_spreads(times, n_samples: int, seed: int, *, y_M0: float,
+                        dsigma_y0: float, x_M0: float, v_x0: float, eps: float):
+    """np.std(ddof=1) of monte_carlo_positions' x_m and y_m at each instant,
+    one instant at a time: two arrays shaped like times."""
+    spreads = [[np.std(pos, ddof=1) for pos in monte_carlo_positions(
+        [t], n_samples, seed, y_M0=y_M0, dsigma_y0=dsigma_y0, x_M0=x_M0,
+        v_x0=v_x0, eps=eps)[:2]] for t in times]
+    return np.array(spreads).reshape(-1, 2).T
+
+
 def monte_carlo_positions(times, n_samples: int, seed: int, *, y_M0: float,
                           dsigma_y0: float, x_M0: float, v_x0: float,
                           eps: float):

@@ -23,8 +23,8 @@ from qbounce.classical import (ClassicalTrajectory, collision_table, ensemble_wi
 from qbounce.cli import (ConfigError, compute_series, main, parse_config,
                          SERIES_COLUMNS)
 
-from oracles import (ensemble_at_count, events, masses_from_epsilon, pair_events,
-                     write_series_reference)
+from oracles import (channel_event_times, ensemble_at_count, events, masses_from_epsilon,
+                     monte_carlo_spreads, pair_events, write_series_reference)
 
 BASE_CONFIG = """\
 # light molecule bouncing off a heavy partner
@@ -299,8 +299,9 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     def test_monte_carlo_memory_is_per_instant(self, tmp_path):
-        # N samples reduced to two spreads per instant: no (N, instants)
-        # arrays, so 32 instants stay well below 32 doubles per sample
+        # N samples reduced to two spreads per instant: no (N, instants) or
+        # per-instant (N,) arrays.  The sorted samples and their two prefix
+        # sums peak at 5.04 doubles per sample (the bound keeps a 50% margin)
         n = 100_000
         cfg = parse_config(write_config(tmp_path, config_with(
             BASE_CONFIG, oracles=f"monte_carlo:{n}")))
@@ -311,7 +312,7 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert len(rows) == 32
-        assert peak < 32 * n * 8
+        assert peak < 7.6 * n * 8
 
     def test_manifest_echoes_config_oracles(self, tmp_path):
         cfg = write_config(tmp_path, config_with(
@@ -366,8 +367,12 @@ class TestRun:
         (config_with(DESK_CONFIG, oracles="grid:n=400000;l=30;dt=2e-3"),
          "grid MiB of fields: 17,089,929, over the limit of 1,024"),
         (config_with(DESK_CONFIG, schedule="1000000", oracles="grid:n=512;l=30;dt=2e-3"),
-         "grid steps: 500,000,000, over the limit of 20,000"),
-    ], ids=["mc-samples", "mc-sample-instants", "grid-memory", "grid-steps"])
+         "grid work in n = 512 steps: 500,000,000, over the limit of 20,000"),
+        # 5,050 steps, each costing 3.99 steps at n = 512
+        (config_with(DESK_CONFIG, schedule="10.1", oracles="grid:n=1024;l=30;dt=2e-3"),
+         "grid work in n = 512 steps: 20,161, over the limit of 20,000"),
+    ], ids=["mc-samples", "mc-sample-instants", "grid-memory", "grid-steps",
+            "grid-steps-n1024"])
     def test_oracle_work_over_its_bound_exits_before_any_work(self, tmp_path, capsys,
                                                               text, message):
         cfg = write_config(tmp_path, text)
@@ -385,7 +390,11 @@ class TestRun:
         config_with(DESK_CONFIG, schedule=",".join(f"{0.002 * k:.3f}" for k in range(1, 250)),
                     oracles="grid:n=512;l=30;dt=2e-3"),
         config_with(DESK_CONFIG, schedule="39.99", oracles="grid:n=512;l=30;dt=2e-3"),
-    ], ids=["mc-samples", "mc-sample-instants", "grid-memory", "grid-steps"])
+        # 30,000 steps at 0.56 of an n = 512 step (n = 256 never passes the
+        # resolution gate: a width is at most 1/46 of the domain)
+        config_with(DESK_CONFIG, schedule="60", oracles="grid:n=384;l=22;dt=2e-3"),
+    ], ids=["mc-samples", "mc-sample-instants", "grid-memory", "grid-steps",
+            "grid-steps-n384"])
     def test_oracle_work_just_inside_its_bound_is_admitted(self, tmp_path, text):
         parse_config(write_config(tmp_path, text))
 
@@ -926,3 +935,87 @@ def test_benchmark_reference_checks_pass(tmp_path, monkeypatch):
     errors = workloads.ReferenceChecks("arc_oracles", keys, cfg).errors(rows, manifest)
     assert set(errors) == {"event_driven_p", "rotation_law", "mc_sampling"}
     assert all(err <= 1 for err in errors.values()), errors
+
+
+def mc_samples(cfg) -> np.ndarray:
+    """The Monte Carlo oracle's initial heavy positions, drawn as compute_series draws them."""
+    dsigma_y0, _ = split_width(cfg.params)
+    return np.random.default_rng(cfg.seed).normal(cfg.params.y_M0, dsigma_y0,
+                                                  size=cfg.monte_carlo)
+
+
+def mc_spreads_at(cfg, ts):
+    """classical.sample_spreads over the oracle's samples, at instants the gate may refuse."""
+    p = cfg.params
+    return classical.sample_spreads(ts, mc_samples(cfg), p.x_M0, p.v_x0, p.table)
+
+
+def assert_mc_spreads_match(cfg, ts, sd_x, sd_y):
+    """sd_x and sd_y at ts equal np.std(ddof=1) of the per-sample positions,
+    within 1e-9 max(value, dsigma_y0)."""
+    p = cfg.params
+    dsigma_y0, _ = split_width(p)
+    want = monte_carlo_spreads(ts, cfg.monte_carlo, cfg.seed, y_M0=p.y_M0,
+                               dsigma_y0=dsigma_y0, x_M0=p.x_M0, v_x0=p.v_x0, eps=p.eps)
+    for got, w in zip((sd_x, sd_y), want):
+        assert np.all(np.abs(np.asarray(got) - w) <= 1e-9 * np.maximum(w, dsigma_y0))
+
+
+def mc_event_times(cfg) -> np.ndarray:
+    """Collision and bounce times of the first, middle and last sorted samples."""
+    y0 = np.sort(mc_samples(cfg))
+    p = cfg.params
+    return channel_event_times(y0[[0, len(y0) // 2, -1]], p.x_M0, p.v_x0, p.table)
+
+
+@settings(max_examples=30, deadline=None)
+@given(keys=admissible_configs(), samples=st.integers(2, 5000),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_monte_carlo_spreads_equal_the_per_sample_statistic(keys, samples, seed, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.cfg"
+        path.write_text(config_with("", **keys, oracles=f"monte_carlo:{samples}", seed=str(seed)))
+        cfg = parse_config(path)
+    if cfg.schedule != "auto":      # the gated instants, as a run would need them
+        cfg.schedule = [t for t in cfg.schedule if mixed_phase_gate(cfg.params, t)] or "auto"
+    rows, _ = compute_series(cfg)
+    some = sorted(set(data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                                         max_size=4))))
+    rows = [rows[i] for i in some]
+    assert_mc_spreads_match(cfg, [r["t"] for r in rows], [r["mc_dsigma_x"] for r in rows],
+                            [r["mc_dsigma_y"] for r in rows])
+    # the samples' own collision and bounce times, one ulp either side of them
+    times = mc_event_times(cfg)
+    ts = [float(f(t)) for t in data.draw(st.lists(st.sampled_from(times), min_size=1,
+                                                  max_size=3))
+          for f in (lambda t: t, lambda t: np.nextafter(t, 0), lambda t: np.nextafter(t, np.inf))]
+    assert_mc_spreads_match(cfg, ts, *mc_spreads_at(cfg, ts))
+    # before the earliest sample's first collision every x_m is x_m0 + v_x0 t
+    t = data.draw(st.floats(0.0, 0.999)) * times[0]
+    assert mc_spreads_at(cfg, [t])[0][0] == 0.0
+
+
+def test_monte_carlo_spreads_on_the_benchmark_arc(tmp_path, monkeypatch):
+    workloads = _perfbench_workloads(monkeypatch)
+    cfg = parse_config(write_config(tmp_path, workloads.config_text(
+        workloads.scenario("arc_oracles", 0))))
+    assert (cfg.monte_carlo, cfg.seed) == (200_000, 0)
+    rows, _ = compute_series(cfg)
+    assert len(rows) == 32
+    assert_mc_spreads_match(cfg, [r["t"] for r in rows], [r["mc_dsigma_x"] for r in rows],
+                            [r["mc_dsigma_y"] for r in rows])
+    times = mc_event_times(cfg)[::6]
+    ts = np.concatenate([times, np.nextafter(times, 0), np.nextafter(times, np.inf)])
+    assert_mc_spreads_match(cfg, ts, *mc_spreads_at(cfg, ts))
+
+
+def test_monte_carlo_x_spread_is_zero_before_the_first_collision(tmp_path):
+    # every channel sits at x_m0 + v_x0 t until the earliest sample collides:
+    # one block with no slope, so the spread is exactly zero, not rounding noise
+    cfg = parse_config(write_config(tmp_path, config_with(BASE_CONFIG,
+                                                          oracles="monte_carlo:10000")))
+    first = mc_event_times(cfg)[0]
+    cfg.schedule = [0.0, first / 2, math.nextafter(first, 0)]
+    rows, _ = compute_series(cfg)
+    assert [row["mc_dsigma_x"] for row in rows] == [0.0, 0.0, 0.0]
+    assert rows[0]["mc_dsigma_y"] == pytest.approx(np.std(mc_samples(cfg), ddof=1), rel=1e-12)

@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from qbounce.channels import (WIDTH_RATIO_GATE, ScenarioParams, mixed_phase_gate,
                               reference_trajectory, split_width)
-from qbounce.classical import channel_kinematics, collision_table, pair_collision_times
-from oracles import channel_kinematics_dense, masses_from_epsilon, state_at_linear_scan
+from qbounce.classical import (channel_blocks, channel_kinematics, collision_table,
+                               pair_collision_times)
+from oracles import (channel_event_times, channel_kinematics_dense, masses_from_epsilon,
+                     state_at_linear_scan)
 
 
 @st.composite
@@ -67,12 +69,8 @@ def test_mixed_phase_gate_matches_channel_counts(params, data):
     # the gate passes t exactly when the end channels agree on both counts
     ends = np.array(endpoint_offsets(params))
     table = collision_table(params.eps)
-    pair = pair_collision_times(ends, params.x_M0, params.v_x0, table)
-    bounce = table.v_x[1:] > 0
-    # the end channels' wall bounces, timed as channel_kinematics times them
-    wall = pair[:, bounce] + (ends[:, None] * table.positions[1:][bounce]
-                              / (params.v_x0 * table.v_x[1:][bounce]))
-    times = np.sort(np.concatenate([[0.0], *pair, *wall,
+    times = np.sort(np.concatenate([[0.0], channel_event_times(ends, params.x_M0,
+                                                               params.v_x0, table),
                                     reference_trajectory(params).t[1:]]))
     for _ in range(8):
         t = draw_instant(data, times)
@@ -103,18 +101,34 @@ def test_channel_kinematics_matches_dense(params, data):
     y0 = params.y_M0 + dsigma_y0 * np.linspace(-4, 4, 41)
     x0, v0 = params.x_M0, params.v_x0
     table = collision_table(params.eps)
-    pair = pair_collision_times(y0, x0, v0, table)
-    bounce = table.v_x[1:] > 0
-    # as channel_kinematics times the bounce after each collision
-    wall = pair[:, bounce] + (y0[:, None] * table.positions[1:][bounce]
-                              / (v0 * table.v_x[1:][bounce]))
-    times = np.sort(np.concatenate([[0.0], pair.ravel(), wall.ravel()]))
+    times = np.concatenate([[0.0], channel_event_times(y0, x0, v0, table)])
     for _ in range(8):
         t = draw_instant(data, times)
         got = channel_kinematics(t, y0, x0, v0, table)
         want = channel_kinematics_dense(t, y0, x0, v0, table)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=admissible_params(), data=st.data())
+def test_channel_blocks_expand_to_channel_kinematics(params, data):
+    # sorted Gaussian channels, at their own event times and between them
+    dsigma_y0, _ = split_width(params)
+    seed, n = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(1, 3000))
+    y0 = np.sort(np.random.default_rng(seed).normal(params.y_M0, dsigma_y0, n))
+    x0, v0 = params.x_M0, params.v_x0
+    table = collision_table(params.eps)
+    some = y0[data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))]
+    times = np.concatenate([[0.0], channel_event_times(np.concatenate((y0[[0, -1]], some)),
+                                                       x0, v0, table)])
+    for _ in range(8):
+        t = draw_instant(data, times)
+        edges, pairs, walls = channel_blocks(t, y0, x0, v0, table)
+        assert edges[0] == 0 and edges[-1] == n and np.all(np.diff(edges) >= 0)
+        _, _, k, w = channel_kinematics(t, y0, x0, v0, table)
+        assert np.array_equal(np.repeat(pairs, np.diff(edges)), k)
+        assert np.array_equal(np.repeat(walls, np.diff(edges)), w)
 
 
 def test_channel_kinematics_memory_linear_in_channels():
