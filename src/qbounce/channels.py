@@ -32,8 +32,7 @@ from . import classical
 from .classical import (ClassicalTrajectory, CollisionTable, channel_rotation,
                         collision_table, critical_count, ensemble_widths,
                         max_collisions)
-from .gaussian import (GaussianPacket, MassPair, QuadraticFormState,
-                       normalized, width_param)
+from .gaussian import GaussianPacket, MassPair, QuadraticFormState, width_param
 
 # widths must stay below this fraction of every relevant distance
 WIDTH_RATIO_GATE = 0.05
@@ -238,16 +237,9 @@ def _betas(params: ScenarioParams, t: float) -> tuple[complex, complex]:
     return bx, by
 
 
-def assemble_quadratic_form(e: ChannelEnsemble, params: ScenarioParams) -> QuadraticFormState:
-    """Two-particle quadratic form from the channel superposition at e.t, normalized.
-
-    The instant is not checked: propagate_ensemble gates it.
-    """
-    return normalized(channel_integral(e, params))
-
-
 def channel_integral(e: ChannelEnsemble, params: ScenarioParams) -> QuadraticFormState:
-    """Unnormalized quadratic form of the channel superposition at e.t.
+    """Unnormalized quadratic form of the channel superposition at e.t; the
+    instant is not checked (propagate_ensemble gates it).
 
     The Gaussian channel integral is done in closed form in the initial
     offset w = y_m0 - y_M0, which stays regular through the width zero at

@@ -5,8 +5,9 @@ Two independent routes are provided on purpose:
 * closed forms and exact recursions for the collision sequence, where the
   light particle's velocity is folded by the wall bounce so that speeds stay
   positive: v_x(n) = v_x0 cos(n phi), v_y(n) = v_x0 eps sin(n phi) with
-  phi = arctan(2 eps / (1 - eps^2)); collision_table holds the sequence, and
-  every run reads it, the reference trajectory included (channel_trajectory);
+  phi = arctan(2 eps / (1 - eps^2)); collision_table, the one evaluation of
+  these speeds, holds the sequence, and every run reads it, the reference
+  trajectory included (channel_trajectory);
 * an event-driven simulator with raw signed velocities and geometric event
   detection, used as the oracle everything else is checked against.
 
@@ -55,19 +56,6 @@ def critical_count(eps: float) -> float:
     return math.pi / (4 * eps)
 
 
-def closed_form_velocities(n, eps: float, v_x0: float):
-    """Folded speeds after n pair collisions: v_x0 (cos(n phi), eps sin(n phi)).
-
-    n may be fractional (continuum evaluation of the rotation law) and an
-    array; no element may exceed max_collisions(eps), beyond which the
-    folding breaks down.
-    """
-    if np.any((n < 0) | (n > max_collisions(eps))):
-        raise ValueError(f"n={n} outside [0, {max_collisions(eps)}]")
-    phi = collision_angle(eps)
-    return v_x0 * np.cos(n * phi), v_x0 * eps * np.sin(n * phi)
-
-
 @dataclass(frozen=True)
 class ClassicalState:
     """Snapshot of the pair: positions, raw signed velocities, time, pair count."""
@@ -104,7 +92,8 @@ class ClassicalTrajectory(ClassicalState):
                               v_x=self.v_x[i], v_y=self.v_y[i], t=t, n=self.n[i])
 
     def state_at(self, t: float) -> ClassicalState:
-        """states_at for one instant, with plain float and int fields."""
+        """states_at for one instant, with plain float and int fields.  No run
+        calls it; it stays because perfbench/tracer.py wraps it by name."""
         s = self.states_at(t)
         return ClassicalState(float(s.x), float(s.y), float(s.v_x), float(s.v_y), t, int(s.n))
 
@@ -202,13 +191,6 @@ def collision_table(eps: float) -> CollisionTable:
 # whole-ensemble kinematics: every channel shares the folded speed sequence,
 # so positions and times scale linearly with the initial heavy position
 # ---------------------------------------------------------------------------
-
-def pair_collision_times(y_m0, x_m0: float, v_x0: float,
-                         table: CollisionTable) -> np.ndarray:
-    """Actual times of collisions 1..K for initial heavy position(s) y_m0."""
-    y_m0 = np.asarray(y_m0, dtype=float)[..., None]
-    return after_collision(np.arange(table.count), y_m0, x_m0, v_x0, table)[0]
-
 
 def _pair_time(ki, y_m0, start, v_x0: float, table: CollisionTable):
     """Time of collision ki + 1 of the channel(s) y_m0, broadcast with ki, given
@@ -317,7 +299,7 @@ def channel_blocks(t: float, y_sorted, x_m0: float, v_x0: float, table: Collisio
 
 def sample_spreads(ts, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
     """Sample standard deviations (ddof = 1) of x_m and y_m over the channels
-    y_m0 at each instant of ts: channel_kinematics' positions, summed by block.
+    y_m0, at least two, at each instant of ts: channel_kinematics' positions, summed by block.
 
     Within a channel_blocks block x_m and y_m are affine in u = y_m0 - centre,
     centre the median channel, with one sign of the wall fold, so a block's
@@ -331,8 +313,6 @@ def sample_spreads(ts, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
     """
     y_sorted = np.sort(y_m0)
     n = len(y_sorted)
-    if n < 2:                                                 # as np.std(ddof=1)
-        return np.full((2, len(ts)), np.nan)
     centre = y_sorted[n // 2]
     u = y_sorted - centre
     s1, s2 = np.zeros((2, n + 1))

@@ -168,9 +168,9 @@ def parse_config(path) -> ScenarioConfig:
             cfg.event_driven = True
         elif name == "monte_carlo":
             count = _number(int, arg or "10000", f"{where}: monte_carlo sample count")
-            if count <= 0:
+            if count < 2:       # a sample spread (ddof = 1) needs two samples
                 raise ConfigError(f"{where}: monte_carlo sample count must be "
-                                  f"positive, got {count}")
+                                  f"at least 2, got {count}")
             cfg.monte_carlo = count
         elif name == "grid":
             cfg.grid_oracle, cfg.grid_dt = _grid_oracle(arg, params, f"{where}: grid")
@@ -336,6 +336,9 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:     # the grid's unitarity guard, the simulator's event cap
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     # made only now, so a run that fails leaves no empty output directory
     out_dir.mkdir(parents=True, exist_ok=True)
     write_series(rows, out_dir)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianPacket, MassPair, QuadraticFormState
+from .gaussian import GaussianPacket, MassPair
 
 MIN_POINTS_PER_SIGMA = 8
 MIN_POINTS_PER_WAVELENGTH = 8
@@ -100,19 +100,13 @@ class GridField:
         return float(np.sum(np.abs(self.psi) ** 2) * self.h**2)
 
 
-def _masked(psi: np.ndarray, spec: GridSpec) -> np.ndarray:
-    out = np.zeros_like(psi)
-    m = spec.domain_mask()
-    out[m] = psi[m]
-    return out
-
-
-def _normalized_field(psi: np.ndarray, spec: GridSpec, t: float) -> GridField:
-    psi = _masked(psi, spec)
+def _normalized_field(psi: np.ndarray, spec: GridSpec) -> GridField:
+    """psi zeroed off the triangle and normalized on the grid, at t = 0."""
+    psi = np.where(spec.domain_mask(), psi, 0)
     nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * spec.h**2)
     if nrm == 0:
         raise ValueError("field vanishes on the domain")
-    return GridField(psi=psi / nrm, spec=spec, t=t)
+    return GridField(psi=psi / nrm, spec=spec, t=0.0)
 
 
 def init_field(params, spec: GridSpec) -> GridField:
@@ -145,8 +139,9 @@ def check_resolution(spec: GridSpec, sigmas, p_max: float) -> None:
 
 
 def field_from_packets(px: GaussianPacket, py: GaussianPacket, spec: GridSpec,
-                       cutoff: bool = True, t: float = 0.0) -> GridField:
-    """Sample a product of packets on the triangle; optional sine cutoff."""
+                       cutoff: bool = True) -> GridField:
+    """Sample a product of packets on the triangle at t = 0; optional sine
+    cutoff (init_field's default; perfbench/tracer.py passes it by keyword)."""
     xs, ys = spec.axes()
     x = xs[:, None]
     y = ys[None, :]
@@ -156,19 +151,7 @@ def field_from_packets(px: GaussianPacket, py: GaussianPacket, spec: GridSpec,
     if cutoff:
         with np.errstate(divide="ignore", invalid="ignore"):
             psi = psi * np.sin(math.pi * np.where(y > 0, x / np.maximum(y, 1e-300), 0.0))
-    return _normalized_field(psi, spec, t)
-
-
-def field_from_state(state: QuadraticFormState, spec: GridSpec,
-                     t: float = 0.0) -> GridField:
-    """Sample a quadratic-form state on the triangle (normalized discretely)."""
-    xs, ys = spec.axes()
-    x = xs[:, None]
-    y = ys[None, :]
-    logpsi = (state.a_xx * x**2 + state.a_yy * y**2 + state.a_xy * x * y
-              + state.b_x * x + state.b_y * y)
-    psi = np.exp(logpsi - logpsi.real.max())
-    return _normalized_field(psi, spec, t)
+    return _normalized_field(psi, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -406,35 +389,12 @@ def schmidt_measures(field: GridField) -> tuple[float, float]:
     return _purity_of_gram(g), float(-np.sum(lam * np.log(lam)))
 
 
-def overlap(field: GridField, state: QuadraticFormState) -> complex:
-    """Discrete inner product with a quadratic-form state sampled on the grid."""
-    other = field_from_state(state, field.spec, t=field.t)
-    return overlap_fields(field, other)
-
-
-def overlap_fields(f1: GridField, f2: GridField) -> complex:
-    n1 = math.sqrt(float(np.sum(np.abs(f1.psi) ** 2)))
-    n2 = math.sqrt(float(np.sum(np.abs(f2.psi) ** 2)))
-    return complex(np.sum(np.conj(f1.psi) * f2.psi) / (n1 * n2))
-
-
 def marginals(field: GridField) -> tuple[np.ndarray, np.ndarray]:
     """Position densities over x and over y; each integrates to one."""
     h = field.h
     dens = np.abs(field.psi) ** 2
     total = dens.sum() * h * h
     return dens.sum(axis=1) * h / total, dens.sum(axis=0) * h / total
-
-
-def energy(field: GridField, masses: MassPair) -> float:
-    """Kinetic expectation value with one-sided zero boundaries."""
-    psi = field.psi
-    h = field.h
-    dx = (psi[1:, :] - psi[:-1, :]) / h
-    dy = (psi[:, 1:] - psi[:, :-1]) / h
-    ex = np.sum(np.abs(dx) ** 2) / (2 * masses.m_x)
-    ey = np.sum(np.abs(dy) ** 2) / (2 * masses.m_y)
-    return float((ex + ey) * h * h / field.norm_sq)
 
 
 # ---------------------------------------------------------------------------

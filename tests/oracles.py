@@ -6,26 +6,31 @@ on a grid and squaring the reduced density matrix, assembled coefficients by
 differentiating the channel integral under the integral sign.  The collision
 maps and coefficient formulas are separate copies of the laws, so a change to
 the package's one implementation cannot move its reference along with it.
+The exact single-collision transforms of packets and quadratic forms (free
+flight, wall mirror, pair-collision substitution) live here too: they are
+criterion 8's analytic reference, and no run uses them.
 """
 
+import cmath
 import csv
 import json
 import math
 import struct
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad
 
-from qbounce.channels import (ChannelEnsemble, _betas, assemble_quadratic_form,
-                              split_width)
-from qbounce.classical import (ClassicalState, channel_kinematics, closed_form_velocities,
-                               collision_table, ensemble_widths, max_collisions,
-                               pair_collision_times)
+from qbounce.channels import ChannelEnsemble, _betas, channel_integral, split_width
+from qbounce.classical import (ClassicalState, after_collision, channel_kinematics,
+                               collision_angle, collision_table, ensemble_widths,
+                               max_collisions)
 from qbounce.cli import _columns_for, _fmt
-from qbounce.gaussian import MassPair, QuadraticFormState, evaluate_packet
-from qbounce.grid import GridField, _cn_coeffs, marginals
+from qbounce.gaussian import (OVERLAP_GATE, GaussianPacket, MassPair, QuadraticFormState,
+                              collide_velocities, wall_tail_mass)
+from qbounce.grid import GridField, _cn_coeffs, _normalized_field, marginals
 
 
 def masses_from_epsilon(eps: float, m_x: float = 1.0) -> MassPair:
@@ -143,7 +148,9 @@ def ensemble_at_count(params, n, t: float) -> ChannelEnsemble:
     eps = params.eps
     dsigma_y0, _ = split_width(params)
     n_eff = min(n, params.n_max)
-    v_x, v_y = closed_form_velocities(n_eff, eps, params.v_x0)
+    # the folded speeds of collision_table, at a fractional count
+    phi = collision_angle(eps)
+    v_x, v_y = params.v_x0 * np.cos(n_eff * phi), params.v_x0 * eps * np.sin(n_eff * phi)
     y_c = collision_position_approx(n_eff, params.y_M0, eps)
     return ChannelEnsemble(
         n=n, x_center=y_c / 2, y_center=y_c,
@@ -316,7 +323,7 @@ def moments(field) -> dict:
 
 def momentum_means(state: QuadraticFormState) -> tuple[float, float]:
     """(<p_x>, <p_y>) = Im of the log-gradient at the packet centre."""
-    mx, my = state.means()
+    mx, my = means(state)
     px = (2 * state.a_xx * mx + state.a_xy * my + state.b_x).imag
     py = (2 * state.a_yy * my + state.a_xy * mx + state.b_y).imag
     return float(px), float(py)
@@ -533,33 +540,22 @@ def halfline_norm_quadrature(func, lo: float, hi: float) -> float:
     return val
 
 
+def sample_state(state: QuadraticFormState, nx: int = 400, ny: int = 400,
+                 span: float = 7.0, scaled: bool = True):
+    """Amplitudes of the state (scaled as evaluate scales them) on a grid
+    spanning +-span marginal widths."""
+    (mx, my), cov = means(state), covariance(state)
+    sx, sy = np.sqrt(cov[0, 0]), np.sqrt(cov[1, 1])
+    xs = np.linspace(mx - span * sx, mx + span * sx, nx)
+    ys = np.linspace(my - span * sy, my + span * sy, ny)
+    return xs, ys, evaluate(state, xs[:, None], ys[None, :], scaled)
+
+
 def state_norm_quadrature(state: QuadraticFormState, span: float = 10.0,
                           n_res: int = 4000) -> float:
     """Integral of |psi|^2 over the plane on a dense grid around the centre."""
-    mean = state.means()
-    cov = state.covariance()
-    sx, sy = np.sqrt(cov[0, 0]), np.sqrt(cov[1, 1])
-    xs = np.linspace(mean[0] - span * sx, mean[0] + span * sx, n_res)
-    ys = np.linspace(mean[1] - span * sy, mean[1] + span * sy, n_res)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    logpsi = (state.a_xx * X**2 + state.a_yy * Y**2 + state.a_xy * X * Y
-              + state.b_x * X + state.b_y * Y + state.log_norm)
-    dens = np.exp(2 * logpsi.real)
-    return float(np.trapezoid(np.trapezoid(dens, ys, axis=1), xs))
-
-
-def sample_state(state: QuadraticFormState, nx: int = 400, ny: int = 400,
-                 span: float = 7.0):
-    """Amplitudes of the state on a grid spanning +-span marginal widths."""
-    mean = state.means()
-    cov = state.covariance()
-    sx, sy = np.sqrt(cov[0, 0]), np.sqrt(cov[1, 1])
-    xs = np.linspace(mean[0] - span * sx, mean[0] + span * sx, nx)
-    ys = np.linspace(mean[1] - span * sy, mean[1] + span * sy, ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    logpsi = (state.a_xx * X**2 + state.a_yy * Y**2 + state.a_xy * X * Y
-              + state.b_x * X + state.b_y * Y)
-    return xs, ys, np.exp(logpsi - logpsi.real.max())
+    xs, ys, psi = sample_state(state, n_res, n_res, span, scaled=False)
+    return float(np.trapezoid(np.trapezoid(np.abs(psi) ** 2, ys, axis=1), xs))
 
 
 def purity_by_quadrature(state: QuadraticFormState, n: int = 400,
@@ -634,3 +630,191 @@ def ks_distance_to_gaussian(samples: np.ndarray) -> float:
     ecdf_hi = np.arange(1, n + 1) / n
     ecdf_lo = np.arange(0, n) / n
     return float(max(np.max(np.abs(cdf - ecdf_hi)), np.max(np.abs(cdf - ecdf_lo))))
+
+
+def pair_collision_times(y_m0, x_m0: float, v_x0: float, table) -> np.ndarray:
+    """Actual times of collisions 1..K for initial heavy position(s) y_m0."""
+    y_m0 = np.asarray(y_m0, dtype=float)[..., None]
+    return after_collision(np.arange(table.count), y_m0, x_m0, v_x0, table)[0]
+
+
+def assemble_quadratic_form(e: ChannelEnsemble, params) -> QuadraticFormState:
+    """channels.channel_integral at e.t, normalized."""
+    return normalized(channel_integral(e, params))
+
+
+# ---------------------------------------------------------------------------
+# single-collision Gaussian algebra: packets and quadratic forms transformed
+# exactly, the analytic reference of criterion 8 and of the grid tests
+# ---------------------------------------------------------------------------
+
+def free_evolve(p: GaussianPacket, dt: float) -> GaussianPacket:
+    """Advance a packet by dt of free flight (exact, norm preserving)."""
+    if dt < 0:
+        raise ValueError("dt must be non-negative")
+    if dt == 0:
+        return p
+    new_width = p.width_sq + 1j * dt / p.mass
+    # d(log N)/dt = -i/(2 m width_sq) - i p^2/(2 m), integrated in closed form
+    dlog = (-0.5 * cmath.log(new_width / p.width_sq)
+            - 0.5j * p.momentum**2 * dt / p.mass)
+    return GaussianPacket(center=p.center + p.momentum / p.mass * dt,
+                          width_sq=new_width, momentum=p.momentum,
+                          mass=p.mass, log_norm=p.log_norm + dlog)
+
+
+def wall_reflect(p: GaussianPacket) -> GaussianPacket:
+    """The reflected wave -phi(-x) of a wall-bound packet: its mirror image,
+    with the antisymmetrization sign tracked as i pi in log_norm."""
+    if p.momentum >= 0:
+        raise ValueError("packet must approach the wall (momentum < 0)")
+    return replace(p, center=-p.center, momentum=-p.momentum,
+                   log_norm=p.log_norm + 1j * math.pi)
+
+
+def evaluate_packet(p: GaussianPacket, x) -> np.ndarray:
+    """Pointwise amplitude phi(x); broadcasts over array input."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-(x - p.center) ** 2 / (2 * p.width_sq)
+                  + 1j * p.momentum * x + p.log_norm)
+
+
+def density_overlap(p1: GaussianPacket, p2: GaussianPacket) -> float:
+    """Bhattacharyya overlap of the two position densities (1 when identical)."""
+    v1, v2 = p1.density_variance, p2.density_variance
+    pref = math.sqrt(2 * math.sqrt(v1 * v2) / (v1 + v2))
+    return pref * math.exp(-(p1.center - p2.center) ** 2 / (4 * (v1 + v2)))
+
+
+def concentration_matrix(state: QuadraticFormState) -> np.ndarray:
+    """M with |psi|^2 = exp{-z^T M z + 2 Re(b).z + 2 Re log_norm}."""
+    return np.array([[-2 * complex(state.a_xx).real, -complex(state.a_xy).real],
+                     [-complex(state.a_xy).real, -2 * complex(state.a_yy).real]])
+
+
+def means(state: QuadraticFormState) -> tuple[float, float]:
+    """Position expectation values (<x>, <y>)."""
+    mu = np.linalg.solve(concentration_matrix(state), np.real([state.b_x, state.b_y]))
+    return float(mu[0]), float(mu[1])
+
+
+def covariance(state: QuadraticFormState) -> np.ndarray:
+    """Position covariance matrix of |psi|^2."""
+    return np.linalg.inv(concentration_matrix(state)) / 2
+
+
+def evaluate(state: QuadraticFormState, x, y, scaled: bool = False) -> np.ndarray:
+    """Amplitude of the quadratic-form state at (x, y), broadcast; scaled divides
+    it by its largest magnitude there.  The tests' one copy of the exponent."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    logpsi = (state.a_xx * x**2 + state.a_yy * y**2 + state.a_xy * x * y
+              + state.b_x * x + state.b_y * y + state.log_norm)
+    return np.exp(logpsi - logpsi.real.max() if scaled else logpsi)
+
+
+def log_norm_sq(state: QuadraticFormState) -> float:
+    """log of the squared L2 norm, integrated in closed form over the plane."""
+    m = concentration_matrix(state)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    v = np.real([state.b_x, state.b_y])
+    shift = float(v @ np.linalg.solve(m, v))
+    return (math.log(math.pi) - 0.5 * math.log(det) + shift
+            + 2 * complex(state.log_norm).real)
+
+
+def normalized(state: QuadraticFormState) -> QuadraticFormState:
+    """Rescale log_norm so the state has unit L2 norm."""
+    return replace(state, log_norm=state.log_norm - 0.5 * log_norm_sq(state))
+
+
+def substitute_linear(state: QuadraticFormState, mat) -> QuadraticFormState:
+    """Replace (x, y) by (a x + b y, c x + d y) inside the quadratic form."""
+    (a, b), (c, d) = mat
+    return QuadraticFormState(
+        a_xx=state.a_xx * a * a + state.a_yy * c * c + state.a_xy * a * c,
+        a_yy=state.a_xx * b * b + state.a_yy * d * d + state.a_xy * b * d,
+        a_xy=2 * state.a_xx * a * b + 2 * state.a_yy * c * d + state.a_xy * (a * d + b * c),
+        b_x=state.b_x * a + state.b_y * c,
+        b_y=state.b_x * b + state.b_y * d,
+        log_norm=state.log_norm,
+    )
+
+
+def product_form(px: GaussianPacket, py: GaussianPacket) -> QuadraticFormState:
+    """Quadratic form of the product state phi_x(x) phi_y(y)."""
+    bx2, by2 = px.width_sq, py.width_sq
+    return QuadraticFormState(
+        a_xx=-1 / (2 * bx2),
+        a_yy=-1 / (2 * by2),
+        a_xy=0.0,
+        b_x=px.center / bx2 + 1j * px.momentum,
+        b_y=py.center / by2 + 1j * py.momentum,
+        log_norm=(px.log_norm + py.log_norm
+                  - px.center**2 / (2 * bx2) - py.center**2 / (2 * by2)),
+    )
+
+
+def collision_matrix(masses: MassPair) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Substitution matrix of the hard-core pair collision in (x, y).
+
+    Flipping the relative coordinate at fixed centre of mass is the same
+    linear map as collide_velocities, so its images of (1, 0) and (0, 1) are
+    the columns; the matrix is an involution with determinant -1.
+    """
+    a, c = collide_velocities(1.0, 0.0, masses)
+    b, d = collide_velocities(0.0, 1.0, masses)
+    return (a, b), (c, d)
+
+
+def collide_gaussians(px: GaussianPacket, py: GaussianPacket,
+                      masses: MassPair, check: bool = True) -> QuadraticFormState:
+    """Two-particle state right after a hard-core collision of two packets.
+
+    Valid only between collisions: the packets must be well separated from
+    each other and from the wall (gate OVERLAP_GATE), so the instantaneous
+    coordinate-swap rule applies.  If m_x width_x^2 = m_y width_y^2 the cross
+    coefficient of the result vanishes and the state stays a product.
+    """
+    if not math.isclose(px.mass, masses.m_x) or not math.isclose(py.mass, masses.m_y):
+        raise ValueError("packet masses do not match the mass pair")
+    if check:
+        ov = density_overlap(px, py)
+        if ov > OVERLAP_GATE:
+            raise ValueError(f"packets overlap too much for an instantaneous "
+                             f"collision snapshot ({ov:.2e} > {OVERLAP_GATE:.0e})")
+        tail = max(wall_tail_mass(px), wall_tail_mass(py))
+        if tail > OVERLAP_GATE:
+            raise ValueError(f"packet tail penetrates the wall "
+                             f"({tail:.2e} > {OVERLAP_GATE:.0e})")
+    out = substitute_linear(product_form(px, py), collision_matrix(masses))
+    # antisymmetrization in the relative coordinate flips the global sign
+    return replace(out, log_norm=out.log_norm + 1j * math.pi)
+
+
+def field_from_state(state: QuadraticFormState, spec) -> GridField:
+    """A quadratic-form state sampled on the triangle, normalized on the grid."""
+    xs, ys = spec.axes()
+    return _normalized_field(evaluate(state, xs[:, None], ys[None, :], scaled=True), spec)
+
+
+def overlap(field: GridField, state: QuadraticFormState) -> complex:
+    """Discrete inner product with a quadratic-form state sampled on the grid."""
+    return overlap_fields(field, field_from_state(state, field.spec))
+
+
+def overlap_fields(f1: GridField, f2: GridField) -> complex:
+    """Discrete inner product of two fields, each divided by its norm."""
+    n1 = math.sqrt(float(np.sum(np.abs(f1.psi) ** 2)))
+    n2 = math.sqrt(float(np.sum(np.abs(f2.psi) ** 2)))
+    return complex(np.sum(np.conj(f1.psi) * f2.psi) / (n1 * n2))
+
+
+def energy(field: GridField, masses) -> float:
+    """Kinetic expectation value with one-sided zero boundaries."""
+    psi = field.psi
+    h = field.h
+    dx = (psi[1:, :] - psi[:-1, :]) / h
+    dy = (psi[:, 1:] - psi[:, :-1]) / h
+    ex = np.sum(np.abs(dx) ** 2) / (2 * masses.m_x)
+    ey = np.sum(np.abs(dy) ** 2) / (2 * masses.m_y)
+    return float((ex + ey) * h * h / field.norm_sq)

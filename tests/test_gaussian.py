@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbounce.gaussian import (GaussianPacket, MassPair, collide_gaussians,
-                              collide_velocities, collision_matrix,
-                              density_overlap, evaluate,
-                              evaluate_packet, free_evolve, log_norm_sq,
-                              normalized, product_form, substitute_linear,
-                              wall_reflect, width_param)
-from oracles import (collision_velocity_map, evaluate_with_image,
-                     halfline_norm_quadrature, momentum_means, packet_norm_quadrature,
-                     packet_norm_sq, post_collision_momenta,
-                     state_norm_quadrature)
+from qbounce.gaussian import (GaussianPacket, MassPair, QuadraticFormState, collide_velocities,
+                              width_param)
+from oracles import (collide_gaussians, collision_matrix, collision_velocity_map,
+                     density_overlap, evaluate, evaluate_packet, evaluate_with_image,
+                     free_evolve, halfline_norm_quadrature, log_norm_sq, momentum_means,
+                     normalized, packet_norm_quadrature, packet_norm_sq,
+                     post_collision_momenta, product_form, state_norm_quadrature,
+                     substitute_linear, wall_reflect)
 
 
 class TestWidthParam:
@@ -239,7 +237,6 @@ class TestCollideGaussians:
 
 class TestQuadraticFormState:
     def test_origin_value(self):
-        from qbounce.gaussian import QuadraticFormState
         st = QuadraticFormState(a_xx=-1.0, a_yy=-0.5, a_xy=0.0, b_x=0.0,
                                 b_y=0.0, log_norm=0.3 + 0.1j)
         assert evaluate(st, 0.0, 0.0) == pytest.approx(cmath.exp(0.3 + 0.1j))
@@ -263,7 +260,6 @@ class TestQuadraticFormState:
         assert state_norm_quadrature(st) == pytest.approx(1.0, abs=1e-6)
 
     def test_non_normalizable_rejected(self):
-        from qbounce.gaussian import QuadraticFormState
         with pytest.raises(ValueError):
             QuadraticFormState(a_xx=1.0, a_yy=-1.0, a_xy=0.0, b_x=0.0, b_y=0.0)
         with pytest.raises(ValueError):

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbounce.channels import ScenarioParams
-from qbounce.gaussian import (GaussianPacket, MassPair, collide_gaussians,
-                              free_evolve, normalized, product_form,
-                              wall_reflect)
+from qbounce.channels import ScenarioParams, purity_from_coefficients
+from qbounce.gaussian import GaussianPacket, MassPair
 from qbounce import grid
-from qbounce.grid import (GridSpec, evolve, energy, field_from_packets,
-                          field_from_state, init_field, load_snapshot,
-                          marginals, overlap, overlap_fields, save_snapshot,
-                          schmidt_measures, schmidt_purity, write_marginals_csv)
+from qbounce.grid import (GridSpec, evolve, field_from_packets, init_field, load_snapshot,
+                          marginals, save_snapshot, schmidt_measures, schmidt_purity,
+                          write_marginals_csv)
 
-from oracles import (cn_lines_dense, evolve_reference, moments, purity_by_full_gram,
-                     save_snapshot_reference, schmidt_by_svd, sweep_lines_reference)
+from oracles import (cn_lines_dense, collide_gaussians, energy, evolve_reference,
+                     field_from_state, free_evolve, moments, normalized, overlap,
+                     overlap_fields, product_form, purity_by_full_gram,
+                     save_snapshot_reference, schmidt_by_svd, sweep_lines_reference,
+                     wall_reflect)
 
 MASSES = MassPair(1.0, 25.0)
 DESK_SPEC = GridSpec(n=512, length=30.0)
@@ -144,7 +144,7 @@ class TestEvolve:
         f2 = evolve(f, MASSES, dt=2e-3, steps=int(t_end / 2e-3))
         pred_x = free_evolve(wall_reflect(px), t_end)
         pred_y = free_evolve(py, t_end)
-        pred = field_from_packets(pred_x, pred_y, spec, cutoff=False, t=t_end)
+        pred = field_from_packets(pred_x, pred_y, spec, cutoff=False)
         assert abs(overlap_fields(f2, pred)) >= 0.999
 
     def test_boundaries_stay_exactly_zero(self):
@@ -404,8 +404,6 @@ class TestCollisionCrossCheck:
         # half-resolution version of the desk-scale cross-validation: evolve
         # through one pair collision until the packets separate again, then
         # compare with the instantaneous-swap prediction
-        from qbounce.channels import purity_from_coefficients
-
         spec = GridSpec(n=256, length=32.0)
         px = GaussianPacket.initial(14.6, 2.5, 4.5, 1.0)
         py = GaussianPacket.initial(29.0, 0.7, 0.0, 25.0)

@@ -13,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from qbounce.channels import (WIDTH_RATIO_GATE, ScenarioParams, mixed_phase_gate,
                               reference_trajectory, split_width)
-from qbounce.classical import (channel_blocks, channel_kinematics, collision_table,
-                               pair_collision_times)
+from qbounce.classical import channel_blocks, channel_kinematics, collision_table
 from oracles import (channel_event_times, channel_kinematics_dense, masses_from_epsilon,
-                     state_at_linear_scan)
+                     pair_collision_times, state_at_linear_scan)
 
 
 @st.composite
