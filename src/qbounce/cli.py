@@ -4,9 +4,9 @@ time series plus a manifest, and compare run artifacts column by column.
 Configs are UTF-8, one `key = value` per line, `#` comments.  The keys are
 _KNOWN_KEYS; README's CLI section documents them, and a test keeps the two
 equal.  The config alone decides what `run` computes: `--out` only names the
-output directory.  Natural units (hbar = 1).  Identical configs give
-byte-identical series.csv; the manifest records config, versions, seed and
-wall-clock.
+output directory, built in a temporary one and moved into place whole.
+Natural units (hbar = 1).  Identical configs give byte-identical series.csv;
+the manifest records config, versions, seed and wall-clock.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import argparse
 import csv
 import json
 import math
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -39,7 +41,8 @@ MAX_EVENTS = 2_000_000
 MAX_MC_SAMPLES = 2_000_000
 MAX_MC_SAMPLE_INSTANTS = 500_000_000
 MAX_GRID_STEPS = 20_000     # counted at n = 512: a step costs about (n + 1)^2
-MAX_GRID_MIB = 1024         # the fields a grid run holds: (instants + 6) (n + 1)^2 complex
+MAX_GRID_MIB = 1024         # the fields a grid run holds: GRID_FIELDS (n + 1)^2 complex
+GRID_FIELDS = 9     # the stepper's five; the Schmidt measures' temporaries, up to 3.6 (README)
 
 _KNOWN_KEYS = {
     "m_x", "m_y", "x_m0", "y_m0", "sigma0x", "sigma0y", "p_x0",
@@ -54,7 +57,7 @@ class ConfigError(ValueError):
 @dataclass
 class ScenarioConfig:
     params: ScenarioParams
-    schedule: list[float] | str = "auto"
+    schedule: list[float]
     event_driven: bool = False
     monte_carlo: int = 0
     grid_oracle: grid.GridSpec | None = None
@@ -140,9 +143,10 @@ def parse_config(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: eps = {params.eps:.3g} gives up to {events:,} reference "
                           f"events, over the limit of {MAX_EVENTS:,}")
 
-    cfg = ScenarioConfig(params=params, raw=dict(raw))
     sched = raw.get("schedule", "auto").strip()
-    if sched != "auto":
+    if sched == "auto":
+        instants = channels.auto_schedule(params)
+    else:
         try:
             instants = sorted(float(s) for s in sched.split(",") if s.strip())
         except ValueError as exc:
@@ -153,7 +157,7 @@ def parse_config(path) -> ScenarioConfig:
         if bad:
             raise ConfigError(f"{path}: schedule: instants must be finite and "
                               f"non-negative, got {bad[0]!r}")
-        cfg.schedule = instants
+    cfg = ScenarioConfig(params=params, schedule=instants, raw=dict(raw))
     cfg.seed = _number(int, raw.get("seed", "0"), f"{path}: key 'seed'")
     if cfg.seed < 0:    # numpy's generators reject negative seeds
         raise ConfigError(f"{path}: key 'seed': must be non-negative, got {cfg.seed}")
@@ -178,20 +182,17 @@ def parse_config(path) -> ScenarioConfig:
             raise ConfigError(f"{where}: unknown oracle {name!r}")
     if cfg.purity_source == "grid" and cfg.grid_oracle is None:
         raise ConfigError(f"{path}: purity_source=grid requires the grid oracle")
-    if cfg.monte_carlo or cfg.grid_oracle is not None:
-        # the oracles' work grows with the schedule: an auto one is built to count it
-        schedule = channels.auto_schedule(params) if cfg.schedule == "auto" else cfg.schedule
-        cells = (cfg.grid_oracle.n + 1) ** 2 if cfg.grid_oracle is not None else 0
-        for what, need, limit in (
-                ("monte_carlo samples", cfg.monte_carlo, MAX_MC_SAMPLES),
-                ("monte_carlo samples x instants", cfg.monte_carlo * len(schedule),
-                 MAX_MC_SAMPLE_INSTANTS),
-                ("grid MiB of fields", (len(schedule) + 6) * cells * 16 / 2**20, MAX_GRID_MIB),
-                ("grid work in n = 512 steps",
-                 max(schedule) / cfg.grid_dt * (cells / 513**2) if cells else 0,
-                 MAX_GRID_STEPS)):
-            if need > limit:
-                raise ConfigError(f"{where}: {what}: {need:,.0f}, over the limit of {limit:,}")
+    cells = (cfg.grid_oracle.n + 1) ** 2 if cfg.grid_oracle is not None else 0
+    for what, need, limit in (
+            ("monte_carlo samples", cfg.monte_carlo, MAX_MC_SAMPLES),
+            ("monte_carlo samples x instants", cfg.monte_carlo * len(cfg.schedule),
+             MAX_MC_SAMPLE_INSTANTS),
+            ("grid MiB of fields", GRID_FIELDS * cells * 16 / 2**20, MAX_GRID_MIB),
+            ("grid work in n = 512 steps",
+             max(cfg.schedule) / cfg.grid_dt * (cells / 513**2) if cells else 0,
+             MAX_GRID_STEPS)):
+        if need > limit:
+            raise ConfigError(f"{where}: {what}: {need:,.0f}, over the limit of {limit:,}")
     return cfg
 
 
@@ -201,19 +202,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def compute_series(cfg: ScenarioConfig) -> tuple[list[dict], dict]:
-    """Rows for every scheduled instant plus oracle summary details.
+def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[list[dict], dict]:
+    """Rows for every scheduled instant, and the manifest's oracle details.
 
     The analytic columns come from the scalar API evaluated over the whole
     schedule at once: propagate_ensemble gates every instant and gives the
     ensembles, entanglement_report the entanglement of their (unnormalized:
     no column reads log_norm) channel integrals.  The Monte Carlo columns are
     classical.sample_spreads of the sampled channels: sorted once, then a few
-    block sums per instant.
+    block sums per instant.  The grid oracle is one propagation: each sampled
+    field is written to out_dir/snapshots at once, and only its purity kept.
     """
     params = cfg.params
-    schedule = channels.auto_schedule(params) if cfg.schedule == "auto" else list(cfg.schedule)
-    ts = np.array(schedule, dtype=float)
+    ts = np.array(cfg.schedule, dtype=float)
     dsigma_y0, _ = split_width(params)
     e = channels.propagate_ensemble(params, ts)
     rep = channels.entanglement_report(channels.channel_integral(e, params))
@@ -250,25 +251,21 @@ def compute_series(cfg: ScenarioConfig) -> tuple[list[dict], dict]:
         for row, (sd_x, sd_y) in zip(rows, spreads.T.tolist()):
             row["mc_dsigma_y"], row["mc_dsigma_x"] = sd_y, sd_x
 
-    snapshots = []
     if cfg.grid_oracle is not None:
-        f = grid.init_field(params, cfg.grid_oracle)
-        # the grid samples whole steps: up to dt/2 away from the scheduled t
-        sampled = details["grid"] = {"steps": 0, "max_t_offset": 0.0}
-        for row in rows:
-            steps = int(round((row["t"] - f.t) / cfg.grid_dt))
-            if steps > 0:
-                f = grid.evolve(f, params.masses, cfg.grid_dt, steps)
-                sampled["steps"] += steps
-            sampled["max_t_offset"] = max(sampled["max_t_offset"], abs(f.t - row["t"]))
-            snapshots.append((row["t"], f))
+        snap_dir = out_dir / "snapshots"
+        snap_dir.mkdir()
+        offset = 0.0
+        for row, f in zip(rows, grid.sample(grid.init_field(params, cfg.grid_oracle),
+                                            params.masses, cfg.grid_dt, cfg.schedule)):
+            offset = max(offset, abs(f.t - row["t"]))
+            grid.save_snapshot(f, snap_dir / f"field_t{row['t']:.6f}.bin")
+            grid.write_marginals_csv(f, snap_dir / f"marginals_t{row['t']:.6f}.csv")
             if cfg.purity_source == "grid":     # both from one Gram matrix
                 row["grid_purity"], row["schmidt_entropy"] = grid.schmidt_measures(f)
                 row["purity"] = row["grid_purity"]
             else:
                 row["grid_purity"] = grid.schmidt_purity(f)
-    details["snapshots"] = snapshots
-    details["schedule"] = schedule
+        details["grid"] = {"steps": round(f.t / cfg.grid_dt), "max_t_offset": offset}
     return rows, details
 
 
@@ -322,50 +319,49 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
-    # checked before any work: mkdir fails on a file anywhere along the path
+    # made first: an --out that cannot be made fails before any work, a failed run leaves nothing
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not existing.is_dir():
-        print(f"error: --out {out_dir}: {existing} is not a directory", file=sys.stderr)
+    try:
+        work_dir = tempfile.TemporaryDirectory(prefix=".qbounce-run-", dir=existing)
+    except OSError as exc:      # a file on the path, or no permission to write there
+        print(f"error: --out {out_dir}: {existing}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     started = time.time()
-    try:
-        rows, details = compute_series(cfg)
-    except MixedPhaseError as exc:
-        print(f"mixed-phase instant: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:     # the grid's unitarity guard, the simulator's event cap
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    # made only now, so a run that fails leaves no empty output directory
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_series(rows, out_dir)
-    snap_dir = out_dir / "snapshots"
-    for t, f in details.get("snapshots", []):
-        snap_dir.mkdir(exist_ok=True)
-        grid.save_snapshot(f, snap_dir / f"field_t{t:.6f}.bin")
-        grid.write_marginals_csv(f, snap_dir / f"marginals_t{t:.6f}.csv")
-    params = cfg.params
-    manifest = {
-        "config": cfg.raw,
-        "seed": cfg.seed,
-        "versions": {"qbounce": __version__, "numpy": np.__version__},
-        "wall_clock_s": time.time() - started,
-        "validity_figure": params.validity_figure,
-        "validity_warning": params.validity_figure < 1.0,
-        "n_max": params.n_max,
-        "n_cr": params.n_cr,
-        "schedule": details["schedule"],
-        "columns": _columns_for(rows),
-        "oracle_checks": details["oracle_checks"],
-    }
-    if "grid" in details:
-        manifest["grid"] = details["grid"]
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    with work_dir as tmp:
+        work = Path(tmp)
+        try:
+            rows, details = compute_series(cfg, work)
+        except MixedPhaseError as exc:
+            print(f"mixed-phase instant: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except RuntimeError as exc:     # the grid's unitarity guard, the simulator's event cap
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        write_series(rows, work)
+        manifest = {
+            "config": cfg.raw,
+            "seed": cfg.seed,
+            "versions": {"qbounce": __version__, "numpy": np.__version__},
+            "wall_clock_s": time.time() - started,
+            "validity_figure": cfg.params.validity_figure,
+            "validity_warning": cfg.params.validity_figure < 1.0,
+            "n_max": cfg.params.n_max,
+            "n_cr": cfg.params.n_cr,
+            "schedule": cfg.schedule,
+            "columns": _columns_for(rows),
+            **details,      # the oracle checks, and the grid's sampling
+        }
+        with open(work / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        # a rerun replaces the earlier run's outputs, snapshots included, and no other file
+        out_dir.mkdir(parents=True, exist_ok=True)
+        shutil.rmtree(out_dir / "snapshots", ignore_errors=True)
+        for part in work.iterdir():
+            part.replace(out_dir / part.name)
     print(f"wrote {len(rows)} instants to {out_dir}")
     return 0
 
@@ -452,7 +448,8 @@ def cmd_validate(args) -> int:
         return 2
     params = cfg.params
     dsigma_y0, sigma_yT = split_width(params)
-    auto = channels.auto_schedule(params)
+    auto = (cfg.schedule if cfg.raw.get("schedule", "auto").strip() == "auto"  # parse_config's
+            else channels.auto_schedule(params))
     info = {
         "epsilon": params.eps,
         "v_x0": params.v_x0,
@@ -467,8 +464,7 @@ def cmd_validate(args) -> int:
         "auto_schedule_dropped": len(channels.reference_trajectory(params).t) - len(auto),
     }
     # run gates every scheduled instant and exits 3 at the first that fails
-    schedule = np.array(auto if cfg.schedule == "auto" else cfg.schedule, dtype=float)
-    unsafe = schedule[~channels.mixed_phase_gate(params, schedule)].tolist()
+    unsafe = np.array(cfg.schedule)[~channels.mixed_phase_gate(params, cfg.schedule)].tolist()
     info["schedule_unsafe"] = len(unsafe)
     info["first_unsafe_instant"] = unsafe[0] if unsafe else "none"
     for key, value in info.items():

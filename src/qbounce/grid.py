@@ -23,7 +23,7 @@ import csv
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -328,27 +328,39 @@ class _Stepper:
         return out
 
 
-def evolve(field: GridField, masses: MassPair, dt: float, steps: int) -> GridField:
-    """Propagate the field by steps * dt; aborts if unitarity ever degrades.
+def sample(field: GridField, masses: MassPair, dt: float, times):
+    """The field at each of times, in order, from one propagation in whole
+    steps of dt: at the step nearest each instant (its t says which), and
+    valid until the next is requested.  Aborts if unitarity ever degrades.
 
     Accuracy is second order in dt and h; choose dt so the largest kinetic
     phase per step stays small (dt <~ m_x h^2 is comfortable).
     """
     stepper = _Stepper(field.spec, masses, dt)
-    psi = field.psi
+    spec, t, psi = field.spec, field.t, field.psi
+    del field           # the start is not held once the first step replaces it
     norm0 = float(np.sum(np.abs(psi) ** 2))
-    last, last_k = norm0, 0
-    for k in range(steps):
-        psi = stepper.step(psi)
-        if (k + 1) % NORM_CHECK_EVERY == 0 or k == steps - 1:
-            now = float(np.sum(np.abs(psi[_box(*stepper.window)]) ** 2))
-            drift = abs(now - last) / (norm0 * (k + 1 - last_k))
-            if not drift <= NORM_DRIFT_LIMIT:        # a NaN drift fails too
-                raise RuntimeError(
-                    f"norm drift {drift:.2e} per step exceeds "
-                    f"{NORM_DRIFT_LIMIT:.0e} at step {k + 1}: unstable configuration")
-            last, last_k = now, k + 1
-    return GridField(psi=psi if steps else psi.copy(), spec=field.spec, t=field.t + steps * dt)
+    last, last_k, k = norm0, 0, 0
+    for when in times:
+        end = k + max(0, round((when - t) / dt))
+        t += (end - k) * dt
+        for k in range(k + 1, end + 1):
+            psi = stepper.step(psi)
+            if k % NORM_CHECK_EVERY == 0 or k == end:
+                now = float(np.sum(np.abs(psi[_box(*stepper.window)]) ** 2))
+                drift = abs(now - last) / (norm0 * (k - last_k))
+                if not drift <= NORM_DRIFT_LIMIT:        # a NaN drift fails too
+                    raise RuntimeError(
+                        f"norm drift {drift:.2e} per step exceeds "
+                        f"{NORM_DRIFT_LIMIT:.0e} at step {k}: unstable configuration")
+                last, last_k = now, k
+        yield GridField(psi=psi, spec=spec, t=t)
+
+
+def evolve(field: GridField, masses: MassPair, dt: float, steps: int) -> GridField:
+    """Propagate the field by steps * dt: sample's one-instant case."""
+    f = next(sample(field, masses, dt, [field.t + steps * dt]))
+    return f if steps > 0 else replace(f, psi=f.psi.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ class TestParseConfig:
     def test_roundtrip(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         assert cfg.params.y_M0 == 50.0
-        assert cfg.schedule == "auto"
+        assert cfg.schedule == auto_schedule(cfg.params)
         assert cfg.seed == 0
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -137,7 +137,7 @@ class TestRun:
     def test_series_files_match_the_json_module_writer(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, config_with(
             BASE_CONFIG, oracles="event_driven,monte_carlo:500")))
-        rows, _ = compute_series(cfg)
+        rows, _ = compute_series(cfg, tmp_path)
         rows[1]["purity"] = math.nan
         rows[2]["mc_dsigma_x"], rows[2]["mc_dsigma_y"] = math.inf, -math.inf
         rows[3]["x_M"] = -0.0
@@ -205,22 +205,75 @@ class TestRun:
 
     def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, monkeypatch):
         # a config that parses, then an error while the series is computed
-        def fail(cfg):
+        def fail(cfg, out_dir):
             raise ValueError("state is not normalizable")
         monkeypatch.setattr(cli, "compute_series", fail)
         cfg = write_config(tmp_path)
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: state is not normalizable\n"
-        assert not (tmp_path / "o").exists()
+        assert list(tmp_path.iterdir()) == [cfg]     # no temporary directory either
 
     def test_grid_failing_part_way_exits_4(self, tmp_path, capsys, monkeypatch):
-        # any drift now trips evolve's unitarity guard, at the run's last step
+        # any drift now trips the unitarity guard, at the first instant, after
+        # its snapshot directory was made
         monkeypatch.setattr(grid, "NORM_DRIFT_LIMIT", -1.0)
         cfg = write_config(tmp_path, config_with(DESK_CONFIG, oracles="grid:n=384;l=22;dt=2e-3"))
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: norm drift ")
-        assert not (tmp_path / "o").exists()
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_grid_failing_after_writing_snapshots_leaves_nothing(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # two instants are written, then the guard trips in the third's first check
+        written = []
+
+        def save(f, path, save=grid.save_snapshot):
+            save(f, path)
+            written.append(path)
+            if len(written) == 2:
+                monkeypatch.setattr(grid, "NORM_DRIFT_LIMIT", -1.0)
+        monkeypatch.setattr(grid, "save_snapshot", save)
+        cfg = write_config(tmp_path, config_with(DESK_CONFIG, schedule="0.002,0.004,0.06",
+                                                 oracles="grid:n=384;l=22;dt=2e-3"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert " at step 25: " in capsys.readouterr().err
+        assert len(written) == 2 and not any(path.exists() for path in written)
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_rerun_replaces_the_earlier_run(self, tmp_path):
+        # a grid run, then one with another schedule into the same directory:
+        # its series, manifest and snapshots replace the first's, other files stay
+        out = tmp_path / "o"
+        for t in ("0.002", "0.004"):
+            cfg = write_config(tmp_path, config_with(DESK_CONFIG, schedule=t,
+                                                     oracles="grid:n=384;l=22;dt=2e-3"))
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+            if t == "0.002":
+                (out / "notes.txt").write_text("keep\n")
+        assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
+            "field_t0.004000.bin", "marginals_t0.004000.csv"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "notes.txt", "series.csv", "series.json", "snapshots"]
+        assert (out / "notes.txt").read_text() == "keep\n"
+        assert json.loads((out / "manifest.json").read_text())["schedule"] == [0.004]
+        assert len((out / "series.csv").read_text().splitlines()) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o", "scenario.cfg"]
+
+    def test_out_that_cannot_be_created_fails_before_any_work(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def fail(cfg, out_dir):
+            raise AssertionError("the series was computed")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(cli, "compute_series", fail)
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        out = tmp_path / "sub" / "o"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --out {out}: {tmp_path}: Permission denied\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg"]
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG + "bogus = 1\n")
@@ -288,7 +341,7 @@ class TestRun:
         assert capsys.readouterr().err == err
 
     def test_out_naming_a_file_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
-        def fail(cfg):
+        def fail(cfg, out_dir):
             raise AssertionError("the series was computed")
         monkeypatch.setattr(cli, "compute_series", fail)
         taken = tmp_path / "taken"
@@ -296,7 +349,7 @@ class TestRun:
         for out in (taken, taken / "sub"):
             assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert err == f"error: --out {out}: {taken} is not a directory\n"
+            assert err == f"error: --out {out}: {taken}: Not a directory\n"
         assert taken.read_text() == "keep\n"
 
     @pytest.mark.parametrize("command", ["run", "validate"])
@@ -317,7 +370,7 @@ class TestRun:
             BASE_CONFIG, oracles=f"monte_carlo:{n}")))
         tracemalloc.start()
         try:
-            rows, _ = compute_series(cfg)
+            rows, _ = compute_series(cfg, tmp_path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -363,9 +416,10 @@ class TestRun:
                 f"config error: {cfg}: eps = 1e-07 gives up to 15,707,964 reference events, "
                 f"over the limit of {cli.MAX_EVENTS:,}\n")
         assert not out.exists()
-        # eps = 7.9e-7 (up to 1,986,918 events) is just inside the limit
+        # eps = 7.9e-7 (up to 1,986,918 events) is just inside the limit; an
+        # explicit schedule needs no table, where an auto one is built in parsing
         assert parse_config(write_config(tmp_path, config_with(
-            BASE_CONFIG, m_y="1.6e12", p_x0="4000.0"))).params.n_max == 993458
+            BASE_CONFIG, m_y="1.6e12", p_x0="4000.0", schedule="0.1"))).params.n_max == 993458
 
     @pytest.mark.parametrize("text, message", [
         (config_with(BASE_CONFIG, oracles="monte_carlo:1000000000000"),
@@ -375,7 +429,7 @@ class TestRun:
                      oracles="monte_carlo:319000"),
          "monte_carlo samples x instants: 501,149,000, over the limit of 500,000,000"),
         (config_with(DESK_CONFIG, oracles="grid:n=400000;l=30;dt=2e-3"),
-         "grid MiB of fields: 17,089,929, over the limit of 1,024"),
+         "grid MiB of fields: 21,972,766, over the limit of 1,024"),
         (config_with(DESK_CONFIG, schedule="1000000", oracles="grid:n=512;l=30;dt=2e-3"),
          "grid work in n = 512 steps: 500,000,000, over the limit of 20,000"),
         # 5,050 steps, each costing 3.99 steps at n = 512
@@ -396,9 +450,8 @@ class TestRun:
         config_with(BASE_CONFIG, oracles="monte_carlo:2000000"),
         config_with(BASE_CONFIG, m_y="1e6", sigma0y="0.005", p_x0="4000.0",
                     oracles="monte_carlo:318000"),
-        # 249 instants, one step apart, and 6 working fields: 1,023.9 MiB
-        config_with(DESK_CONFIG, schedule=",".join(f"{0.002 * k:.3f}" for k in range(1, 250)),
-                    oracles="grid:n=512;l=30;dt=2e-3"),
+        # cli.GRID_FIELDS fields at n = 2729: 1,023.5 MiB, whatever the instant count
+        config_with(DESK_CONFIG, oracles="grid:n=2729;l=30;dt=2e-3"),
         config_with(DESK_CONFIG, schedule="39.99", oracles="grid:n=512;l=30;dt=2e-3"),
         # 30,000 steps at 0.56 of an n = 512 step (n = 256 never passes the
         # resolution gate: a width is at most 1/46 of the domain)
@@ -439,7 +492,7 @@ class TestRun:
         cfg = parse_config(write_config(tmp_path, BASE_CONFIG.replace(
             "p_x0     = 190.0", "p_x0     = 191.0")))
         collision_table.cache_clear()
-        rows, _ = compute_series(cfg)
+        rows, _ = compute_series(cfg, tmp_path)
         info = collision_table.cache_info()
         assert len(rows) == 32
         assert info.misses <= 1
@@ -481,7 +534,7 @@ class TestRun:
         monkeypatch.setattr(channels, "propagate_ensemble", counted_propagate)
         monkeypatch.setattr(ClassicalTrajectory, "state_at", per_instant)
         collision_table.cache_clear()
-        rows, _ = compute_series(cfg)
+        rows, _ = compute_series(cfg, tmp_path)
         assert len(rows) == 15708
         assert propagate_calls == [15708]
         assert len(gate_calls) <= 2
@@ -700,6 +753,27 @@ seed     = 0
         assert block["steps"] == 50
         assert 0 <= block["max_t_offset"] <= 1e-15
 
+    def test_memory_does_not_grow_with_the_schedule(self, tmp_path):
+        # each sampled field is written and dropped: 12 one-step instants peak
+        # within one field of 2, and under the cli.GRID_FIELDS the bound counts
+        field = 385**2 * 16
+        peaks = []
+        for k in (2, 12):
+            cfg = parse_config(write_config(tmp_path, config_with(
+                DESK_CONFIG, schedule=",".join(f"{0.002 * i:.3f}" for i in range(1, k + 1)),
+                oracles="grid:n=384;l=22;dt=2e-3", purity_source="grid")))
+            out = tmp_path / f"out{k}"
+            out.mkdir()
+            tracemalloc.start()
+            try:
+                rows, _ = compute_series(cfg, out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(rows) == len(list((out / "snapshots").glob("field_t*.bin"))) == k
+        assert peaks[1] < peaks[0] + field
+        assert peaks[1] < cli.GRID_FIELDS * field
+
     def test_cross_oracle_compare(self, tmp_path):
         # same schedule, purity from the analytic pipeline in one run and
         # from the grid oracle in the other; compare stays within 0.05
@@ -876,15 +950,15 @@ def test_series_equals_the_scalar_api(keys):
         path = Path(tmp) / "scenario.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         cfg = parse_config(path)
-    params = cfg.params
-    try:
-        rows, _ = compute_series(cfg)
-    except MixedPhaseError as err:
-        # the series stops where the scalar API stops, with the same diagnosis
-        with pytest.raises(MixedPhaseError, match=re.escape(str(err))):
-            propagate_ensemble(params, err.t)
-        assert all(channels.mixed_phase_gate(params, t) for t in cfg.schedule if t < err.t)
-        return
+        params = cfg.params
+        try:
+            rows, _ = compute_series(cfg, Path(tmp))
+        except MixedPhaseError as err:
+            # the series stops where the scalar API stops, with the same diagnosis
+            with pytest.raises(MixedPhaseError, match=re.escape(str(err))):
+                propagate_ensemble(params, err.t)
+            assert all(channels.mixed_phase_gate(params, t) for t in cfg.schedule if t < err.t)
+            return
     dsigma_y0, _ = split_width(params)
     for row in rows:
         e = propagate_ensemble(params, row["t"])
@@ -986,9 +1060,10 @@ def test_monte_carlo_spreads_equal_the_per_sample_statistic(keys, samples, seed,
         path = Path(tmp) / "scenario.cfg"
         path.write_text(config_with("", **keys, oracles=f"monte_carlo:{samples}", seed=str(seed)))
         cfg = parse_config(path)
-    if cfg.schedule != "auto":      # the gated instants, as a run would need them
-        cfg.schedule = [t for t in cfg.schedule if mixed_phase_gate(cfg.params, t)] or "auto"
-    rows, _ = compute_series(cfg)
+        # the gated instants, as a run would need them
+        cfg.schedule = ([t for t in cfg.schedule if mixed_phase_gate(cfg.params, t)]
+                        or auto_schedule(cfg.params))
+        rows, _ = compute_series(cfg, Path(tmp))
     some = sorted(set(data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
                                          max_size=4))))
     rows = [rows[i] for i in some]
@@ -1010,7 +1085,7 @@ def test_monte_carlo_spreads_on_the_benchmark_arc(tmp_path, monkeypatch):
     cfg = parse_config(write_config(tmp_path, workloads.config_text(
         workloads.scenario("arc_oracles", 0))))
     assert (cfg.monte_carlo, cfg.seed) == (200_000, 0)
-    rows, _ = compute_series(cfg)
+    rows, _ = compute_series(cfg, tmp_path)
     assert len(rows) == 32
     assert_mc_spreads_match(cfg, [r["t"] for r in rows], [r["mc_dsigma_x"] for r in rows],
                             [r["mc_dsigma_y"] for r in rows])
@@ -1026,6 +1101,6 @@ def test_monte_carlo_x_spread_is_zero_before_the_first_collision(tmp_path):
                                                           oracles="monte_carlo:10000")))
     first = mc_event_times(cfg)[0]
     cfg.schedule = [0.0, first / 2, math.nextafter(first, 0)]
-    rows, _ = compute_series(cfg)
+    rows, _ = compute_series(cfg, tmp_path)
     assert [row["mc_dsigma_x"] for row in rows] == [0.0, 0.0, 0.0]
     assert rows[0]["mc_dsigma_y"] == pytest.approx(np.std(mc_samples(cfg), ddof=1), rel=1e-12)

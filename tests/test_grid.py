@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from qbounce.channels import ScenarioParams, purity_from_coefficients
 from qbounce.gaussian import GaussianPacket, MassPair
 from qbounce import grid
 from qbounce.grid import (GridSpec, evolve, field_from_packets, init_field, load_snapshot,
-                          marginals, save_snapshot, schmidt_measures, schmidt_purity,
+                          marginals, sample, save_snapshot, schmidt_measures, schmidt_purity,
                           write_marginals_csv)
 
 from oracles import (cn_lines_dense, collide_gaussians, energy, evolve_reference,
@@ -156,6 +157,25 @@ class TestEvolve:
         assert np.all(f.psi[outside] == 0)
 
 
+    def test_one_propagation_samples_what_separate_calls_give(self):
+        # instants 1, 29 (past a unitarity check), 0 and 10 steps apart, the
+        # last between two steps: bit for bit the fields and times of evolve
+        # calls chained from the same start
+        spec = GridSpec(n=128, length=12.0)
+        px = GaussianPacket.initial(3.5, 0.8, 1.5, 1.0)
+        py = GaussianPacket.initial(9.0, 0.5, 0.0, 25.0)
+        start = field_from_packets(px, py, spec)
+        dt = 2e-3
+        want, f = [], start
+        for steps in (1, 29, 0, 10):
+            f = evolve(f, MASSES, dt, steps)
+            want.append(f)
+        got = sample(start, MASSES, dt, [dt, 30 * dt, 30 * dt, 40.4 * dt])
+        for f, w in zip(got, want, strict=True):     # each compared before the next step
+            assert f.t == w.t
+            assert np.array_equal(f.psi, w.psi)
+        assert np.abs(start.psi).max() > 0           # the start is left as it was
+
     def test_nan_amplitude_fails_the_unitarity_guard(self):
         # a NaN drift compares false with the limit, so it must not pass it
         spec = GridSpec(n=64, length=8.0)
@@ -263,6 +283,20 @@ class TestSchmidtPurity:
         assert purity == schmidt_purity(f)
         assert purity == pytest.approx(purity_by_full_gram(f.psi), rel=1e-14)
         assert entropy == pytest.approx(schmidt_by_svd(f.psi)[1], rel=1e-7)
+
+    def test_temporaries_stay_under_four_fields(self):
+        # cli.GRID_FIELDS counts them on top of the stepper's five fields: a
+        # field that fills the triangle takes |psi|, a mask, its cropped copy,
+        # that copy's conjugate and the Gram matrix, 3.56 fields as n grows
+        spec = GridSpec(n=256, length=10.0)
+        f = grid.GridField(psi=random_triangle_field(spec), spec=spec, t=0.0)
+        tracemalloc.start()
+        try:
+            schmidt_measures(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6 * f.psi.nbytes
 
     def test_product_field(self):
         spec = GridSpec(n=128, length=12.0)
