@@ -3,12 +3,13 @@
 The hard wall and the hard-core contact are Dirichlet boundaries: the grid is
 square so the contact line x = y passes exactly through nodes, which are
 pinned to zero together with x = 0 and y = L.  Time stepping is a Strang
-split of Crank-Nicolson half steps per direction; each 1D solve is a Cayley
-transform of a Hermitian tridiagonal operator on its row/column segment, so
-the step is unitary in the discrete norm.  Its errors are O(dt^2) splitting,
-O(h^2) dispersion and the truncation to the field's support window, which
-drops only amplitudes below about SUPPORT_CUTOFF * max|psi| (bound next to
-the constant).
+splitting of Crank-Nicolson sweeps with its half steps on y: K steps run as
+Y(dt/2) [X(dt) Y(dt)]^(K-1) X(dt) Y(dt/2), K x sweeps and K + 1 y sweeps.
+Each 1D solve is a Cayley transform of a Hermitian tridiagonal operator on
+its row/column segment, so every sweep is unitary in the discrete norm.  The
+errors are O(dt^2) splitting, O(h^2) dispersion and the truncation to the
+field's support window, which drops only amplitudes below about
+SUPPORT_CUTOFF * max|psi| (bound next to the constant).
 
 Every x-segment starts at the wall node i = 1, so one Thomas elimination along
 axis 0 solves them all at once; the anti-diagonal mirror (x, y) -> (L - y,
@@ -43,15 +44,16 @@ NORM_CHECK_EVERY = 25        # steps between two unitarity checks
 #   (about 1e-16 s_max^2 in each squared singular value).
 # - Step.  A step sweeps only the bounding box of the amplitudes at or above
 #   the cutoff, padded along each sweep's axis by the M cells with
-#   |cp|^M < SUPPORT_CUTOFF, cp being the elimination factor, which damps a
-#   line's solution by |cp| per cell.  A sweep thus drops the input outside
-#   the window and the solution's continuation past it, each amplitude below
-#   about SUPPORT_CUTOFF * max|psi|: ||E||_F <~ 2 (n + 1) SUPPORT_CUTOFF
-#   max|psi| per sweep.  The sweeps are unitary, so these errors add up over
-#   the steps without growing: after K steps the field is within about
-#   6 K (n + 1) SUPPORT_CUTOFF ||psi|| of the whole-triangle step (1.2e-13
-#   ||psi|| after criterion 8's 4,000 steps at n = 512).  Measured on the
-#   desk field at n = 512: 1.2e-25 max|psi| after 60 steps.
+#   |cp|^M < SUPPORT_CUTOFF, cp being the elimination factor of the axis's
+#   full step (a half step's damps faster), which damps a line's solution by
+#   |cp| per cell.  A sweep thus drops the input outside the window and the
+#   solution's continuation past it, each amplitude below about
+#   SUPPORT_CUTOFF * max|psi|: ||E||_F <~ 2 (n + 1) SUPPORT_CUTOFF max|psi|
+#   per sweep.  The sweeps are unitary, so these errors add up over the
+#   2 K + 1 sweeps of K steps without growing: the field is within about
+#   2 (2 K + 1) (n + 1) SUPPORT_CUTOFF ||psi|| of the whole-triangle steps
+#   (8.2e-14 ||psi|| after criterion 8's 4,000 steps at n = 512).  Measured
+#   on the desk field at n = 512: 1.2e-25 max|psi| after 60 steps.
 SUPPORT_CUTOFF = 1e-20
 
 _SNAP_MAGIC = b"QBGRID1\x00"
@@ -239,17 +241,29 @@ def _sweep_lines(psi, gamma, cp, inv, out, d, row, rows, cols):
     d[box] += ws
     d[r0 - 1, c0:c1] = 0
     out[r0:r1 + 1, c0:c1] = 0
-    for i in rows:
-        s = max(i + 1, c0)
-        di, r = d[i, s:c1], row[:c1 - s]
-        np.multiply(a, d[i - 1, s:c1], out=r)
+    # rows before `split` lie wholly left of cols, so each of their segments
+    # starts at c0 and they run as row views of the block; row i of the rest
+    # starts at column i + 1
+    split = min(c0, r1)
+    blk, r = d[r0 - 1:split, c0:c1], row[:c1 - c0]
+    for prev, di, f in zip(blk, blk[1:], inv[r0:split]):
+        np.multiply(a, prev, out=r)
+        np.subtract(di, r, out=r)
+        np.multiply(r, f, out=di)
+    for i in range(split, r1):
+        di, r = d[i, i + 1:c1], row[:c1 - i - 1]
+        np.multiply(a, d[i - 1, i + 1:c1], out=r)
         np.subtract(di, r, out=r)
         np.multiply(r, inv[i], out=di)
-    for i in reversed(rows):
-        s = max(i + 1, c0)
-        r = row[:c1 - s]
-        np.multiply(cp[i], out[i + 1, s:c1], out=r)
-        np.subtract(d[i, s:c1], r, out=out[i, s:c1])
+    for i in range(r1 - 1, split - 1, -1):
+        r = row[:c1 - i - 1]
+        np.multiply(cp[i], out[i + 1, i + 1:c1], out=r)
+        np.subtract(d[i, i + 1:c1], r, out=out[i, i + 1:c1])
+    blk, r = out[r0:split + 1, c0:c1], row[:c1 - c0]
+    for nxt, oi, di, c in zip(blk[:0:-1], blk[-2::-1], d[r0:split, c0:c1][::-1],
+                              cp[r0:split][::-1]):
+        np.multiply(c, nxt, out=r)
+        np.subtract(di, r, out=oi)
 
 
 def _reflect(psi):
@@ -266,10 +280,11 @@ class _Stepper:
         if dt <= 0:
             raise ValueError("dt must be positive")
         h = spec.h
-        gx = dt / (8 * masses.m_x * h * h)   # half step in x
+        gx = dt / (4 * masses.m_x * h * h)   # full step in x
         gy = dt / (4 * masses.m_y * h * h)   # full step in y
         self.x = (gx, *_cn_coeffs(gx, spec.n))
         self.y = (gy, *_cn_coeffs(gy, spec.n))
+        self.y_half = (gy / 2, *_cn_coeffs(gy / 2, spec.n))
         self.pad = (_margin(self.x[1]), _margin(self.y[1]))   # rows, columns
         self.n = spec.n
         self.window = _triangle(spec.n)      # where the next input may be nonzero
@@ -278,7 +293,8 @@ class _Stepper:
         self.work = (np.empty(shape, dtype=complex), np.empty(spec.n + 1, dtype=complex))
         self.swept = np.empty(shape, dtype=complex)
         self.mirrored = np.empty(shape, dtype=complex)
-        # the steps' outputs, used in turn; the one not holding the field is zero
+        # the steps' outputs, used in turn; the one not holding the field is
+        # zero but for the last close's copy (see close)
         self.fields = (np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
 
     def support_window(self, psi: np.ndarray) -> tuple[range, range]:
@@ -298,33 +314,52 @@ class _Stepper:
         c0 = max(cols.start + hit_c.start - pad_c, r0 + 1)
         return range(r0, r1), range(c0, c1)
 
-    def _mirror_swept(self, rows: range, cols: range) -> None:
-        """mirrored = the reflection of swept on the window, with the zero
+    def _mirror_in(self, src: np.ndarray, rows: range, cols: range) -> None:
+        """mirrored = the reflection of src on the window, with the zero
         rows either side that the next sweep reads."""
         box = _box(rows, cols)
-        self.mirrored[box] = _reflect(self.swept)[box]
+        self.mirrored[box] = _reflect(src)[box]
         self.mirrored[rows.start - 1, box[1]] = 0
         self.mirrored[rows.stop, box[1]] = 0
 
-    def step(self, psi: np.ndarray) -> np.ndarray:
-        """One Strang step of psi, which must vanish outside self.window,
-        over its support window.
+    def _sweep_y(self, psi: np.ndarray, y, win: tuple[range, range]) -> None:
+        """swept = the sweep of psi along y with coefficients y on win,
+        mirrored: through the reflection, on the mirror of win."""
+        mir = _mirror(win, self.n)
+        self._mirror_in(psi, *mir)
+        _sweep_lines(self.mirrored, *y, self.swept, *self.work, *mir)
+
+    def step(self, psi: np.ndarray, y) -> np.ndarray:
+        """X(dt) Y psi over the support window of psi, which must vanish
+        outside self.window; y is self.y, or self.y_half to open a run.
 
         The result is one of self.fields and vanishes outside the new
         self.window.  A psi that is the other one is zeroed for the step
         after, so a result stays valid until the next step; any other psi is
         left as it is."""
         win = self.support_window(psi)
-        mir = _mirror(win, self.n)
         out = self.fields[psi is self.fields[0]]
-        _sweep_lines(psi, *self.x, self.swept, *self.work, *win)
-        self._mirror_swept(*mir)
-        _sweep_lines(self.mirrored, *self.y, self.swept, *self.work, *mir)
-        self._mirror_swept(*win)
+        self._sweep_y(psi, y, win)
+        self._mirror_in(self.swept, *win)
         _sweep_lines(self.mirrored, *self.x, out, *self.work, *win)
         if any(psi is f for f in self.fields):    # zero again, for the step after next
             psi[_box(*self.window)] = 0
         self.window = win
+        return out
+
+    def close(self, psi: np.ndarray) -> np.ndarray:
+        """Y(dt/2) psi, psi one of self.fields, written into the other; psi
+        is left as it is.
+
+        The copy lies in the box of the support window of psi.  The next
+        step of psi sweeps that same window into the same buffer, and its x
+        sweep overwrites the whole box, so the buffer is zero again outside
+        the new field: closing adds no field buffer."""
+        win = self.support_window(psi)
+        out = self.fields[psi is self.fields[0]]
+        self._sweep_y(psi, self.y_half, win)
+        box = _box(*win)
+        out[box] = _reflect(self.swept)[box]
         return out
 
 
@@ -332,6 +367,15 @@ def sample(field: GridField, masses: MassPair, dt: float, times):
     """The field at each of times, in order, from one propagation in whole
     steps of dt: at the step nearest each instant (its t says which), and
     valid until the next is requested.  Aborts if unitarity ever degrades.
+
+    K steps run as Y(dt/2) [X(dt) Y(dt)]^(K-1) X(dt) Y(dt/2), X and Y the
+    Crank-Nicolson sweeps along x and y: a Strang splitting with its half
+    steps on y.  A y sweep loops over the window's columns and an x sweep
+    over its rows, so the half steps cost least on fields narrower in y than
+    in x, as the heavy particle makes them.  The propagation carries the
+    field before its closing Y(dt/2) across the whole schedule, and each
+    sampled field is that closing applied to a copy, so sampling leaves the
+    later fields as they are.  A zero-step instant yields the start field.
 
     Accuracy is second order in dt and h; choose dt so the largest kinetic
     phase per step stays small (dt <~ m_x h^2 is comfortable).
@@ -345,7 +389,7 @@ def sample(field: GridField, masses: MassPair, dt: float, times):
         end = k + max(0, round((when - t) / dt))
         t += (end - k) * dt
         for k in range(k + 1, end + 1):
-            psi = stepper.step(psi)
+            psi = stepper.step(psi, stepper.y if k > 1 else stepper.y_half)
             if k % NORM_CHECK_EVERY == 0 or k == end:
                 now = float(np.sum(np.abs(psi[_box(*stepper.window)]) ** 2))
                 drift = abs(now - last) / (norm0 * (k - last_k))
@@ -354,7 +398,7 @@ def sample(field: GridField, masses: MassPair, dt: float, times):
                         f"norm drift {drift:.2e} per step exceeds "
                         f"{NORM_DRIFT_LIMIT:.0e} at step {k}: unstable configuration")
                 last, last_k = now, k
-        yield GridField(psi=psi, spec=spec, t=t)
+        yield GridField(psi=stepper.close(psi) if k else psi, spec=spec, t=t)
 
 
 def evolve(field: GridField, masses: MassPair, dt: float, steps: int) -> GridField:

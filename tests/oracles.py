@@ -482,20 +482,23 @@ def sweep_lines_reference(psi, gamma, cp, inv):
 
 
 def evolve_reference(field, masses, dt: float, steps: int):
-    """grid.evolve before support windows: the Strang step X(dt/2) Y(dt)
-    X(dt/2) over the whole triangle, each sweep by sweep_lines_reference, the
-    y sweep between two (x, y) -> (L - y, L - x) mirrors.  No norm guard."""
+    """grid.evolve before support windows: the Strang splitting Y(dt/2)
+    [X(dt) Y(dt)]^(steps-1) X(dt) Y(dt/2) over the whole triangle, each sweep
+    by sweep_lines_reference, each y sweep between two (x, y) -> (L - y,
+    L - x) mirrors.  No norm guard."""
     h = field.h
-    coeffs = []
-    for gamma in (dt / (8 * masses.m_x * h * h), dt / (4 * masses.m_y * h * h)):
-        cp, inv = _cn_coeffs(gamma, field.spec.n)
-        coeffs.append((gamma, np.array(cp), np.array(inv)))
-    (gx, cpx, invx), (gy, cpy, invy) = coeffs
+    gx, gy = dt / (4 * masses.m_x * h * h), dt / (4 * masses.m_y * h * h)
+    x, y, y_half = ((g, *map(np.array, _cn_coeffs(g, field.spec.n))) for g in (gx, gy, gy / 2))
+
+    def sweep_y(psi, coeffs):
+        mirrored = np.ascontiguousarray(psi[::-1, ::-1].T)
+        return np.ascontiguousarray(sweep_lines_reference(mirrored, *coeffs)[::-1, ::-1].T)
+
     psi = field.psi
-    for _ in range(steps):
-        psi = sweep_lines_reference(psi, gx, cpx, invx)
-        psi = sweep_lines_reference(np.ascontiguousarray(psi[::-1, ::-1].T), gy, cpy, invy)
-        psi = sweep_lines_reference(np.ascontiguousarray(psi[::-1, ::-1].T), gx, cpx, invx)
+    for k in range(steps):
+        psi = sweep_lines_reference(sweep_y(psi, y if k else y_half), *x)
+    if steps:
+        psi = sweep_y(psi, y_half)
     return GridField(psi=psi, spec=field.spec, t=field.t + steps * dt)
 
 

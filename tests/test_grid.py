@@ -99,7 +99,6 @@ class TestInitField:
 
 
 class TestEvolve:
-    @pytest.mark.slow
     def test_free_packet_follows_exact_law(self):
         # drift and ballistic spreading against the closed-form packet
         spec = GridSpec(n=320, length=18.0)
@@ -157,24 +156,41 @@ class TestEvolve:
         assert np.all(f.psi[outside] == 0)
 
 
-    def test_one_propagation_samples_what_separate_calls_give(self):
-        # instants 1, 29 (past a unitarity check), 0 and 10 steps apart, the
-        # last between two steps: bit for bit the fields and times of evolve
-        # calls chained from the same start
+    def test_each_sampled_field_is_one_evolve_from_the_start(self):
+        # instants 0, 1, 29 (past a unitarity check), 0 and 10 steps apart,
+        # the last between two steps: bit for bit the field of one evolve
+        # call over the instant's total step count.  Each closing Y(dt/2)
+        # acts on a copy, so sampling at the earlier instants leaves the later
+        # fields as they are; a zero-step instant yields the start field
         spec = GridSpec(n=128, length=12.0)
         px = GaussianPacket.initial(3.5, 0.8, 1.5, 1.0)
         py = GaussianPacket.initial(9.0, 0.5, 0.0, 25.0)
         start = field_from_packets(px, py, spec)
+        before = start.psi.copy()
         dt = 2e-3
-        want, f = [], start
-        for steps in (1, 29, 0, 10):
-            f = evolve(f, MASSES, dt, steps)
-            want.append(f)
-        got = sample(start, MASSES, dt, [dt, 30 * dt, 30 * dt, 40.4 * dt])
-        for f, w in zip(got, want, strict=True):     # each compared before the next step
-            assert f.t == w.t
-            assert np.array_equal(f.psi, w.psi)
-        assert np.abs(start.psi).max() > 0           # the start is left as it was
+        got = sample(start, MASSES, dt, [0.0, dt, 30 * dt, 30 * dt, 40.4 * dt])
+        for f, steps in zip(got, (0, 1, 30, 30, 40), strict=True):
+            want = evolve(start, MASSES, dt, steps)     # before the next step
+            assert f.t == pytest.approx(want.t, rel=1e-15, abs=0)
+            assert f.psi.tobytes() == want.psi.tobytes()
+        assert np.array_equal(start.psi, before)      # the start is left as it was
+
+    def test_closing_a_sampled_field_allocates_no_field(self):
+        # the stepper's five fields, then |psi|^2 of the start for the norm
+        # guard: 5.6 fields, with a closing at every step or at one.  Each
+        # closing writes the output buffer that the next step overwrites; a
+        # sixth buffer for it would add a field
+        start = init_field(compliant_params(), GridSpec(n=384, length=22.0))
+        field = start.psi.nbytes
+        for k in (1, 12):
+            tracemalloc.start()
+            try:
+                for _ in sample(start, MASSES, 2e-3, [2e-3 * i for i in range(1, k + 1)]):
+                    pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 5.7 * field
 
     def test_nan_amplitude_fails_the_unitarity_guard(self):
         # a NaN drift compares false with the limit, so it must not pass it
@@ -199,7 +215,6 @@ class TestSupportWindow:
         p = compliant_params()
         assert_matches_whole_triangle_steps(init_field(p, DESK_SPEC), dt=2e-3, steps=60)
 
-    @pytest.mark.slow
     @settings(max_examples=25, deadline=None)
     @given(case=resolved_packet_pairs())
     @example(case=(                 # the fastest light packet the grid resolves
@@ -433,7 +448,6 @@ class TestSnapshotRoundTrip:
 
 
 class TestCollisionCrossCheck:
-    @pytest.mark.slow
     def test_reduced_desk_collision_against_analytic(self):
         # half-resolution version of the desk-scale cross-validation: evolve
         # through one pair collision until the packets separate again, then
