@@ -157,6 +157,9 @@ class CollisionTable:
     positions: np.ndarray   # shape (K+1,), positions[0] = 1
     v_x: np.ndarray         # folded speeds after collision k
     v_y: np.ndarray
+    gaps: np.ndarray        # shape (K,), times[1:] - times[1]: collision k+1 after collision 1
+    walls: np.ndarray       # shape (K+1,), the wall bounces after collisions 1 ... k:
+                            # one after each whose folded v_x > 0
 
     @property
     def count(self) -> int:
@@ -182,9 +185,12 @@ def collision_table(eps: float) -> CollisionTable:
     pos = np.concatenate(([1.0], np.cumprod((v_x[:count] + v_y[:count]) / closing)))
     times = np.concatenate(([0.0], np.cumsum(2 * pos[:count] / closing)))
     v_x, v_y = v_x[:count + 1], v_y[:count + 1]
-    for arr in (times, pos, v_x, v_y):
+    gaps = times[1:] - times[1]
+    walls = np.concatenate(([0], np.cumsum(v_x[1:] > 0)))
+    for arr in (times, pos, v_x, v_y, gaps, walls):
         arr.flags.writeable = False
-    return CollisionTable(eps=eps, times=times, positions=pos, v_x=v_x, v_y=v_y)
+    return CollisionTable(eps=eps, times=times, positions=pos, v_x=v_x, v_y=v_y,
+                          gaps=gaps, walls=walls)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +201,7 @@ def collision_table(eps: float) -> CollisionTable:
 def _pair_time(ki, y_m0, start, v_x0: float, table: CollisionTable):
     """Time of collision ki + 1 of the channel(s) y_m0, broadcast with ki, given
     the time of collision 1, start = (y_m0 - x_m0) / v_x0: gaps scale with y_m0."""
-    rel = table.times[1:] - table.times[1]                    # zero-based gap sequence
-    return start + y_m0 * rel[ki] / v_x0
+    return start + y_m0 * table.gaps[ki] / v_x0
 
 
 def after_collision(ki, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
@@ -239,9 +244,8 @@ def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
     """
     y_m0 = np.atleast_1d(np.asarray(y_m0, dtype=float))
     last = table.count - 1
-    rel = table.times[1:] - table.times[1]
     start = (y_m0 - x_m0) / v_x0                              # time of collision 1
-    k = np.searchsorted(rel, (t - start) * v_x0 / y_m0, "right")
+    k = np.searchsorted(table.gaps, (t - start) * v_x0 / y_m0, "right")
     k[(k <= last) & (_pair_time(np.minimum(k, last), y_m0, start, v_x0, table) <= t)] += 1
     k[(k > 0) & (_pair_time(np.maximum(k - 1, 0), y_m0, start, v_x0, table) > t)] -= 1
     del start                                                 # one array fewer at the peak below
@@ -253,10 +257,8 @@ def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
     # x = 0, provided it recoiled toward the wall (folded v_x > 0).  The
     # bounce after collision j comes before collision j+1, so every bounce
     # but the one after the latest collision has happened by t.
-    toward_wall = table.v_x[1:] > 0
-    earlier = np.concatenate(([0], np.cumsum(toward_wall)))
-    latest = ~before & toward_wall[ki] & (t_wall <= t)
-    return x_m, y_m, k, earlier[ki] + latest
+    latest = ~before & (table.v_x[1:][ki] > 0) & (t_wall <= t)
+    return x_m, y_m, k, table.walls[ki] + latest
 
 
 def channel_blocks(t: float, y_sorted, x_m0: float, v_x0: float, table: CollisionTable):
@@ -292,7 +294,7 @@ def channel_blocks(t: float, y_sorted, x_m0: float, v_x0: float, table: Collisio
     toward_wall = (pairs > 0) & (table.v_x[1:][ki] > 0)
     bounced = np.where(toward_wall, bounced, lower)
     edges = np.append(0, np.stack((bounced, collided), axis=-1).ravel())
-    earlier = np.concatenate(([0], np.cumsum(table.v_x[1:] > 0)))[ki]
+    earlier = table.walls[ki]
     walls = np.stack((earlier + toward_wall, earlier), axis=-1).ravel()
     return edges, np.repeat(pairs, 2), walls
 

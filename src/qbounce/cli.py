@@ -35,14 +35,13 @@ SERIES_COLUMNS = [
 OPTIONAL_COLUMNS = ["grid_purity", "mc_dsigma_y", "mc_dsigma_x"]
 
 # Admission bound on the reference run's events, at most 2 (n_max + 1); at
-# eps = 1e-6 (1.57 million) `run` with event_driven peaks at 320 MiB (README).
+# eps = 1e-6 (1.57 million) `run` with event_driven peaks at 338 MiB (README).
 MAX_EVENTS = 2_000_000
 # Admission bounds on the oracles' work; README gives the run just inside each.
 MAX_MC_SAMPLES = 2_000_000
 MAX_MC_SAMPLE_INSTANTS = 500_000_000
 MAX_GRID_STEPS = 20_000     # counted at n = 512: a step costs about (n + 1)^2
-MAX_GRID_MIB = 1024         # the fields a grid run holds: GRID_FIELDS (n + 1)^2 complex
-GRID_FIELDS = 9     # the stepper's five; the Schmidt measures' temporaries, up to 3.6 (README)
+MAX_GRID_MIB = 1024         # the fields a grid run holds: grid.RUN_FIELDS (n + 1)^2 complex
 
 _KNOWN_KEYS = {
     "m_x", "m_y", "x_m0", "y_m0", "sigma0x", "sigma0y", "p_x0",
@@ -78,8 +77,12 @@ def _number(kind, text: str, what: str):
 
 def _grid_oracle(arg: str, params: ScenarioParams, where: str) -> tuple[grid.GridSpec, float]:
     """Grid and time step of an `n=..;l=..;dt=..` spec, checked as `run` would use them."""
-    pairs = (item.partition("=") for item in arg.split(";") if item.strip())
-    opts = {k.strip(): v.strip() for k, _, v in pairs}
+    opts: dict[str, str] = {}
+    for item in filter(str.strip, arg.split(";")):
+        key, _, value = map(str.strip, item.partition("="))
+        if key in opts:
+            raise ConfigError(f"{where}: repeated option {key!r}")
+        opts[key] = value
     if set(opts) != {"n", "l", "dt"}:
         raise ConfigError(f"{where}: needs exactly the options n, l and dt "
                           f"(grid:n=..;l=..;dt=..), got {', '.join(opts) or 'none'}")
@@ -166,8 +169,12 @@ def parse_config(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: purity_source must be analytic or grid")
 
     where = f"{path}: oracles"
+    names: set[str] = set()
     for spec in (s.strip() for s in raw.get("oracles", "").split(",") if s.strip()):
         name, _, arg = spec.partition(":")
+        if name in names:
+            raise ConfigError(f"{where}: repeated oracle {name!r}")
+        names.add(name)
         if name == "event_driven":
             cfg.event_driven = True
         elif name == "monte_carlo":
@@ -187,7 +194,7 @@ def parse_config(path) -> ScenarioConfig:
             ("monte_carlo samples", cfg.monte_carlo, MAX_MC_SAMPLES),
             ("monte_carlo samples x instants", cfg.monte_carlo * len(cfg.schedule),
              MAX_MC_SAMPLE_INSTANTS),
-            ("grid MiB of fields", GRID_FIELDS * cells * 16 / 2**20, MAX_GRID_MIB),
+            ("grid MiB of fields", grid.RUN_FIELDS * cells * 16 / 2**20, MAX_GRID_MIB),
             ("grid work in n = 512 steps",
              max(cfg.schedule) / cfg.grid_dt * (cells / 513**2) if cells else 0,
              MAX_GRID_STEPS)):

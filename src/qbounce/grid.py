@@ -16,6 +16,7 @@ axis 0 solves them all at once; the anti-diagonal mirror (x, y) -> (L - y,
 L - x) maps the triangle onto itself and turns the y-segments into such
 x-segments, so the same routine does the y sweep.  Each step runs the sweeps
 on the rows and columns where the field is, and leaves the rest exactly zero.
+A sweep solves in place, so a propagation holds four field-sized arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import csv
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,9 +210,9 @@ def _mirror(window: tuple[range, range], n: int) -> tuple[range, range]:
             range(n + 1 - rows.stop, n + 1 - rows.start))
 
 
-def _sweep_lines(psi, gamma, cp, inv, out, d, row, rows, cols):
-    """CN solve along axis 0 for every segment [1, j-1] of column j in cols,
-    on the rows of the window alone.
+def _sweep_lines(psi, gamma, cp, inv, d, row, rows, cols):
+    """CN solve in place along axis 0 for every segment [1, j-1] of column j
+    in cols, on the rows of the window alone.
 
     Row i takes part only in the segments of columns i+1 ... n-1, so each row
     of the elimination touches just those inside cols.  The forward pass
@@ -219,28 +220,28 @@ def _sweep_lines(psi, gamma, cp, inv, out, d, row, rows, cols):
     substitution starts at rows.stop - 1 as if row rows.stop of the solution
     were; over the whole triangle (_triangle) both hold exactly.  psi is read
     on rows.start - 1 ... rows.stop and cols, and must vanish outside the
-    triangle there.  out, which must not be psi, is written on rows.start ...
-    rows.stop and cols only (zero off the triangle and on the last of those
-    rows).  d (psi's shape) and row (one row) are workspace.
+    triangle there; the solution replaces it on rows.start ... rows.stop and
+    cols (zero off the triangle and on the last of those rows).  d (psi's
+    shape) and row (one row) are workspace.
 
-    Every product keeps the operand order of (d - a * d_prev) * inv and
-    d - cp * x and writes into a buffer that is not one of its operands:
-    numpy's complex multiply rounds with fused multiply-adds, and its loops
-    for a leading scalar, a trailing scalar or an in-place operand need not
-    round alike.  Sums and differences are exact per element and may alias.
+    Products keep one operand order, the scalar first on the right-hand side,
+    then (d - a * d_prev) * inv and d - cp * x: numpy's complex multiply
+    rounds with fused multiply-adds, and its loops for a leading and a
+    trailing scalar need not round alike.  numpy 2.4's x86-64 loops round a
+    product in place as out of place; TestLineSolver checks the sweeps bit
+    for bit.  Sums and differences are exact per element and may alias.
     """
     r0, r1 = rows.start, rows.stop
     c0, c1 = cols.start, cols.stop
     a = -1j * gamma
-    # d = (1 - 2 i gamma) psi + i gamma (psi[i-1] + psi[i+1]), with out as workspace
+    # d = (1 - 2 i gamma) psi + i gamma (psi[i-1] + psi[i+1])
     box = _box(rows, cols)
-    ws = out[box]
     np.add(psi[r0 - 1:r1 - 1, c0:c1], psi[r0 + 1:r1 + 1, c0:c1], out=d[box])
-    np.multiply(1j * gamma, d[box], out=ws)
-    np.multiply(1 - 2j * gamma, psi[box], out=d[box])
-    d[box] += ws
+    np.multiply(1j * gamma, d[box], out=d[box])
+    np.multiply(1 - 2j * gamma, psi[box], out=psi[box])
+    d[box] += psi[box]
     d[r0 - 1, c0:c1] = 0
-    out[r0:r1 + 1, c0:c1] = 0
+    psi[r0:r1 + 1, c0:c1] = 0
     # rows before `split` lie wholly left of cols, so each of their segments
     # starts at c0 and they run as row views of the block; row i of the rest
     # starts at column i + 1
@@ -257,9 +258,9 @@ def _sweep_lines(psi, gamma, cp, inv, out, d, row, rows, cols):
         np.multiply(r, inv[i], out=di)
     for i in range(r1 - 1, split - 1, -1):
         r = row[:c1 - i - 1]
-        np.multiply(cp[i], out[i + 1, i + 1:c1], out=r)
-        np.subtract(d[i, i + 1:c1], r, out=out[i, i + 1:c1])
-    blk, r = out[r0:split + 1, c0:c1], row[:c1 - c0]
+        np.multiply(cp[i], psi[i + 1, i + 1:c1], out=r)
+        np.subtract(d[i, i + 1:c1], r, out=psi[i, i + 1:c1])
+    blk, r = psi[r0:split + 1, c0:c1], row[:c1 - c0]
     for nxt, oi, di, c in zip(blk[:0:-1], blk[-2::-1], d[r0:split, c0:c1][::-1],
                               cp[r0:split][::-1]):
         np.multiply(c, nxt, out=r)
@@ -272,37 +273,40 @@ def _reflect(psi):
     return psi[::-1, ::-1].T
 
 
-class _Stepper:
-    """Precomputed sweep coefficients and workspace for one (spec, masses, dt),
-    and the window of the field it last stepped."""
+# The field-sized arrays a grid run holds at once, whatever its instant count:
+# _Stepper's four and the Schmidt measures' temporaries, up to 3.6 (README).
+RUN_FIELDS = 8
 
-    def __init__(self, spec: GridSpec, masses: MassPair, dt: float):
+
+class _Stepper:
+    """The propagation of one field at one (masses, dt): the sweeps'
+    coefficients and four field-sized arrays, one role each.  psi: a copy of
+    the start, carried without its closing Y(dt/2); mirrored: the y sweeps'
+    scratch; work: the elimination's array and row; out: the last closed
+    field."""
+
+    def __init__(self, field: GridField, masses: MassPair, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        h = spec.h
+        n, h = field.spec.n, field.spec.h
         gx = dt / (4 * masses.m_x * h * h)   # full step in x
         gy = dt / (4 * masses.m_y * h * h)   # full step in y
-        self.x = (gx, *_cn_coeffs(gx, spec.n))
-        self.y = (gy, *_cn_coeffs(gy, spec.n))
-        self.y_half = (gy / 2, *_cn_coeffs(gy / 2, spec.n))
+        self.x, self.y, self.y_half = ((g, *_cn_coeffs(g, n)) for g in (gx, gy, gy / 2))
         self.pad = (_margin(self.x[1]), _margin(self.y[1]))   # rows, columns
-        self.n = spec.n
-        self.window = _triangle(spec.n)      # where the next input may be nonzero
-        shape = (spec.n + 1, spec.n + 1)
-        # the sweeps' elimination array and row, then the fields between sweeps
-        self.work = (np.empty(shape, dtype=complex), np.empty(spec.n + 1, dtype=complex))
-        self.swept = np.empty(shape, dtype=complex)
-        self.mirrored = np.empty(shape, dtype=complex)
-        # the steps' outputs, used in turn; the one not holding the field is
-        # zero but for the last close's copy (see close)
-        self.fields = (np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
+        self.n = n
+        self.psi = field.psi.astype(complex, order="C")
+        self.window = _triangle(n)           # where psi may be nonzero
+        self.mirrored = np.empty_like(self.psi)
+        self.work = (np.empty_like(self.psi), np.empty(n + 1, dtype=complex))
+        self.out = np.zeros_like(self.psi)
+        self.closed = (range(0), range(0))   # where out may be nonzero
 
-    def support_window(self, psi: np.ndarray) -> tuple[range, range]:
-        """Bounding rows and columns of the amplitudes at or above
+    def support_window(self) -> tuple[range, range]:
+        """Bounding rows and columns of the amplitudes of psi at or above
         SUPPORT_CUTOFF * max|psi|, padded by the sweeps' margins and clipped
-        to the triangle.  Reads psi on self.window only."""
+        to the triangle."""
         rows, cols = self.window
-        mag = np.abs(psi[_box(rows, cols)])
+        mag = np.abs(self.psi[_box(rows, cols)])
         top = mag.max()
         if not math.isfinite(top):        # a NaN field sweeps the whole triangle
             return _triangle(self.n)
@@ -314,53 +318,32 @@ class _Stepper:
         c0 = max(cols.start + hit_c.start - pad_c, r0 + 1)
         return range(r0, r1), range(c0, c1)
 
-    def _mirror_in(self, src: np.ndarray, rows: range, cols: range) -> None:
-        """mirrored = the reflection of src on the window, with the zero
-        rows either side that the next sweep reads."""
+    def _sweep_y(self, y, dest: np.ndarray, old: tuple[range, range]) -> tuple[range, range]:
+        """Y psi on the support window of psi, swept in mirrored through the
+        reflection, then copied onto the window's box of dest, which is zeroed
+        first on the box old; returns the window."""
+        win = self.support_window()
+        rows, cols = _mirror(win, self.n)
         box = _box(rows, cols)
-        self.mirrored[box] = _reflect(src)[box]
-        self.mirrored[rows.start - 1, box[1]] = 0
-        self.mirrored[rows.stop, box[1]] = 0
-
-    def _sweep_y(self, psi: np.ndarray, y, win: tuple[range, range]) -> None:
-        """swept = the sweep of psi along y with coefficients y on win,
-        mirrored: through the reflection, on the mirror of win."""
-        mir = _mirror(win, self.n)
-        self._mirror_in(psi, *mir)
-        _sweep_lines(self.mirrored, *y, self.swept, *self.work, *mir)
-
-    def step(self, psi: np.ndarray, y) -> np.ndarray:
-        """X(dt) Y psi over the support window of psi, which must vanish
-        outside self.window; y is self.y, or self.y_half to open a run.
-
-        The result is one of self.fields and vanishes outside the new
-        self.window.  A psi that is the other one is zeroed for the step
-        after, so a result stays valid until the next step; any other psi is
-        left as it is."""
-        win = self.support_window(psi)
-        out = self.fields[psi is self.fields[0]]
-        self._sweep_y(psi, y, win)
-        self._mirror_in(self.swept, *win)
-        _sweep_lines(self.mirrored, *self.x, out, *self.work, *win)
-        if any(psi is f for f in self.fields):    # zero again, for the step after next
-            psi[_box(*self.window)] = 0
-        self.window = win
-        return out
-
-    def close(self, psi: np.ndarray) -> np.ndarray:
-        """Y(dt/2) psi, psi one of self.fields, written into the other; psi
-        is left as it is.
-
-        The copy lies in the box of the support window of psi.  The next
-        step of psi sweeps that same window into the same buffer, and its x
-        sweep overwrites the whole box, so the buffer is zero again outside
-        the new field: closing adds no field buffer."""
-        win = self.support_window(psi)
-        out = self.fields[psi is self.fields[0]]
-        self._sweep_y(psi, self.y_half, win)
+        self.mirrored[box] = _reflect(self.psi)[box]
+        self.mirrored[[rows.start - 1, rows.stop], box[1]] = 0   # the rows the sweep reads
+        _sweep_lines(self.mirrored, *y, *self.work, rows, cols)
+        dest[_box(*old)] = 0
         box = _box(*win)
-        out[box] = _reflect(self.swept)[box]
-        return out
+        dest[box] = _reflect(self.mirrored)[box]
+        return win
+
+    def step(self, y) -> None:
+        """psi = X(dt) Y psi over the support window of psi, which becomes
+        self.window; y is self.y, or self.y_half to open a run."""
+        self.window = self._sweep_y(y, self.psi, self.window)
+        _sweep_lines(self.psi, *self.x, *self.work, *self.window)
+
+    def close(self) -> np.ndarray:
+        """out = Y(dt/2) psi, psi left as it is, on the support window of psi,
+        which becomes self.closed: closing adds no field."""
+        self.closed = self._sweep_y(self.y_half, self.out, self.closed)
+        return self.out
 
 
 def sample(field: GridField, masses: MassPair, dt: float, times):
@@ -372,39 +355,39 @@ def sample(field: GridField, masses: MassPair, dt: float, times):
     Crank-Nicolson sweeps along x and y: a Strang splitting with its half
     steps on y.  A y sweep loops over the window's columns and an x sweep
     over its rows, so the half steps cost least on fields narrower in y than
-    in x, as the heavy particle makes them.  The propagation carries the
-    field before its closing Y(dt/2) across the whole schedule, and each
-    sampled field is that closing applied to a copy, so sampling leaves the
-    later fields as they are.  A zero-step instant yields the start field.
+    in x, as the heavy particle makes them.  The stepper carries its copy of
+    the start without the closing Y(dt/2) across the whole schedule, and each
+    sampled field is that closing written to the stepper's output array, so
+    sampling leaves the later fields as they are.  A zero-step instant
+    yields the stepper's copy of the start.
 
     Accuracy is second order in dt and h; choose dt so the largest kinetic
     phase per step stays small (dt <~ m_x h^2 is comfortable).
     """
-    stepper = _Stepper(field.spec, masses, dt)
-    spec, t, psi = field.spec, field.t, field.psi
-    del field           # the start is not held once the first step replaces it
-    norm0 = float(np.sum(np.abs(psi) ** 2))
+    stepper = _Stepper(field, masses, dt)
+    spec, t = field.spec, field.t
+    del field           # the start is not held once the stepper has its copy
+    norm0 = float(np.sum(np.abs(stepper.psi) ** 2))
     last, last_k, k = norm0, 0, 0
     for when in times:
         end = k + max(0, round((when - t) / dt))
         t += (end - k) * dt
         for k in range(k + 1, end + 1):
-            psi = stepper.step(psi, stepper.y if k > 1 else stepper.y_half)
+            stepper.step(stepper.y if k > 1 else stepper.y_half)
             if k % NORM_CHECK_EVERY == 0 or k == end:
-                now = float(np.sum(np.abs(psi[_box(*stepper.window)]) ** 2))
+                now = float(np.sum(np.abs(stepper.psi[_box(*stepper.window)]) ** 2))
                 drift = abs(now - last) / (norm0 * (k - last_k))
                 if not drift <= NORM_DRIFT_LIMIT:        # a NaN drift fails too
                     raise RuntimeError(
                         f"norm drift {drift:.2e} per step exceeds "
                         f"{NORM_DRIFT_LIMIT:.0e} at step {k}: unstable configuration")
                 last, last_k = now, k
-        yield GridField(psi=stepper.close(psi) if k else psi, spec=spec, t=t)
+        yield GridField(psi=stepper.close() if k else stepper.psi, spec=spec, t=t)
 
 
 def evolve(field: GridField, masses: MassPair, dt: float, steps: int) -> GridField:
     """Propagate the field by steps * dt: sample's one-instant case."""
-    f = next(sample(field, masses, dt, [field.t + steps * dt]))
-    return f if steps > 0 else replace(f, psi=f.psi.copy())
+    return next(sample(field, masses, dt, [field.t + steps * dt]))
 
 
 # ---------------------------------------------------------------------------

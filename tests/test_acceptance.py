@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-The grid criteria (8 and 9) dominate the runtime (about a minute on 2 cores).
+The grid criteria (8 and 9) dominate the runtime (about 1.5 minutes on 2
+shared cores).
 """
 
 import math
@@ -235,6 +236,7 @@ def test_criterion_8_grid_cross_validation():
               f"matched widths |ov|={ov_eq:.3f}, grid purity {p_eq:.5f} >= 0.999")
 
 
+@pytest.mark.slow
 def test_criterion_9_grid_unitarity_and_convergence():
     # per-step norm drift on a live collision configuration
     spec = grid.GridSpec(n=256, length=16.0)

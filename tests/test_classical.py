@@ -182,9 +182,9 @@ class TestCollisionTableBridge:
     def test_cached_table_is_shared_and_read_only(self):
         tab = collision_table(0.05)
         assert collision_table(0.05) is tab
-        for arr in (tab.times, tab.positions, tab.v_x, tab.v_y):
+        for arr in (tab.times, tab.positions, tab.v_x, tab.v_y, tab.gaps, tab.walls):
             with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
+                arr[0] = 1
 
     @pytest.mark.parametrize("eps", [0.2, 0.05, 0.001])
     def test_cumulative_table_matches_the_recursion(self, eps):

@@ -289,6 +289,18 @@ class TestRun:
         (BASE_CONFIG, {"oracles": "grid:n=abc;l=30;dt=2e-3"}, "grid n: expected an integer"),
         (BASE_CONFIG, {"oracles": "grid:n=512;l=30;dt=fast"}, "grid dt: expected a number"),
         (BASE_CONFIG, {"oracles": "bogus"}, "oracles: unknown oracle 'bogus'"),
+        (BASE_CONFIG, {"oracles": "monte_carlo:100,event_driven,monte_carlo:50"},
+         "oracles: repeated oracle 'monte_carlo'$"),
+        (BASE_CONFIG, {"oracles": "event_driven,event_driven"},
+         "oracles: repeated oracle 'event_driven'$"),
+        (DESK_CONFIG, {"oracles": "grid:n=64;n=512;l=30;dt=2e-3"},
+         "oracles: grid: repeated option 'n'$"),
+        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=2e-3;l=40"},
+         "oracles: grid: repeated option 'l'$"),
+        (DESK_CONFIG, {"oracles": "grid:n=512; dt =1e-3;l=30;dt=2e-3"},
+         "oracles: grid: repeated option 'dt'$"),
+        (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=2e-3,grid:n=384;l=22;dt=2e-3"},
+         "oracles: repeated oracle 'grid'$"),
         (BASE_CONFIG, {"seed": "-1"}, "'seed': must be non-negative, got -1"),
         (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=0"},
          "grid dt: must be positive and finite, got 0$"),
@@ -320,7 +332,9 @@ class TestRun:
         (BASE_CONFIG, {"formats": "csv"}, "unknown key 'formats'"),
         (BASE_CONFIG, {"out": "x"}, "unknown key 'out'"),
     ], ids=["seed", "mc-count", "mc-zero", "mc-negative", "mc-one", "grid-n", "grid-dt",
-            "oracle-unknown", "seed-negative", "grid-dt-zero", "grid-dt-negative",
+            "oracle-unknown", "oracle-repeated-mc", "oracle-repeated-event-driven",
+            "grid-n-repeated", "grid-l-repeated", "grid-dt-repeated", "oracle-repeated-grid",
+            "seed-negative", "grid-dt-zero", "grid-dt-negative",
             "grid-dt-nan", "grid-unknown-option", "grid-n-small", "grid-l-negative",
             "grid-under-resolved", "grid-domain-cuts-packet", "p_x0-nan", "p_x0-inf",
             "sigma0x-nan", "schedule-nan", "schedule-inf", "schedule-negative",
@@ -429,7 +443,7 @@ class TestRun:
                      oracles="monte_carlo:319000"),
          "monte_carlo samples x instants: 501,149,000, over the limit of 500,000,000"),
         (config_with(DESK_CONFIG, oracles="grid:n=400000;l=30;dt=2e-3"),
-         "grid MiB of fields: 21,972,766, over the limit of 1,024"),
+         "grid MiB of fields: 19,531,348, over the limit of 1,024"),
         (config_with(DESK_CONFIG, schedule="1000000", oracles="grid:n=512;l=30;dt=2e-3"),
          "grid work in n = 512 steps: 500,000,000, over the limit of 20,000"),
         # 5,050 steps, each costing 3.99 steps at n = 512
@@ -450,8 +464,8 @@ class TestRun:
         config_with(BASE_CONFIG, oracles="monte_carlo:2000000"),
         config_with(BASE_CONFIG, m_y="1e6", sigma0y="0.005", p_x0="4000.0",
                     oracles="monte_carlo:318000"),
-        # cli.GRID_FIELDS fields at n = 2729: 1,023.5 MiB, whatever the instant count
-        config_with(DESK_CONFIG, oracles="grid:n=2729;l=30;dt=2e-3"),
+        # grid.RUN_FIELDS fields at n = 2895: 1,023.8 MiB, whatever the instant count
+        config_with(DESK_CONFIG, oracles="grid:n=2895;l=30;dt=2e-3"),
         config_with(DESK_CONFIG, schedule="39.99", oracles="grid:n=512;l=30;dt=2e-3"),
         # 30,000 steps at 0.56 of an n = 512 step (n = 256 never passes the
         # resolution gate: a width is at most 1/46 of the domain)
@@ -755,7 +769,7 @@ seed     = 0
 
     def test_memory_does_not_grow_with_the_schedule(self, tmp_path):
         # each sampled field is written and dropped: 12 one-step instants peak
-        # within one field of 2, and under the cli.GRID_FIELDS the bound counts
+        # within one field of 2, and under the grid.RUN_FIELDS the bound counts
         field = 385**2 * 16
         peaks = []
         for k in (2, 12):
@@ -772,7 +786,7 @@ seed     = 0
                 tracemalloc.stop()
             assert len(rows) == len(list((out / "snapshots").glob("field_t*.bin"))) == k
         assert peaks[1] < peaks[0] + field
-        assert peaks[1] < cli.GRID_FIELDS * field
+        assert peaks[1] < grid.RUN_FIELDS * field
 
     def test_cross_oracle_compare(self, tmp_path):
         # same schedule, purity from the analytic pipeline in one run and

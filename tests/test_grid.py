@@ -35,10 +35,10 @@ def compliant_params():
 
 
 def sweep_lines(psi, gamma, cp, inv):
-    """grid._sweep_lines over the whole triangle into a new array, with
+    """grid._sweep_lines over the whole triangle on a copy of psi, with
     fresh workspace."""
-    out = np.zeros_like(psi)
-    grid._sweep_lines(psi, gamma, cp, inv, out, np.empty_like(psi),
+    out = psi.copy()
+    grid._sweep_lines(out, gamma, cp, inv, np.empty_like(psi),
                       np.empty(len(psi), dtype=complex), *grid._triangle(len(psi) - 1))
     return out
 
@@ -161,7 +161,7 @@ class TestEvolve:
         # the last between two steps: bit for bit the field of one evolve
         # call over the instant's total step count.  Each closing Y(dt/2)
         # acts on a copy, so sampling at the earlier instants leaves the later
-        # fields as they are; a zero-step instant yields the start field
+        # fields as they are; a zero-step instant yields a copy of the start
         spec = GridSpec(n=128, length=12.0)
         px = GaussianPacket.initial(3.5, 0.8, 1.5, 1.0)
         py = GaussianPacket.initial(9.0, 0.5, 0.0, 25.0)
@@ -175,11 +175,22 @@ class TestEvolve:
             assert f.psi.tobytes() == want.psi.tobytes()
         assert np.array_equal(start.psi, before)      # the start is left as it was
 
+    def test_zero_steps_give_a_copy_of_the_start(self):
+        spec = GridSpec(n=64, length=8.0)
+        start = grid.GridField(psi=random_triangle_field(spec), spec=spec, t=0.5)
+        before = start.psi.copy()
+        f = evolve(start, MASSES, dt=2e-3, steps=0)
+        assert f.t == start.t
+        assert f.psi.tobytes() == before.tobytes()
+        assert not np.shares_memory(f.psi, start.psi)
+        f.psi[:] = 0
+        assert start.psi.tobytes() == before.tobytes()
+
     def test_closing_a_sampled_field_allocates_no_field(self):
-        # the stepper's five fields, then |psi|^2 of the start for the norm
-        # guard: 5.6 fields, with a closing at every step or at one.  Each
-        # closing writes the output buffer that the next step overwrites; a
-        # sixth buffer for it would add a field
+        # the stepper's four fields, then |psi|^2 of the start for the norm
+        # guard: 4.6 fields, with a closing at every step or at one.  Each
+        # closing rewrites the stepper's one output array; a fifth field-sized
+        # buffer, for the closing or the steps, would break the bound
         start = init_field(compliant_params(), GridSpec(n=384, length=22.0))
         field = start.psi.nbytes
         for k in (1, 12):
@@ -190,7 +201,7 @@ class TestEvolve:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 5.7 * field
+            assert peak < 4.7 * field
 
     def test_nan_amplitude_fails_the_unitarity_guard(self):
         # a NaN drift compares false with the limit, so it must not pass it
@@ -254,7 +265,7 @@ class TestLineSolver:
         p = compliant_params()
         f = evolve_reference(init_field(p, DESK_SPEC), p.masses, dt=2e-3, steps=5)
         assert np.any(np.abs(f.psi[f.psi != 0]) < np.finfo(float).tiny)
-        gamma, cp, inv = getattr(grid._Stepper(DESK_SPEC, p.masses, 2e-3), axis)
+        gamma, cp, inv = getattr(grid._Stepper(f, p.masses, 2e-3), axis)
         if axis == "x":
             got = sweep_lines(f.psi, gamma, cp, inv)
             want = sweep_lines_reference(f.psi, gamma, np.array(cp), np.array(inv))
@@ -300,7 +311,7 @@ class TestSchmidtPurity:
         assert entropy == pytest.approx(schmidt_by_svd(f.psi)[1], rel=1e-7)
 
     def test_temporaries_stay_under_four_fields(self):
-        # cli.GRID_FIELDS counts them on top of the stepper's five fields: a
+        # grid.RUN_FIELDS counts them on top of the stepper's four fields: a
         # field that fills the triangle takes |psi|, a mask, its cropped copy,
         # that copy's conjugate and the Gram matrix, 3.56 fields as n grows
         spec = GridSpec(n=256, length=10.0)

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from qbounce.channels import (WIDTH_RATIO_GATE, ScenarioParams, mixed_phase_gate,
                               reference_trajectory, split_width)
-from qbounce.classical import channel_blocks, channel_kinematics, collision_table
+from qbounce.classical import (channel_blocks, channel_kinematics, collision_table,
+                               sample_spreads)
 from oracles import (channel_event_times, channel_kinematics_dense, masses_from_epsilon,
                      pair_collision_times, state_at_linear_scan)
 
@@ -144,6 +145,23 @@ def test_channel_kinematics_memory_linear_in_channels():
     finally:
         tracemalloc.stop()
     assert peak < 32 * n * 8
+
+
+def test_sample_spreads_allocates_no_table_column():
+    """A Monte Carlo instant at K = 785,398 costs O(log K): its searches read
+    the table's columns and copy none of them."""
+    table = collision_table(1e-6)
+    assert table.count == 785_398
+    x0, y_m0, v0 = 25.0, 50.0, 4000.0
+    y0 = np.random.default_rng(0).normal(y_m0, 5e-4, 1000)
+    ts = np.linspace(0.0, table.times[-1] * y_m0 / v0, 6)[1:]
+    tracemalloc.start()
+    try:
+        sample_spreads(ts, y0, x0, v0, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.times.nbytes
 
 
 def test_state_at_before_start_rejected():
