@@ -16,7 +16,9 @@ axis 0 solves them all at once; the anti-diagonal mirror (x, y) -> (L - y,
 L - x) maps the triangle onto itself and turns the y-segments into such
 x-segments, so the same routine does the y sweep.  Each step runs the sweeps
 on the rows and columns where the field is, and leaves the rest exactly zero.
-A sweep solves in place, so a propagation holds four field-sized arrays.
+A sweep solves in place, so a propagation holds four field-sized arrays.  It
+writes them on the field's window alone, the two it zeroes lazily, so the
+memory a run touches follows the field, not the grid.
 """
 
 from __future__ import annotations
@@ -103,15 +105,6 @@ class GridField:
         return float(np.sum(np.abs(self.psi) ** 2) * self.h**2)
 
 
-def _normalized_field(psi: np.ndarray, spec: GridSpec) -> GridField:
-    """psi zeroed off the triangle and normalized on the grid, at t = 0."""
-    psi = np.where(spec.domain_mask(), psi, 0)
-    nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * spec.h**2)
-    if nrm == 0:
-        raise ValueError("field vanishes on the domain")
-    return GridField(psi=psi / nrm, spec=spec, t=0.0)
-
-
 def init_field(params, spec: GridSpec) -> GridField:
     """Discretized initial state with the sine cutoff enforcing the boundaries.
 
@@ -143,18 +136,39 @@ def check_resolution(spec: GridSpec, sigmas, p_max: float) -> None:
 
 def field_from_packets(px: GaussianPacket, py: GaussianPacket, spec: GridSpec,
                        cutoff: bool = True) -> GridField:
-    """Sample a product of packets on the triangle at t = 0; optional sine
-    cutoff (init_field's default; perfbench/tracer.py passes it by keyword)."""
+    """Sample a product of packets on the triangle at t = 0, normalized on the
+    grid; optional sine cutoff (init_field's default; perfbench/tracer.py
+    passes it by keyword).
+
+    Built in place in one complex array and one real scratch array, each
+    ufunc applied in the order of the one-expression
+    exp(log psi - max Re log psi) * sin(pi x / y), zeroed off the triangle
+    and divided by its norm, so the bytes are that expression's."""
     xs, ys = spec.axes()
     x = xs[:, None]
     y = ys[None, :]
-    logpsi = (-(x - px.center) ** 2 / (2 * px.width_sq) + 1j * px.momentum * x
-              - (y - py.center) ** 2 / (2 * py.width_sq) + 1j * py.momentum * y)
-    psi = np.exp(logpsi - logpsi.real.max())
+    psi = np.empty((spec.n + 1, spec.n + 1), dtype=complex)
+    np.subtract(-(x - px.center) ** 2 / (2 * px.width_sq) + 1j * px.momentum * x,
+                (y - py.center) ** 2 / (2 * py.width_sq), out=psi)
+    psi += 1j * py.momentum * y
+    psi -= psi.real.max()
+    np.exp(psi, out=psi)
+    scratch = np.empty(psi.shape)
     if cutoff:
         with np.errstate(divide="ignore", invalid="ignore"):
-            psi = psi * np.sin(math.pi * np.where(y > 0, x / np.maximum(y, 1e-300), 0.0))
-    return _normalized_field(psi, spec)
+            np.divide(x, np.maximum(y, 1e-300), out=scratch)
+        scratch[:, ~(ys > 0)] = 0.0
+        scratch *= math.pi
+        np.sin(scratch, out=scratch)
+        psi *= scratch
+    np.copyto(psi, 0, where=~spec.domain_mask())
+    np.abs(psi, out=scratch)
+    scratch **= 2
+    nrm = math.sqrt(float(scratch.sum()) * spec.h**2)
+    if nrm == 0:
+        raise ValueError("field vanishes on the domain")
+    psi /= nrm
+    return GridField(psi=psi, spec=spec, t=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +294,12 @@ RUN_FIELDS = 8
 
 class _Stepper:
     """The propagation of one field at one (masses, dt): the sweeps'
-    coefficients and four field-sized arrays, one role each.  psi: a copy of
-    the start, carried without its closing Y(dt/2); mirrored: the y sweeps'
-    scratch; work: the elimination's array and row; out: the last closed
-    field."""
+    coefficients and four field-sized arrays, one role each.  psi: the
+    start's support window, carried without its closing Y(dt/2); mirrored:
+    the y sweeps' scratch; work: the elimination's array and row; out: the
+    last field handed out.  psi and out are lazily zeroed and every array is
+    written on the field's window alone, so a run's resident memory follows
+    the field, not the grid."""
 
     def __init__(self, field: GridField, masses: MassPair, dt: float):
         if dt <= 0:
@@ -294,11 +310,16 @@ class _Stepper:
         self.x, self.y, self.y_half = ((g, *_cn_coeffs(g, n)) for g in (gx, gy, gy / 2))
         self.pad = (_margin(self.x[1]), _margin(self.y[1]))   # rows, columns
         self.n = n
-        self.psi = field.psi.astype(complex, order="C")
-        self.window = _triangle(n)           # where psi may be nonzero
-        self.mirrored = np.empty_like(self.psi)
-        self.work = (np.empty_like(self.psi), np.empty(n + 1, dtype=complex))
-        self.out = np.zeros_like(self.psi)
+        # the first sweep reads the start on its support window alone, so
+        # only that box is copied
+        self.psi, self.window = field.psi, _triangle(n)
+        self.window = self.support_window()  # where psi may be nonzero
+        box = _box(*self.window)
+        self.psi = np.zeros((n + 1, n + 1), dtype=complex)
+        self.psi[box] = field.psi[box]
+        # made at their first use, after sample has dropped the start (out
+        # sooner at a zero-step instant, which copies the start into it)
+        self.mirrored = self.work = self.out = None
         self.closed = (range(0), range(0))   # where out may be nonzero
 
     def support_window(self) -> tuple[range, range]:
@@ -336,13 +357,24 @@ class _Stepper:
     def step(self, y) -> None:
         """psi = X(dt) Y psi over the support window of psi, which becomes
         self.window; y is self.y, or self.y_half to open a run."""
+        if self.work is None:
+            self.mirrored = np.empty_like(self.psi)
+            self.work = (np.empty_like(self.psi), np.empty(self.n + 1, dtype=complex))
         self.window = self._sweep_y(y, self.psi, self.window)
         _sweep_lines(self.psi, *self.x, *self.work, *self.window)
 
-    def close(self) -> np.ndarray:
+    def close(self, start: np.ndarray | None = None) -> np.ndarray:
         """out = Y(dt/2) psi, psi left as it is, on the support window of psi,
-        which becomes self.closed: closing adds no field."""
-        self.closed = self._sweep_y(self.y_half, self.out, self.closed)
+        which becomes self.closed; or, before the first step, out = start,
+        every byte of it.  out is made at the first call, and each call
+        rewrites it: closing adds no field."""
+        if self.out is None:
+            self.out = np.zeros(self.psi.shape, dtype=complex)
+        if start is None:
+            self.closed = self._sweep_y(self.y_half, self.out, self.closed)
+        else:
+            self.out[...] = start
+            self.closed = (range(self.n + 1), range(self.n + 1))
         return self.out
 
 
@@ -355,23 +387,26 @@ def sample(field: GridField, masses: MassPair, dt: float, times):
     Crank-Nicolson sweeps along x and y: a Strang splitting with its half
     steps on y.  A y sweep loops over the window's columns and an x sweep
     over its rows, so the half steps cost least on fields narrower in y than
-    in x, as the heavy particle makes them.  The stepper carries its copy of
-    the start without the closing Y(dt/2) across the whole schedule, and each
-    sampled field is that closing written to the stepper's output array, so
-    sampling leaves the later fields as they are.  A zero-step instant
-    yields the stepper's copy of the start.
+    in x, as the heavy particle makes them.  The stepper carries the start's
+    support window without the closing Y(dt/2) across the whole schedule,
+    and each sampled field is that closing written to the stepper's output
+    array, so sampling leaves the later fields as they are.  A zero-step
+    instant yields a copy of the start in that array; the start is held
+    until the first step and no longer.
 
     Accuracy is second order in dt and h; choose dt so the largest kinetic
     phase per step stays small (dt <~ m_x h^2 is comfortable).
     """
     stepper = _Stepper(field, masses, dt)
-    spec, t = field.spec, field.t
-    del field           # the start is not held once the stepper has its copy
-    norm0 = float(np.sum(np.abs(stepper.psi) ** 2))
+    spec, t, start = field.spec, field.t, field.psi
+    del field           # the start is held until the first step, as start
+    norm0 = float(np.vdot(start, start).real)
     last, last_k, k = norm0, 0, 0
     for when in times:
         end = k + max(0, round((when - t) / dt))
         t += (end - k) * dt
+        if end > k:
+            start = None
         for k in range(k + 1, end + 1):
             stepper.step(stepper.y if k > 1 else stepper.y_half)
             if k % NORM_CHECK_EVERY == 0 or k == end:
@@ -382,7 +417,7 @@ def sample(field: GridField, masses: MassPair, dt: float, times):
                         f"norm drift {drift:.2e} per step exceeds "
                         f"{NORM_DRIFT_LIMIT:.0e} at step {k}: unstable configuration")
                 last, last_k = now, k
-        yield GridField(psi=stepper.close() if k else stepper.psi, spec=spec, t=t)
+        yield GridField(psi=stepper.close(start), spec=spec, t=t)
 
 
 def evolve(field: GridField, masses: MassPair, dt: float, steps: int) -> GridField:
@@ -398,9 +433,14 @@ def _gram(psi: np.ndarray) -> np.ndarray:
     """psi^H psi on the numerical support of psi; its eigenvalues are the
     squared singular values of psi.
 
+    psi is cut to the bounding rows and columns of its nonzero amplitudes
+    before |psi| is formed, so the measures touch only the field's window.
     Amplitudes below SUPPORT_CUTOFF * max|psi| are zeroed and the rest is cut
     to its bounding rows and columns.  Left in, the far Gaussian tails make
     the product and eigvalsh run on slow subnormal floats."""
+    keep = psi != 0                      # a NaN amplitude is nonzero
+    # a field without a nonzero amplitude keeps one zero: a 0/0, NaN purity
+    psi = psi[_box(*_support_box(keep))] if keep.any() else psi[:1, :1]
     mag = np.abs(psi)
     keep = ~(mag < SUPPORT_CUTOFF * mag.max())    # a NaN field keeps every amplitude
     box = _box(*_support_box(keep))
@@ -431,7 +471,8 @@ def schmidt_measures(field: GridField) -> tuple[float, float]:
 def marginals(field: GridField) -> tuple[np.ndarray, np.ndarray]:
     """Position densities over x and over y; each integrates to one."""
     h = field.h
-    dens = np.abs(field.psi) ** 2
+    dens = np.abs(field.psi)
+    dens **= 2
     total = dens.sum() * h * h
     return dens.sum(axis=1) * h / total, dens.sum(axis=0) * h / total
 

@@ -30,7 +30,7 @@ from qbounce.classical import (ClassicalState, after_collision, channel_kinemati
 from qbounce.cli import _columns_for, _fmt
 from qbounce.gaussian import (OVERLAP_GATE, GaussianPacket, MassPair, QuadraticFormState,
                               collide_velocities, wall_tail_mass)
-from qbounce.grid import GridField, _cn_coeffs, _normalized_field, marginals
+from qbounce.grid import GridField, _cn_coeffs, marginals
 
 
 def masses_from_epsilon(eps: float, m_x: float = 1.0) -> MassPair:
@@ -794,10 +794,34 @@ def collide_gaussians(px: GaussianPacket, py: GaussianPacket,
     return replace(out, log_norm=out.log_norm + 1j * math.pi)
 
 
+def normalized_field(psi: np.ndarray, spec) -> GridField:
+    """psi zeroed off the triangle and normalized on the grid, at t = 0."""
+    psi = np.where(spec.domain_mask(), psi, 0)
+    nrm = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * spec.h**2)
+    if nrm == 0:
+        raise ValueError("field vanishes on the domain")
+    return GridField(psi=psi / nrm, spec=spec, t=0.0)
+
+
+def field_from_packets_reference(px: GaussianPacket, py: GaussianPacket, spec,
+                                 cutoff: bool = True) -> GridField:
+    """grid.field_from_packets as one expression, each step into a new array."""
+    xs, ys = spec.axes()
+    x = xs[:, None]
+    y = ys[None, :]
+    logpsi = (-(x - px.center) ** 2 / (2 * px.width_sq) + 1j * px.momentum * x
+              - (y - py.center) ** 2 / (2 * py.width_sq) + 1j * py.momentum * y)
+    psi = np.exp(logpsi - logpsi.real.max())
+    if cutoff:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            psi = psi * np.sin(math.pi * np.where(y > 0, x / np.maximum(y, 1e-300), 0.0))
+    return normalized_field(psi, spec)
+
+
 def field_from_state(state: QuadraticFormState, spec) -> GridField:
     """A quadratic-form state sampled on the triangle, normalized on the grid."""
     xs, ys = spec.axes()
-    return _normalized_field(evaluate(state, xs[:, None], ys[None, :], scaled=True), spec)
+    return normalized_field(evaluate(state, xs[:, None], ys[None, :], scaled=True), spec)
 
 
 def overlap(field: GridField, state: QuadraticFormState) -> complex:

@@ -13,7 +13,8 @@ from qbounce.grid import (GridSpec, evolve, field_from_packets, init_field, load
                           write_marginals_csv)
 
 from oracles import (cn_lines_dense, collide_gaussians, energy, evolve_reference,
-                     field_from_state, free_evolve, moments, normalized, overlap,
+                     field_from_packets_reference, field_from_state, free_evolve,
+                     moments, normalized, overlap,
                      overlap_fields, product_form, purity_by_full_gram,
                      save_snapshot_reference, schmidt_by_svd, sweep_lines_reference,
                      wall_reflect)
@@ -85,6 +86,30 @@ class TestInitField:
         raw = field_from_packets(p.packet_x(), p.packet_y(),
                                  f.spec, cutoff=False)
         assert abs(overlap_fields(f, raw)) >= 0.999
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=resolved_packet_pairs(), cutoff=st.booleans())
+    @example(case=(DESK_SPEC, compliant_params().packet_x(), compliant_params().packet_y()),
+             cutoff=True)
+    @example(case=(DESK_SPEC, compliant_params().packet_x(), compliant_params().packet_y()),
+             cutoff=False)
+    def test_built_in_place_as_the_one_expression_byte_for_byte(self, case, cutoff):
+        spec, px, py = case
+        got = field_from_packets(px, py, spec, cutoff=cutoff).psi
+        want = field_from_packets_reference(px, py, spec, cutoff=cutoff).psi
+        assert got.tobytes() == want.tobytes()
+
+    def test_allocates_one_and_a_half_fields(self):
+        # the complex field, a real scratch array (half a field) and the
+        # triangle mask's booleans: 1.63 fields; the one expression, a new
+        # array per term, allocates 4.00
+        tracemalloc.start()
+        try:
+            f = init_field(compliant_params(), DESK_SPEC)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.7 * f.psi.nbytes
 
     def test_under_resolved_width_rejected(self):
         p = compliant_params()
@@ -187,10 +212,11 @@ class TestEvolve:
         assert start.psi.tobytes() == before.tobytes()
 
     def test_closing_a_sampled_field_allocates_no_field(self):
-        # the stepper's four fields, then |psi|^2 of the start for the norm
-        # guard: 4.6 fields, with a closing at every step or at one.  Each
-        # closing rewrites the stepper's one output array; a fifth field-sized
-        # buffer, for the closing or the steps, would break the bound
+        # the stepper's four fields and window-sized temporaries: 4.21-4.23
+        # fields, with a closing at every step or at one; the bound keeps 0.07
+        # of a field of margin.  Each closing rewrites the stepper's one
+        # output array; a fifth field-sized buffer, for the closing or the
+        # steps, or |psi|^2 of the whole start, would break the bound
         start = init_field(compliant_params(), GridSpec(n=384, length=22.0))
         field = start.psi.nbytes
         for k in (1, 12):
@@ -201,7 +227,7 @@ class TestEvolve:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 4.7 * field
+            assert peak < 4.3 * field
 
     def test_nan_amplitude_fails_the_unitarity_guard(self):
         # a NaN drift compares false with the limit, so it must not pass it
@@ -213,9 +239,10 @@ class TestEvolve:
             evolve(field, MASSES, dt=2e-3, steps=30)
 
 
-def assert_matches_whole_triangle_steps(field, dt, steps):
-    # the windowed step drops only amplitudes below SUPPORT_CUTOFF * max|psi|
-    got = evolve(field, MASSES, dt, steps).psi
+def assert_matches_whole_triangle_steps(field, dt, steps, got=None):
+    # the windowed step drops only amplitudes below SUPPORT_CUTOFF * max|psi|;
+    # got is evolve's field unless given
+    got = evolve(field, MASSES, dt, steps).psi if got is None else got
     want = evolve_reference(field, MASSES, dt, steps).psi
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     assert np.all(got[~field.spec.domain_mask()] == 0)
@@ -225,6 +252,25 @@ class TestSupportWindow:
     def test_desk_field_matches_whole_triangle_steps(self):
         p = compliant_params()
         assert_matches_whole_triangle_steps(init_field(p, DESK_SPEC), dt=2e-3, steps=60)
+
+    def test_stepper_copies_only_the_start_window(self):
+        # the desk start has tails below the cutoff outside the window, which
+        # the stepper leaves uncopied; a zero-step instant still yields every
+        # byte of the start, and the stepped fields are the whole triangle's
+        p = compliant_params()
+        start = init_field(p, DESK_SPEC)
+        before = start.psi.tobytes()
+        mag = np.abs(start.psi)
+        assert np.any((mag > 0) & (mag < grid.SUPPORT_CUTOFF * mag.max()))
+        assert not np.array_equal(grid._Stepper(start, MASSES, 2e-3).psi, start.psi)
+        dt = 2e-3
+        got = sample(start, MASSES, dt, [0.0, dt, 30 * dt])
+        for f, steps in zip(got, (0, 1, 30), strict=True):
+            if steps:
+                assert_matches_whole_triangle_steps(start, dt, steps, got=f.psi)
+            else:
+                assert f.psi.tobytes() == before
+        assert start.psi.tobytes() == before
 
     @settings(max_examples=25, deadline=None)
     @given(case=resolved_packet_pairs())
@@ -309,6 +355,27 @@ class TestSchmidtPurity:
         assert purity == schmidt_purity(f)
         assert purity == pytest.approx(purity_by_full_gram(f.psi), rel=1e-14)
         assert entropy == pytest.approx(schmidt_by_svd(f.psi)[1], rel=1e-7)
+
+    def test_field_without_amplitude_has_nan_purity(self):
+        # 0 / 0, with numpy's invalid-value warning, as over the whole matrix
+        spec = GridSpec(n=64, length=8.0)
+        f = grid.GridField(psi=np.zeros((65, 65), dtype=complex), spec=spec, t=0.0)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert math.isnan(schmidt_purity(f))
+
+    def test_nan_field_keeps_every_amplitude(self):
+        # a NaN maximum drops no amplitude below the cutoff: the Gram matrix
+        # spans every nonzero column, the 1e-30 one included
+        spec = GridSpec(n=64, length=8.0)
+        psi = np.zeros((65, 65), dtype=complex)
+        psi[5:10, 20:30] = 1
+        psi[30, 50] = 1e-30
+        assert grid._gram(psi).shape == (10, 10)
+        psi[6, 21] = np.nan
+        g = grid._gram(psi)
+        assert g.shape == (31, 31)
+        assert g[30, 30] == 1e-30 ** 2
+        assert math.isnan(schmidt_purity(grid.GridField(psi=psi, spec=spec, t=0.0)))
 
     def test_temporaries_stay_under_four_fields(self):
         # grid.RUN_FIELDS counts them on top of the stepper's four fields: a
