@@ -203,14 +203,9 @@ def parse_config(path) -> ScenarioConfig:
     return cfg
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[list[dict], dict]:
-    """Rows for every scheduled instant, and the manifest's oracle details.
+def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, np.ndarray], dict]:
+    """The series' columns, {name: array} in header order, and the manifest's
+    oracle details.
 
     The analytic columns come from the scalar API evaluated over the whole
     schedule at once: propagate_ensemble gates every instant and gives the
@@ -218,7 +213,7 @@ def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[list[dict], dict
     no column reads log_norm) channel integrals.  The Monte Carlo columns are
     classical.sample_spreads of the sampled channels: sorted once, then a few
     block sums per instant.  The grid oracle is one propagation: each sampled
-    field is written to out_dir/snapshots at once, and only its purity kept.
+    field is written to out_dir/snapshots at once, and only its measures kept.
     """
     params = cfg.params
     ts = np.array(cfg.schedule, dtype=float)
@@ -236,7 +231,7 @@ def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[list[dict], dict
     }
     details: dict = {"oracle_checks": {}}
     if cfg.event_driven:
-        # the event-driven simulator re-derives the rows' centres and momenta
+        # the event-driven simulator re-derives the series' centres and momenta
         # without the collision table: record its largest deviations from them
         o = classical.event_driven_trajectory(
             params.x_M0, params.y_M0, params.v_x0, params.masses).states_at(ts)
@@ -245,8 +240,6 @@ def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[list[dict], dict
                       m.m_y * o.v_y - e.p_yn]).max(axis=1, initial=0.0)
         details["oracle_checks"].update(event_driven_max_center_dev=float(dev[:2].max()),
                                         event_driven_max_p_dev=float(dev[2:].max()))
-    rows = [dict(zip(columns, values))
-            for values in zip(*(c.tolist() for c in columns.values()))]
 
     if cfg.monte_carlo:
         # N sampled channels, reduced to their two position spreads at each
@@ -254,69 +247,61 @@ def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[list[dict], dict
         # per instant
         y0 = np.random.default_rng(cfg.seed).normal(params.y_M0, dsigma_y0,
                                                     size=cfg.monte_carlo)
-        spreads = classical.sample_spreads(ts, y0, params.x_M0, params.v_x0, params.table)
-        for row, (sd_x, sd_y) in zip(rows, spreads.T.tolist()):
-            row["mc_dsigma_y"], row["mc_dsigma_x"] = sd_y, sd_x
+        columns["mc_dsigma_x"], columns["mc_dsigma_y"] = classical.sample_spreads(
+            ts, y0, params.x_M0, params.v_x0, params.table)     # shape (2, T)
 
     if cfg.grid_oracle is not None:
         snap_dir = out_dir / "snapshots"
         snap_dir.mkdir()
         offset = 0.0
-        for row, f in zip(rows, grid.sample(grid.init_field(params, cfg.grid_oracle),
-                                            params.masses, cfg.grid_dt, cfg.schedule)):
-            offset = max(offset, abs(f.t - row["t"]))
-            grid.save_snapshot(f, snap_dir / f"field_t{row['t']:.6f}.bin")
-            grid.write_marginals_csv(f, snap_dir / f"marginals_t{row['t']:.6f}.csv")
-            if cfg.purity_source == "grid":     # both from one Gram matrix
-                row["grid_purity"], row["schmidt_entropy"] = grid.schmidt_measures(f)
-                row["purity"] = row["grid_purity"]
-            else:
-                row["grid_purity"] = grid.schmidt_purity(f)
+        # grid purity, and with purity_source grid the entropy of the same Gram matrix
+        measures = np.empty((len(ts), 2))
+        for k, (t, f) in enumerate(zip(cfg.schedule, grid.sample(
+                grid.init_field(params, cfg.grid_oracle), params.masses, cfg.grid_dt,
+                cfg.schedule))):
+            offset = max(offset, abs(f.t - t))
+            grid.save_snapshot(f, snap_dir / f"field_t{t:.6f}.bin")
+            grid.write_marginals_csv(f, snap_dir / f"marginals_t{t:.6f}.csv")
+            measures[k] = (grid.schmidt_measures(f) if cfg.purity_source == "grid"
+                           else (grid.schmidt_purity(f), math.nan))
+        columns["grid_purity"] = measures[:, 0]
+        if cfg.purity_source == "grid":
+            columns["purity"], columns["schmidt_entropy"] = measures.T
         details["grid"] = {"steps": round(f.t / cfg.grid_dt), "max_t_offset": offset}
-    return rows, details
+    return {c: columns[c] for c in SERIES_COLUMNS + OPTIONAL_COLUMNS if c in columns}, details
 
 
-def _columns_for(rows: list[dict]) -> list[str]:
-    cols = list(SERIES_COLUMNS)
-    for opt in OPTIONAL_COLUMNS:
-        if rows and opt in rows[0]:
-            cols.append(opt)
-    return cols
-
-
+WRITE_CHUNK = 256   # rows formatted at a time: the text held is one chunk's, not the series'
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_value(value) -> str:
-    """A series value as json.dump spells it: repr, with json's non-finite names."""
-    if type(value) in (float, int):
-        text = repr(value)
-        return _JSON_NON_FINITE.get(text, text)
-    return json.dumps(value)
-
-
-def _write_series_json(rows: list[dict], cols: list[str], fh) -> None:
-    """json.dump(rows restricted to cols, fh, indent=1, sort_keys=True) and a
-    newline, formatted row by row: json's indenting encoder is pure Python,
-    and took half of write_series on a 1,571-row series."""
-    keys = sorted(cols)
-    heads = [f"  {json.dumps(k)}: " for k in keys]
-    sep = "[\n {\n"
-    for row in rows:
-        fh.write(sep + ",\n".join([h + _json_value(row[k]) for h, k in zip(heads, keys)]))
-        sep = "\n },\n {\n"
-    fh.write("\n }\n]\n" if rows else "[]\n")
-
-
-def write_series(rows: list[dict], out_dir: Path) -> None:
-    cols = _columns_for(rows)
-    with open(out_dir / "series.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        for row in rows:
-            w.writerow([_fmt(row[c]) for c in cols])
-    with open(out_dir / "series.json", "w") as fh:
-        _write_series_json(rows, cols, fh)
+def write_series(columns: dict[str, np.ndarray], out_dir: Path) -> None:
+    """series.csv, and series.json as json.dump(rows, fh, indent=1,
+    sort_keys=True) and a newline would write it, WRITE_CHUNK rows at a time.
+    Each file has one %-template per row: %.17g (%d for an int column) in the
+    CSV; in the JSON %s, which spells a float or an int as repr and json do,
+    in place of json's indenting encoder, which is pure Python."""
+    names = list(columns)
+    keys = sorted(range(len(names)), key=names.__getitem__)     # the JSON's key order
+    csv_row = ",".join("%d" if columns[c].dtype.kind in "iu" else "%.17g" for c in names) + "\n"
+    json_row = " {\n" + ",\n".join(f"  {json.dumps(names[i])}: %s" for i in keys) + "\n }"
+    count = len(columns["t"])
+    with open(out_dir / "series.csv", "w", newline="") as csv_fh, \
+            open(out_dir / "series.json", "w") as json_fh:
+        csv_fh.write(",".join(names) + "\n")
+        json_fh.write("[\n" if count else "[]\n")
+        for start in range(0, count, WRITE_CHUNK):
+            chunk = [columns[c][start:start + WRITE_CHUNK] for c in names]
+            values = [c.tolist() for c in chunk]
+            csv_fh.write("".join(map(csv_row.__mod__, zip(*values))))
+            for i, c in enumerate(chunk):
+                if not np.isfinite(c).all():        # json's names of the non-finite floats
+                    values[i] = [v if math.isfinite(v) else _JSON_NON_FINITE[str(v)]
+                                 for v in values[i]]
+            json_fh.write((",\n" if start else "")
+                          + ",\n".join(map(json_row.__mod__, zip(*(values[i] for i in keys)))))
+        if count:
+            json_fh.write("\n]\n")
 
 
 def cmd_run(args) -> int:
@@ -337,7 +322,7 @@ def cmd_run(args) -> int:
     with work_dir as tmp:
         work = Path(tmp)
         try:
-            rows, details = compute_series(cfg, work)
+            columns, details = compute_series(cfg, work)
         except MixedPhaseError as exc:
             print(f"mixed-phase instant: {exc}", file=sys.stderr)
             return 3
@@ -347,7 +332,7 @@ def cmd_run(args) -> int:
         except RuntimeError as exc:     # the grid's unitarity guard, the simulator's event cap
             print(f"error: {exc}", file=sys.stderr)
             return 4
-        write_series(rows, work)
+        write_series(columns, work)
         manifest = {
             "config": cfg.raw,
             "seed": cfg.seed,
@@ -358,7 +343,7 @@ def cmd_run(args) -> int:
             "n_max": cfg.params.n_max,
             "n_cr": cfg.params.n_cr,
             "schedule": cfg.schedule,
-            "columns": _columns_for(rows),
+            "columns": list(columns),
             **details,      # the oracle checks, and the grid's sampling
         }
         with open(work / "manifest.json", "w") as fh:
@@ -369,12 +354,13 @@ def cmd_run(args) -> int:
         shutil.rmtree(out_dir / "snapshots", ignore_errors=True)
         for part in work.iterdir():
             part.replace(out_dir / part.name)
-    print(f"wrote {len(rows)} instants to {out_dir}")
+    print(f"wrote {len(columns['t'])} instants to {out_dir}")
     return 0
 
 
-def _read_series(run: str) -> tuple[list[str], list[list[float]]]:
-    """Header and rows of a run's series.csv (or of the CSV file itself)."""
+def _read_series(run: str) -> tuple[list[str], np.ndarray]:
+    """Header and values, one column per header name, of a run's series.csv
+    (or of the CSV file itself)."""
     path = Path(run) / "series.csv" if Path(run).is_dir() else Path(run)
     try:
         with open(path, newline="") as fh:
@@ -385,7 +371,7 @@ def _read_series(run: str) -> tuple[list[str], list[list[float]]]:
         raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
     if "t" not in header or any(len(row) != len(header) for row in rows):
         raise ConfigError(f"{path}: not a series file (needs a 't' column and full rows)")
-    return header, rows
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
 
 
 def _tolerances(items, columns) -> dict[str, float]:
@@ -405,16 +391,15 @@ def _tolerances(items, columns) -> dict[str, float]:
 
 def cmd_compare(args) -> int:
     try:
-        head_a, rows_a = _read_series(args.run_a)
-        head_b, rows_b = _read_series(args.run_b)
+        head_a, data_a = _read_series(args.run_a)
+        head_b, data_b = _read_series(args.run_b)
         shared = [c for c in head_a if c in head_b]
         tol = _tolerances(args.tol, shared)
-        if len(rows_a) != len(rows_b):
+        if len(data_a) != len(data_b):
             raise ConfigError("runs have different numbers of instants")
-        ia, ib = head_a.index("t"), head_b.index("t")
-        t_a = np.array([r[ia] for r in rows_a])
+        t_a = data_a[:, head_a.index("t")]
         limit = tol.get("t", 1e-12 * np.maximum(1.0, np.abs(t_a)))   # --tol t= bounds it too
-        if np.any(np.abs(t_a - [r[ib] for r in rows_b]) > limit):
+        if np.any(np.abs(t_a - data_b[:, head_b.index("t")]) > limit):
             raise ConfigError("runs do not share a schedule")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -422,9 +407,7 @@ def cmd_compare(args) -> int:
     status = 0
     report = {}
     for col in shared:
-        ca, cb = head_a.index(col), head_b.index(col)
-        va = np.array([r[ca] for r in rows_a])
-        vb = np.array([r[cb] for r in rows_b])
+        va, vb = data_a[:, head_a.index(col)], data_b[:, head_b.index(col)]
         ok = np.isfinite(va) & np.isfinite(vb)
         if not ok.any():
             continue

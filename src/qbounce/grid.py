@@ -23,7 +23,6 @@ memory a run touches follows the field, not the grid.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import struct
@@ -462,10 +461,13 @@ def schmidt_measures(field: GridField) -> tuple[float, float]:
     """schmidt_purity and the entropy of the normalized Schmidt spectrum,
     both from one Gram matrix."""
     g = _gram(field.psi)
+    purity = _purity_of_gram(g)
+    if not np.isfinite(g).all():        # eigvalsh does not converge on a NaN or inf
+        return purity, math.nan
     lam = np.linalg.eigvalsh(g)
     lam = lam / lam.sum()
     lam = lam[lam > 0]          # drop rounding-level negative and underflowed weights
-    return _purity_of_gram(g), float(-np.sum(lam * np.log(lam)))
+    return purity, float(-np.sum(lam * np.log(lam)))
 
 
 def marginals(field: GridField) -> tuple[np.ndarray, np.ndarray]:
@@ -513,8 +515,7 @@ def load_snapshot(path) -> GridField:
 def write_marginals_csv(field: GridField, path) -> None:
     xs, _ = field.spec.axes()
     px, py = marginals(field)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["coordinate", "density_x", "density_y"])
-        for i in range(len(xs)):
-            w.writerow([f"{xs[i]:.17g}", f"{px[i]:.17g}", f"{py[i]:.17g}"])
+    with open(path, "w", newline="") as fh:     # CRLF line ends, as csv.writer's
+        fh.write("coordinate,density_x,density_y\r\n")
+        fh.writelines(map("%.17g,%.17g,%.17g\r\n".__mod__,
+                          zip(xs.tolist(), px.tolist(), py.tolist())))

@@ -27,7 +27,6 @@ from qbounce.channels import ChannelEnsemble, _betas, channel_integral, split_wi
 from qbounce.classical import (ClassicalState, after_collision, channel_kinematics,
                                collision_angle, collision_table, ensemble_widths,
                                max_collisions)
-from qbounce.cli import _columns_for, _fmt
 from qbounce.gaussian import (OVERLAP_GATE, GaussianPacket, MassPair, QuadraticFormState,
                               collide_velocities, wall_tail_mass)
 from qbounce.grid import GridField, _cn_coeffs, marginals
@@ -80,18 +79,32 @@ def collision_table_recursion(eps: float) -> SimpleNamespace:
                            v_x=np.array(v_x), v_y=np.array(v_y))
 
 
-def write_series_reference(rows: list[dict], out_dir) -> None:
-    """cli.write_series by the csv and json modules (json's indenting encoder)."""
-    cols = _columns_for(rows)
+def write_series_reference(columns: dict, out_dir) -> None:
+    """cli.write_series by the csv and json modules (json's indenting encoder):
+    the columns in their order, a float as .17g and an int as str in the CSV,
+    one object per row with sorted keys in the JSON."""
+    names = list(columns)
+    rows = [dict(zip(names, values))
+            for values in zip(*(np.asarray(c).tolist() for c in columns.values()))]
     with open(out_dir / "series.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        for row in rows:
-            w.writerow([_fmt(row[c]) for c in cols])
-    payload = [{c: row[c] for c in cols} for row in rows]
+        w.writerow(names)
+        w.writerows([format(v, ".17g") if isinstance(v, float) else str(v)
+                     for v in row.values()] for row in rows)
     with open(out_dir / "series.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(rows, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def write_marginals_csv_reference(field: GridField, path) -> None:
+    """grid.write_marginals_csv by csv.writer (CRLF line ends), values as .17g."""
+    xs, _ = field.spec.axes()
+    px, py = marginals(field)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["coordinate", "density_x", "density_y"])
+        for i in range(len(xs)):
+            w.writerow([f"{xs[i]:.17g}", f"{px[i]:.17g}", f"{py[i]:.17g}"])
 
 
 def collision_position_approx(n, y_m0: float, eps: float) -> float:

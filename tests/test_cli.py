@@ -20,7 +20,7 @@ from qbounce.channels import (WIDTH_RATIO_GATE, MixedPhaseError, ScenarioParams,
 from qbounce.classical import (ClassicalTrajectory, collision_table, ensemble_widths,
                                event_driven_trajectory)
 from qbounce.cli import (ConfigError, compute_series, main, parse_config,
-                         SERIES_COLUMNS)
+                         OPTIONAL_COLUMNS, SERIES_COLUMNS)
 
 from oracles import (assemble_quadratic_form, channel_event_times, ensemble_at_count, events,
                      masses_from_epsilon, monte_carlo_spreads, pair_events,
@@ -137,17 +137,39 @@ class TestRun:
     def test_series_files_match_the_json_module_writer(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, config_with(
             BASE_CONFIG, oracles="event_driven,monte_carlo:500")))
-        rows, _ = compute_series(cfg, tmp_path)
-        rows[1]["purity"] = math.nan
-        rows[2]["mc_dsigma_x"], rows[2]["mc_dsigma_y"] = math.inf, -math.inf
-        rows[3]["x_M"] = -0.0
+        columns, _ = compute_series(cfg, tmp_path)
+        # the 32 instants repeated past two chunks, non-finite values either
+        # side of the first chunk boundary
+        k = cli.WRITE_CHUNK
+        columns = {c: np.resize(v, 2 * k + 5) for c, v in columns.items()}
+        columns["purity"][[1, k - 1, k]] = math.nan
+        columns["mc_dsigma_x"][[2, k]] = math.inf
+        columns["mc_dsigma_y"][[2, k - 1]] = -math.inf
+        columns["x_M"][[3, k + 1]] = -0.0
         for out in (tmp_path / "a", tmp_path / "b"):
             out.mkdir()
-        cli.write_series(rows, tmp_path / "a")
-        write_series_reference(rows, tmp_path / "b")
+        cli.write_series(columns, tmp_path / "a")
+        write_series_reference(columns, tmp_path / "b")
         for name in ("series.csv", "series.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        assert '"purity": NaN' in (tmp_path / "a" / "series.json").read_text()
+        text = (tmp_path / "a" / "series.json").read_text()
+        assert text.count('"purity": NaN') == 3
+        assert text.count(": Infinity") == 2 and text.count(": -Infinity") == 2
+        assert len((tmp_path / "a" / "series.csv").read_text().splitlines()) == 1 + 2 * k + 5
+
+    def test_series_memory_is_its_columns(self, tmp_path):
+        # compute and write hold the columns and one chunk of text: 385 bytes
+        # an instant at 15,708 instants, where one dict per row took 976
+        cfg = parse_config(write_config(tmp_path, SMALL_EPS_1E4_CONFIG))
+        tracemalloc.start()
+        try:
+            columns, _ = compute_series(cfg, tmp_path)
+            cli.write_series(columns, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(columns["t"]) == 15708
+        assert peak < 600 * 15708
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, config_with(BASE_CONFIG, oracles="monte_carlo:500",
@@ -384,11 +406,11 @@ class TestRun:
             BASE_CONFIG, oracles=f"monte_carlo:{n}")))
         tracemalloc.start()
         try:
-            rows, _ = compute_series(cfg, tmp_path)
+            columns, _ = compute_series(cfg, tmp_path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(rows) == 32
+        assert len(columns["t"]) == 32
         assert peak < 7.6 * n * 8
 
     def test_manifest_echoes_config_oracles(self, tmp_path):
@@ -506,9 +528,9 @@ class TestRun:
         cfg = parse_config(write_config(tmp_path, BASE_CONFIG.replace(
             "p_x0     = 190.0", "p_x0     = 191.0")))
         collision_table.cache_clear()
-        rows, _ = compute_series(cfg, tmp_path)
+        columns, _ = compute_series(cfg, tmp_path)
         info = collision_table.cache_info()
-        assert len(rows) == 32
+        assert len(columns["t"]) == 32
         assert info.misses <= 1
         assert info.hits + info.misses <= 2
 
@@ -548,8 +570,8 @@ class TestRun:
         monkeypatch.setattr(channels, "propagate_ensemble", counted_propagate)
         monkeypatch.setattr(ClassicalTrajectory, "state_at", per_instant)
         collision_table.cache_clear()
-        rows, _ = compute_series(cfg, tmp_path)
-        assert len(rows) == 15708
+        columns, _ = compute_series(cfg, tmp_path)
+        assert len(columns["t"]) == 15708
         assert propagate_calls == [15708]
         assert len(gate_calls) <= 2
         lookups = collision_table.cache_info()
@@ -767,6 +789,27 @@ seed     = 0
         assert block["steps"] == 50
         assert 0 <= block["max_t_offset"] <= 1e-15
 
+    def test_every_oracle_in_one_run(self, tmp_path):
+        # the header is every column in order, each with one value per instant
+        cfg = write_config(tmp_path, config_with(
+            DESK_CONFIG, schedule="0,0.002,0.004", seed="2",
+            oracles="grid:n=384;l=22;dt=2e-3,monte_carlo:500,event_driven"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "series.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header == SERIES_COLUMNS + OPTIONAL_COLUMNS
+        assert [len(line.split(",")) for line in lines[1:]] == [len(header)] * 3
+        rows = json.loads((out / "series.json").read_text())
+        assert [sorted(row) for row in rows] == [sorted(header)] * 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["columns"] == header
+        assert set(manifest["oracle_checks"]) == {"event_driven_max_center_dev",
+                                                  "event_driven_max_p_dev"}
+        assert [row["t"] for row in rows] == [0.0, 0.002, 0.004]
+        assert rows[0]["mc_dsigma_x"] == 0.0
+        assert all(row["grid_purity"] == pytest.approx(1.0, abs=5e-3) for row in rows)
+
     def test_memory_does_not_grow_with_the_schedule(self, tmp_path):
         # each sampled field is written and dropped: 2 and 12 instants one
         # step apart, the first at t = 0, both peak at 4.56 fields (the
@@ -784,11 +827,11 @@ seed     = 0
             out.mkdir()
             tracemalloc.start()
             try:
-                rows, _ = compute_series(cfg, out)
+                columns, _ = compute_series(cfg, out)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert len(rows) == len(list((out / "snapshots").glob("field_t*.bin"))) == k
+            assert len(columns["t"]) == len(list((out / "snapshots").glob("field_t*.bin"))) == k
         assert peaks[1] < peaks[0] + 0.1 * field
         assert peaks[1] < 4.7 * field
 
@@ -998,7 +1041,7 @@ def test_series_equals_the_scalar_api(keys):
         cfg = parse_config(path)
         params = cfg.params
         try:
-            rows, _ = compute_series(cfg, Path(tmp))
+            columns, _ = compute_series(cfg, Path(tmp))
         except MixedPhaseError as err:
             # the series stops where the scalar API stops, with the same diagnosis
             with pytest.raises(MixedPhaseError, match=re.escape(str(err))):
@@ -1006,15 +1049,15 @@ def test_series_equals_the_scalar_api(keys):
             assert all(channels.mixed_phase_gate(params, t) for t in cfg.schedule if t < err.t)
             return
     dsigma_y0, _ = split_width(params)
-    for row in rows:
-        e = propagate_ensemble(params, row["t"])
+    for i, t in enumerate(columns["t"]):
+        e = propagate_ensemble(params, t)
         rep = entanglement_report(assemble_quadratic_form(e, params))
         want = {"n": e.n, "x_M": e.x_center, "y_M": e.y_center,
                 "dsigma_y_n": e.dsigma_y_n,
                 "dsigma_x_n": ensemble_widths(e.n, params.eps, dsigma_y0).dsigma_x,
                 "abs_a_xy": np.abs(rep.a_xy), "purity": rep.purity,
                 "schmidt_entropy": rep.schmidt_entropy, "p_xn": e.p_xn, "p_yn": e.p_yn}
-        assert {col: row[col] for col in want} == want
+        assert {col: columns[col][i] for col in want} == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -1109,12 +1152,11 @@ def test_monte_carlo_spreads_equal_the_per_sample_statistic(keys, samples, seed,
         # the gated instants, as a run would need them
         cfg.schedule = ([t for t in cfg.schedule if mixed_phase_gate(cfg.params, t)]
                         or auto_schedule(cfg.params))
-        rows, _ = compute_series(cfg, Path(tmp))
-    some = sorted(set(data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+        columns, _ = compute_series(cfg, Path(tmp))
+    some = sorted(set(data.draw(st.lists(st.integers(0, len(columns["t"]) - 1), min_size=1,
                                          max_size=4))))
-    rows = [rows[i] for i in some]
-    assert_mc_spreads_match(cfg, [r["t"] for r in rows], [r["mc_dsigma_x"] for r in rows],
-                            [r["mc_dsigma_y"] for r in rows])
+    assert_mc_spreads_match(cfg, *(columns[c][some] for c in ("t", "mc_dsigma_x",
+                                                             "mc_dsigma_y")))
     # the samples' own collision and bounce times, one ulp either side of them
     times = mc_event_times(cfg)
     ts = [float(f(t)) for t in data.draw(st.lists(st.sampled_from(times), min_size=1,
@@ -1131,10 +1173,9 @@ def test_monte_carlo_spreads_on_the_benchmark_arc(tmp_path, monkeypatch):
     cfg = parse_config(write_config(tmp_path, workloads.config_text(
         workloads.scenario("arc_oracles", 0))))
     assert (cfg.monte_carlo, cfg.seed) == (200_000, 0)
-    rows, _ = compute_series(cfg, tmp_path)
-    assert len(rows) == 32
-    assert_mc_spreads_match(cfg, [r["t"] for r in rows], [r["mc_dsigma_x"] for r in rows],
-                            [r["mc_dsigma_y"] for r in rows])
+    columns, _ = compute_series(cfg, tmp_path)
+    assert len(columns["t"]) == 32
+    assert_mc_spreads_match(cfg, columns["t"], columns["mc_dsigma_x"], columns["mc_dsigma_y"])
     times = mc_event_times(cfg)[::6]
     ts = np.concatenate([times, np.nextafter(times, 0), np.nextafter(times, np.inf)])
     assert_mc_spreads_match(cfg, ts, *mc_spreads_at(cfg, ts))
@@ -1147,6 +1188,7 @@ def test_monte_carlo_x_spread_is_zero_before_the_first_collision(tmp_path):
                                                           oracles="monte_carlo:10000")))
     first = mc_event_times(cfg)[0]
     cfg.schedule = [0.0, first / 2, math.nextafter(first, 0)]
-    rows, _ = compute_series(cfg, tmp_path)
-    assert [row["mc_dsigma_x"] for row in rows] == [0.0, 0.0, 0.0]
-    assert rows[0]["mc_dsigma_y"] == pytest.approx(np.std(mc_samples(cfg), ddof=1), rel=1e-12)
+    columns, _ = compute_series(cfg, tmp_path)
+    assert columns["mc_dsigma_x"].tolist() == [0.0, 0.0, 0.0]
+    assert columns["mc_dsigma_y"][0] == pytest.approx(np.std(mc_samples(cfg), ddof=1),
+                                                      rel=1e-12)

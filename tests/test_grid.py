@@ -17,7 +17,7 @@ from oracles import (cn_lines_dense, collide_gaussians, energy, evolve_reference
                      moments, normalized, overlap,
                      overlap_fields, product_form, purity_by_full_gram,
                      save_snapshot_reference, schmidt_by_svd, sweep_lines_reference,
-                     wall_reflect)
+                     wall_reflect, write_marginals_csv_reference)
 
 MASSES = MassPair(1.0, 25.0)
 DESK_SPEC = GridSpec(n=512, length=30.0)
@@ -377,6 +377,14 @@ class TestSchmidtPurity:
         assert g[30, 30] == 1e-30 ** 2
         assert math.isnan(schmidt_purity(grid.GridField(psi=psi, spec=spec, t=0.0)))
 
+    def test_nan_field_has_nan_measures(self):
+        # as schmidt_purity: NaN purity and entropy, not eigvalsh's LinAlgError
+        spec = GridSpec(n=64, length=8.0)
+        psi = random_triangle_field(spec)
+        psi[10, 40] = np.nan
+        purity, entropy = schmidt_measures(grid.GridField(psi=psi, spec=spec, t=0.0))
+        assert math.isnan(purity) and math.isnan(entropy)
+
     def test_temporaries_stay_under_four_fields(self):
         # grid.RUN_FIELDS counts them on top of the stepper's four fields: a
         # field that fills the triangle takes |psi|, a mask, its cropped copy,
@@ -523,6 +531,14 @@ class TestSnapshotRoundTrip:
         rows = path.read_text().splitlines()
         assert rows[0] == "coordinate,density_x,density_y"
         assert len(rows) == spec.n + 2
+        # byte for byte csv.writer's file, a NaN field's too
+        nan_psi = f.psi.copy()
+        nan_psi[5, 9] = np.nan
+        for psi in (f.psi, nan_psi):
+            f = grid.GridField(psi=psi, spec=spec, t=0.0)
+            write_marginals_csv(f, path)
+            write_marginals_csv_reference(f, tmp_path / "ref.csv")
+            assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestCollisionCrossCheck:
