@@ -230,11 +230,11 @@ def _positions(t: float, k, y_m0, x_m0: float, v_x0: float, table: CollisionTabl
     return x_m, y_m, t_wall
 
 
-def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
-                       table: CollisionTable):
+def channel_kinematics(t, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
     """Exact (x_m, y_m, pair count, wall count) at time t, vectorized over y_m0.
 
     y_m0 is a scalar or 1-D array of initial heavy positions, all positive.
+    With t a column of instants, shaped (T, 1), row j is the call at t[j, 0].
     A searchsorted on the unit gap sequence gives each pair count to within one
     collision; one step up and one down against the channel's exact times
     (_pair_time) make it exact: O(log K) per channel, no (channels, K) array.
@@ -261,25 +261,25 @@ def channel_kinematics(t: float, y_m0, x_m0: float, v_x0: float,
     return x_m, y_m, k, table.walls[ki] + latest
 
 
-def channel_blocks(t: float, y_sorted, x_m0: float, v_x0: float, table: CollisionTable):
-    """The channels y_sorted (ascending) at time t as contiguous blocks of equal
-    (pair count, wall count), counted as channel_kinematics counts them.
+def channel_blocks(ts, y_sorted, x_m0: float, v_x0: float, table: CollisionTable):
+    """The channels y_sorted (ascending) at each instant of ts as contiguous
+    blocks of equal (pair count, wall count), counted as channel_kinematics counts them.
 
     Every collision and bounce time rises with y_m0, in floating point too, so
-    the counts fall along y_sorted.  Returns (edges, pairs, walls): block b is
-    y_sorted[edges[b]:edges[b + 1]].  Each pair count c from the first
-    channel's down to the last channel's has two blocks, either may be empty:
-    first the channels past the wall bounce after collision c, then the rest.
-    Each edge is a bisection over y_sorted with channel_kinematics' exact
-    comparisons: O(blocks log N), no per-channel work.
+    the counts fall along y_sorted.  Returns (edges, pairs), a row per instant:
+    block b is y_sorted[edges[j, b]:edges[j, b + 1]].  Each pair count c from
+    the first channel's down, as far as the widest span in ts, has two blocks,
+    either may be empty: first the channels past the wall bounce after
+    collision c, then the rest.  Each edge is a bisection over y_sorted with
+    channel_kinematics' exact comparisons, all at once: O(log N) numpy calls.
     """
-    n = len(y_sorted)
-    k_first, k_last = channel_kinematics(t, y_sorted[[0, -1]], x_m0, v_x0, table)[2]
-    pairs = np.arange(k_first, k_last - 1, -1)
+    n, t = len(y_sorted), np.asarray(ts, dtype=float)[:, None]
+    k_first, k_last = channel_kinematics(t, y_sorted[[0, -1]], x_m0, v_x0, table)[2].T
+    pairs = k_first[:, None] - np.arange(np.max(k_first - k_last) + 1)
     ki = np.maximum(pairs - 1, 0)
     # channels with at least c pair collisions, and those past the bounce after
     # collision c, both a prefix of y_sorted: bisect for their lengths at once
-    lo, hi = np.zeros((2, len(pairs)), int), np.full((2, len(pairs)), n)
+    lo, hi = np.zeros((2, *pairs.shape), int), np.full((2, *pairs.shape), n)
     for _ in range(n.bit_length()):
         mid = (lo + hi) // 2
         t_k, _, _, _, t_wall = after_collision(ki, y_sorted[np.minimum(mid, n - 1)],
@@ -288,15 +288,16 @@ def channel_blocks(t: float, y_sorted, x_m0: float, v_x0: float, table: Collisio
         hi = np.where(done, hi, mid)
         lo = np.minimum(np.where(done, mid + 1, lo), hi)      # lo == hi: converged
     collided, bounced = np.where(pairs > 0, lo, n)
-    lower = np.append(0, collided[:-1])                       # the start of c's channels
+    lower = np.pad(collided[:, :-1], ((0, 0), (1, 0)))        # the start of c's channels
     # a bounce comes after its collision and well before the next one, so a
     # bounce edge lies between its count's two collision edges
     toward_wall = (pairs > 0) & (table.v_x[1:][ki] > 0)
     bounced = np.where(toward_wall, bounced, lower)
-    edges = np.append(0, np.stack((bounced, collided), axis=-1).ravel())
-    earlier = table.walls[ki]
-    walls = np.stack((earlier + toward_wall, earlier), axis=-1).ravel()
-    return edges, np.repeat(pairs, 2), walls
+    edges = np.stack((bounced, collided), axis=-1).reshape(len(t), -1)
+    return np.pad(edges, ((0, 0), (1, 0))), np.repeat(pairs, 2, axis=-1)
+
+
+SPREAD_CHUNK = 4096     # instants per pass of sample_spreads: memory O(chunk x blocks)
 
 
 def sample_spreads(ts, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
@@ -307,11 +308,14 @@ def sample_spreads(ts, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
     centre the median channel, with one sign of the wall fold, so a block's
     mean and spread follow from its count and its sums of u and u^2.  The
     channels are sorted once and those sums kept as prefix sums: O(N log N)
-    once, then O(blocks log N) per instant.  Each block's coefficients are its
-    positions (_positions) at u = 0 and u = centre.  The variance sums each block's squared
-    distance from the mean and its spread about its own mean: no cancellation
-    between blocks, so a vanishing spread stays accurate (exactly 0.0 while
-    every channel is in free flight).  Returns (sd_x, sd_y), shaped like ts.
+    once, then O(log N) numpy calls per SPREAD_CHUNK instants.  Each block's
+    coefficients are its positions (_positions) at u = 0 and u = centre.  The
+    variance sums each block's squared distance from the mean and its spread
+    about its own mean: no cancellation between blocks, so a vanishing spread
+    stays accurate (exactly 0.0 while every channel is in free flight).  An
+    empty block adds exact zeros, and the blocks are summed in order, so an
+    instant's spreads do not depend on the other instants of its chunk.
+    Returns (sd_x, sd_y), shaped like ts.
     """
     y_sorted = np.sort(y_m0)
     n = len(y_sorted)
@@ -321,23 +325,24 @@ def sample_spreads(ts, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
     np.cumsum(u, out=s1[1:])
     np.cumsum(np.square(u, out=u), out=s2[1:])
     del u
-    refs = np.array([[centre], [2 * centre]])
+    refs = np.array([centre, 2 * centre])[:, None, None]
+    ts = np.asarray(ts, dtype=float)
     out = np.empty((2, len(ts)))
-    for j, t in enumerate(map(float, ts)):
-        edges, pairs, _ = channel_blocks(t, y_sorted, x_m0, v_x0, table)
-        full = np.flatnonzero(np.diff(edges))                 # the non-empty blocks
-        start, stop = edges[full], edges[full + 1]
+    for j in range(0, len(ts), SPREAD_CHUNK):
+        t = ts[j:j + SPREAD_CHUNK]
+        edges, pairs = channel_blocks(t, y_sorted, x_m0, v_x0, table)
+        start, stop = edges[:, :-1], edges[:, 1:]
         count, S1, S2 = stop - start, s1[stop] - s1[start], s2[stop] - s2[start]
-        x_m, y_m, _ = _positions(t, pairs[full], refs, x_m0, v_x0, table)
-        x_m[:, full % 2 == 0] *= -1                           # past the bounce: fold
+        x_m, y_m, _ = _positions(t[:, None], pairs, refs, x_m0, v_x0, table)
+        x_m[..., ::2] *= -1                                   # past the bounce: fold
         at0, at1 = np.stack((x_m, y_m), axis=1)               # (x, y) at u = 0, centre
         slope = (at1 - at0) / centre
-        u_mean = S1 / count
+        u_mean = S1 / np.maximum(count, 1)
         block_mean = at0 + slope * u_mean
-        mean = (count / n * block_mean).sum(axis=-1)
-        var = (count * (block_mean - mean[:, None]) ** 2
-               + slope * slope * (S2 - S1 * u_mean)).sum(axis=-1)
-        out[:, j] = np.sqrt(np.maximum(var / (n - 1), 0.0))
+        mean = np.cumsum(count / n * block_mean, axis=-1)[..., -1]
+        var = np.cumsum(count * (block_mean - mean[..., None]) ** 2
+                        + slope * slope * (S2 - S1 * u_mean), axis=-1)[..., -1]
+        out[:, j:j + SPREAD_CHUNK] = np.sqrt(np.maximum(var / (n - 1), 0.0))
     return out
 
 

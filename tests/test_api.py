@@ -101,3 +101,10 @@ def test_every_oracle_is_used():
 
 def test_readme_names_only_existing_attributes():
     assert unresolved_readme_names() == []
+
+
+def test_readme_names_exactly_the_admission_bounds():
+    # a bound removed from cli leaves no stale README row, and a new one gets one
+    cli = importlib.import_module("qbounce.cli")
+    assert set(re.findall(r"\bMAX_\w+", README)) == {
+        name for name in vars(cli) if name.startswith("MAX_")}

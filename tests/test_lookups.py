@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from qbounce.channels import (WIDTH_RATIO_GATE, ScenarioParams, mixed_phase_gate,
                               reference_trajectory, split_width)
-from qbounce.classical import (channel_blocks, channel_kinematics, collision_table,
-                               sample_spreads)
+from qbounce import classical
+from qbounce.classical import (SPREAD_CHUNK, channel_blocks, channel_kinematics,
+                               collision_table, sample_spreads)
 from oracles import (channel_event_times, channel_kinematics_dense, masses_from_epsilon,
                      pair_collision_times, state_at_linear_scan)
 
@@ -112,8 +113,25 @@ def test_channel_kinematics_matches_dense(params, data):
 
 @settings(max_examples=60, deadline=None)
 @given(params=admissible_params(), data=st.data())
+def test_channel_kinematics_over_a_column_of_instants(params, data):
+    # t shaped (T, 1): row j is, bit for bit, the call at instant j alone
+    dsigma_y0, _ = split_width(params)
+    y0 = params.y_M0 + dsigma_y0 * np.linspace(-4, 4, 41)
+    x0, v0 = params.x_M0, params.v_x0
+    table = collision_table(params.eps)
+    times = np.concatenate([[0.0], channel_event_times(y0, x0, v0, table)])
+    ts = np.array([draw_instant(data, times) for _ in range(8)])
+    rows = channel_kinematics(ts[:, None], y0, x0, v0, table)
+    for j, t in enumerate(ts):
+        for got, want in zip(rows, channel_kinematics(float(t), y0, x0, v0, table)):
+            assert got[j].dtype == want.dtype and got[j].tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=admissible_params(), data=st.data())
 def test_channel_blocks_expand_to_channel_kinematics(params, data):
-    # sorted Gaussian channels, at their own event times and between them
+    # sorted Gaussian channels, at their own event times and between them,
+    # eight instants in one call
     dsigma_y0, _ = split_width(params)
     seed, n = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(1, 3000))
     y0 = np.sort(np.random.default_rng(seed).normal(params.y_M0, dsigma_y0, n))
@@ -122,13 +140,68 @@ def test_channel_blocks_expand_to_channel_kinematics(params, data):
     some = y0[data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))]
     times = np.concatenate([[0.0], channel_event_times(np.concatenate((y0[[0, -1]], some)),
                                                        x0, v0, table)])
-    for _ in range(8):
-        t = draw_instant(data, times)
-        edges, pairs, walls = channel_blocks(t, y0, x0, v0, table)
-        assert edges[0] == 0 and edges[-1] == n and np.all(np.diff(edges) >= 0)
-        _, _, k, w = channel_kinematics(t, y0, x0, v0, table)
-        assert np.array_equal(np.repeat(pairs, np.diff(edges)), k)
-        assert np.array_equal(np.repeat(walls, np.diff(edges)), w)
+    ts = np.array([draw_instant(data, times) for _ in range(8)])
+    edges, pairs = channel_blocks(ts, y0, x0, v0, table)
+    assert np.all(edges[:, 0] == 0) and np.all(edges[:, -1] == n)
+    assert np.all(np.diff(edges) >= 0)
+    for t, row, counts in zip(ts, edges, pairs):
+        _, _, k, w = channel_kinematics(float(t), y0, x0, v0, table)
+        sizes = np.diff(row)
+        assert np.array_equal(np.repeat(counts, sizes), k)
+        # sample_spreads folds the even blocks: the channels past the bounce
+        # after their latest collision
+        even = np.repeat(np.arange(len(sizes)) % 2 == 0, sizes)
+        assert np.array_equal(even, w > table.walls[np.maximum(k - 1, 0)])
+
+
+def spread_case():
+    """Channels 6 sigma wide at eps = 0.05 and instants over twice the run:
+    up to five pair counts at an instant, so chunks pad their rows."""
+    table = collision_table(0.05)
+    x0, y_m0, v0 = 25.0, 50.0, 190.0
+    y0 = np.random.default_rng(0).normal(y_m0, 3.0, 1000)
+    return y0, x0, v0, table, 2 * table.times[-1] * y_m0 / v0
+
+
+def test_sample_spreads_does_no_work_per_instant(monkeypatch):
+    # the kinematics run once per bisection round for a whole chunk, so ten
+    # instants and a thousand make the same calls
+    y0, x0, v0, table, end = spread_case()
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return after_collision(*args)
+
+    after_collision = classical.after_collision
+    monkeypatch.setattr(classical, "after_collision", counted)
+    counts = []
+    for instants in (10, 1000):
+        calls.clear()
+        sample_spreads(np.linspace(0.0, end, instants), y0, x0, v0, table)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_sample_spreads_chunks_equal_one_instant_calls():
+    y0, x0, v0, table, end = spread_case()
+    ts = np.linspace(0.0, end, SPREAD_CHUNK + 3)
+    ends = channel_kinematics(ts[:, None], np.sort(y0)[[0, -1]], x0, v0, table)[2]
+    assert len(set(ends[:, 0] - ends[:, 1])) > 2           # rows of several widths
+    got = sample_spreads(ts, y0, x0, v0, table)
+    want = np.array([sample_spreads([t], y0, x0, v0, table)[:, 0] for t in ts]).T
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # memory is one chunk's, whatever the schedule's length
+    peaks = []
+    for chunks in (1, 3):
+        ts = np.linspace(0.0, end, chunks * SPREAD_CHUNK)
+        tracemalloc.start()
+        try:
+            sample_spreads(ts, y0, x0, v0, table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_channel_kinematics_memory_linear_in_channels():
