@@ -53,7 +53,7 @@ class ScenarioParams:
 
     Requires finite values, m_x < m_y, 0 < x_M0 < y_M0, widths at most
     WIDTH_RATIO_GATE of every packet-to-packet and packet-to-wall distance,
-    and the broad-heavy branch m_x sigma0x^2 < m_y sigma0y^2.
+    and the broad-heavy branch m_x sigma0x^2 < m_y sigma0y^2 (split_width).
     validity_figure = eps m_x sigma0x v_x0 / pi must be large for the packets
     to stay narrow through the last collision.
     """
@@ -83,10 +83,7 @@ class ScenarioParams:
                 raise ValueError(
                     f"{name}={s:g} too broad: widths must be <= "
                     f"{WIDTH_RATIO_GATE} * {gap:g}")
-        if self.masses.m_x * self.sigma0x**2 >= self.masses.m_y * self.sigma0y**2:
-            raise ValueError(
-                "m_x sigma0x^2 < m_y sigma0y^2 required (the mirrored "
-                "decomposition for the opposite branch is not implemented)")
+        split_width(self)       # the broad-heavy branch: a blur left to split off
 
     @property
     def eps(self) -> float:
@@ -146,12 +143,14 @@ def split_width(params: ScenarioParams) -> tuple[float, float]:
     sigma_yT^2 = (m_x/m_y) sigma0x^2 makes each channel non-entangling;
     dsigma_y0^2 = sigma0y^2 - sigma_yT^2 is the blur the channels' centres
     are distributed with.  Convolving the two Gaussians restores sigma0y.
+    The one test of the broad-heavy branch: ScenarioParams admits by it.
     """
     sigma_yT_sq = params.masses.m_x / params.masses.m_y * params.sigma0x**2
     dsq = params.sigma0y**2 - sigma_yT_sq
     if dsq <= 0:
-        raise ValueError("already non-entangling (single channel): "
-                         "m_x sigma0x^2 >= m_y sigma0y^2 leaves no blur to split off")
+        raise ValueError(f"need m_x sigma0x^2 < m_y sigma0y^2, got sigma0y^2 - (m_x/m_y) "
+                         f"sigma0x^2 = {dsq:.3g}: at 0 one channel is already non-entangling "
+                         f"(single channel), below 0 the mirrored decomposition is not implemented")
     return math.sqrt(dsq), math.sqrt(sigma_yT_sq)
 
 
@@ -230,13 +229,6 @@ def propagate_ensemble(params: ScenarioParams, t) -> ChannelEnsemble:
         p_xn=params.masses.m_x * ref.v_x, p_yn=params.masses.m_y * ref.v_y, t=ref.t)
 
 
-def _betas(params: ScenarioParams, t: float) -> tuple[complex, complex]:
-    """Width parameters (beta_x^2, beta_y^2) of the original packets at t."""
-    bx = width_param(params.sigma0x, params.masses.m_x, t)
-    by = width_param(params.sigma0y, params.masses.m_y, t)
-    return bx, by
-
-
 def channel_integral(e: ChannelEnsemble, params: ScenarioParams) -> QuadraticFormState:
     """Unnormalized quadratic form of the channel superposition at e.t; the
     instant is not checked (propagate_ensemble gates it).
@@ -250,7 +242,8 @@ def channel_integral(e: ChannelEnsemble, params: ScenarioParams) -> QuadraticFor
     eps = params.eps
     dsigma_y0, _ = split_width(params)
     d0sq = dsigma_y0**2
-    bx2, _ = _betas(params, np.atleast_1d(np.asarray(e.t, dtype=float)))
+    bx2 = width_param(params.sigma0x, params.masses.m_x,
+                      np.atleast_1d(np.asarray(e.t, dtype=float)))
     bt2 = eps**2 * bx2                      # channel heavy width parameter
     c, s = channel_rotation(e.n, eps)
     fx, fy = s / eps, c                     # offset-to-x_m and -to-y_m scales

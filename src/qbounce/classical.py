@@ -46,9 +46,8 @@ def max_collisions(eps: float) -> int:
     x_M0 = y_M0 / 2 makes 16 pair collisions at eps = 0.05 (n_max = 15), 4 at
     eps = 0.2 (n_max = 3) and 785 at eps = 0.001 (n_max = 785).
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    return int(math.floor(math.atan(1 / eps) / collision_angle(eps) + 0.5))
+    phi = collision_angle(eps)      # first: it checks eps, 0 included
+    return int(math.floor(math.atan(1 / eps) / phi + 0.5))
 
 
 def critical_count(eps: float) -> float:
@@ -152,7 +151,6 @@ class CollisionTable:
     Positions and times scale linearly with y_m0 / v_x0, which is what makes
     whole-ensemble evaluations cheap.
     """
-    eps: float
     times: np.ndarray       # shape (K+1,), times[0] = 0
     positions: np.ndarray   # shape (K+1,), positions[0] = 1
     v_x: np.ndarray         # folded speeds after collision k
@@ -189,8 +187,7 @@ def collision_table(eps: float) -> CollisionTable:
     walls = np.concatenate(([0], np.cumsum(v_x[1:] > 0)))
     for arr in (times, pos, v_x, v_y, gaps, walls):
         arr.flags.writeable = False
-    return CollisionTable(eps=eps, times=times, positions=pos, v_x=v_x, v_y=v_y,
-                          gaps=gaps, walls=walls)
+    return CollisionTable(times=times, positions=pos, v_x=v_x, v_y=v_y, gaps=gaps, walls=walls)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +366,6 @@ def channel_trajectory(y_m0: float, x_m0: float, v_x0: float,
 @dataclass(frozen=True)
 class EnsembleWidths:
     """Classical ensemble widths after n collisions."""
-    n: float
     dsigma_y: float
     dsigma_x: float
 
@@ -388,6 +384,5 @@ def ensemble_widths(n, eps: float, dsigma_y0: float) -> EnsembleWidths:
     if np.any(n < 0):
         raise ValueError("n must be non-negative")
     c, s = channel_rotation(n, eps)
-    return EnsembleWidths(n=n, dsigma_y=dsigma_y0 * np.abs(c),
-                          dsigma_x=dsigma_y0 / eps * np.abs(s))
+    return EnsembleWidths(dsigma_y=dsigma_y0 * np.abs(c), dsigma_x=dsigma_y0 / eps * np.abs(s))
 

@@ -33,6 +33,7 @@ SERIES_COLUMNS = [
     "purity", "schmidt_entropy", "p_xn", "p_yn", "validity_figure",
 ]
 OPTIONAL_COLUMNS = ["grid_purity", "mc_dsigma_y", "mc_dsigma_x"]
+_stamp = "{:.6f}".format    # an instant's part of its snapshot names: field_t{stamp}.bin
 
 # Admission bound on the reference run's events, at most 2 (n_max + 1); at
 # eps = 1e-6 (1.57 million) `run` with event_driven peaks at 338 MiB (README).
@@ -188,6 +189,11 @@ def parse_config(path) -> ScenarioConfig:
             raise ConfigError(f"{where}: unknown oracle {name!r}")
     if cfg.purity_source == "grid" and cfg.grid_oracle is None:
         raise ConfigError(f"{path}: purity_source=grid requires the grid oracle")
+    if cfg.grid_oracle is not None:     # sorted: instants that share a stamp are neighbours
+        for a, b in zip(cfg.schedule, cfg.schedule[1:]):
+            if _stamp(a) == _stamp(b):
+                raise ConfigError(f"{where}: grid: instants {a!r} and {b!r} share the "
+                                  f"snapshot stamp {_stamp(a)} (field_t{_stamp(a)}.bin)")
     cells = (cfg.grid_oracle.n + 1) ** 2 if cfg.grid_oracle is not None else 0
     for what, need, limit in (
             ("monte_carlo samples", cfg.monte_carlo, MAX_MC_SAMPLES),
@@ -257,8 +263,8 @@ def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, np.nda
                 grid.init_field(params, cfg.grid_oracle), params.masses, cfg.grid_dt,
                 cfg.schedule))):
             offset = max(offset, abs(f.t - t))
-            grid.save_snapshot(f, snap_dir / f"field_t{t:.6f}.bin")
-            grid.write_marginals_csv(f, snap_dir / f"marginals_t{t:.6f}.csv")
+            grid.save_snapshot(f, snap_dir / f"field_t{_stamp(t)}.bin")
+            grid.write_marginals_csv(f, snap_dir / f"marginals_t{_stamp(t)}.csv")
             measures[k] = (grid.schmidt_measures(f) if cfg.purity_source == "grid"
                            else (grid.schmidt_purity(f), math.nan))
         columns["grid_purity"] = measures[:, 0]

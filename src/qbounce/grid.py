@@ -99,10 +99,6 @@ class GridField:
     def h(self) -> float:
         return self.spec.h
 
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2) * self.h**2)
-
 
 def init_field(params, spec: GridSpec) -> GridField:
     """Discretized initial state with the sine cutoff enforcing the boundaries.

@@ -23,12 +23,12 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.integrate import quad
 
-from qbounce.channels import ChannelEnsemble, _betas, channel_integral, split_width
+from qbounce.channels import ChannelEnsemble, channel_integral, split_width
 from qbounce.classical import (ClassicalState, after_collision, channel_kinematics,
                                collision_angle, collision_table, ensemble_widths,
                                max_collisions)
 from qbounce.gaussian import (OVERLAP_GATE, GaussianPacket, MassPair, QuadraticFormState,
-                              collide_velocities, wall_tail_mass)
+                              collide_velocities, wall_tail_mass, width_param)
 from qbounce.grid import GridField, _cn_coeffs, marginals
 
 
@@ -192,7 +192,7 @@ def energy_exchange_check(t: float, params) -> bool:
     eps = params.eps
     e = ensemble_at_count(params, params.n_cr, t)
     state = assemble_quadratic_form(e, params)
-    bx2, by2 = _betas(params, t)
+    bx2, by2 = betas(params, t)
     want_xx = -eps**2 / (2 * by2)
     want_yy = -1 / (2 * eps**2 * bx2)
     return (abs(state.a_xx - want_xx) <= rtol * abs(want_xx)
@@ -278,6 +278,12 @@ def evaluate_with_image(p, x) -> np.ndarray:
     return evaluate_packet(p, x) - evaluate_packet(p, -x)
 
 
+def betas(params, t) -> tuple[complex, complex]:
+    """Width parameters (beta_x^2, beta_y^2) of the original packets at t."""
+    return (width_param(params.sigma0x, params.masses.m_x, t),
+            width_param(params.sigma0y, params.masses.m_y, t))
+
+
 def packet_norm_sq(p) -> float:
     """Closed-form integral of |phi|^2 over the whole line."""
     b = complex(p.width_sq)
@@ -311,7 +317,7 @@ def composed_marginal_variances(params, n, t: float) -> tuple[float, float]:
     eps = params.eps
     dsigma_y0, _ = split_width(params)
     d0sq = dsigma_y0**2
-    bb, ee = _betas(params, t)
+    bb, ee = betas(params, t)
     c, s = math.cos(2 * eps * n), math.sin(2 * eps * n)
     re_be = (bb * ee).real
     s2 = params.sigma0y**2
@@ -596,7 +602,7 @@ def assembled_coefficients_by_quadrature(params, ensemble, d0: float):
     the five coefficients without any closed-form Gaussian integration.
     """
     eps = params.eps
-    bx2, _ = _betas(params, ensemble.t)
+    bx2, _ = betas(params, ensemble.t)
     bt2 = eps**2 * bx2
     fx = np.sin(2 * eps * ensemble.n) / eps
     fy = np.cos(2 * eps * ensemble.n)
@@ -837,6 +843,11 @@ def field_from_state(state: QuadraticFormState, spec) -> GridField:
     return normalized_field(evaluate(state, xs[:, None], ys[None, :], scaled=True), spec)
 
 
+def norm_sq(field: GridField) -> float:
+    """Discrete norm squared, sum |psi|^2 h^2."""
+    return float(np.sum(np.abs(field.psi) ** 2) * field.h**2)
+
+
 def overlap(field: GridField, state: QuadraticFormState) -> complex:
     """Discrete inner product with a quadratic-form state sampled on the grid."""
     return overlap_fields(field, field_from_state(state, field.spec))
@@ -857,4 +868,4 @@ def energy(field: GridField, masses) -> float:
     dy = (psi[:, 1:] - psi[:, :-1]) / h
     ex = np.sum(np.abs(dx) ** 2) / (2 * masses.m_x)
     ey = np.sum(np.abs(dy) ** 2) / (2 * masses.m_y)
-    return float((ex + ey) * h * h / field.norm_sq)
+    return float((ex + ey) * h * h / norm_sq(field))

@@ -15,10 +15,10 @@ from qbounce.channels import (ScenarioParams, auto_schedule, entanglement_report
 from qbounce.classical import collision_table, event_driven_trajectory, max_collisions
 from qbounce.gaussian import GaussianPacket, MassPair
 from qbounce import grid
-from oracles import (assemble_quadratic_form, assembled_coefficients_by_quadrature,
+from oracles import (assemble_quadratic_form, assembled_coefficients_by_quadrature, betas,
                      collide_gaussians, collision_position_approx, collision_time_approx,
                      energy_exchange_check, ensemble_at_count, events, free_evolve,
-                     masses_from_epsilon, monte_carlo_positions, normalized, overlap,
+                     masses_from_epsilon, monte_carlo_positions, norm_sq, normalized, overlap,
                      pair_collision_times, pair_events, purity_by_quadrature)
 
 ARC_PARAMS = ScenarioParams(x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5,
@@ -185,12 +185,11 @@ def test_criterion_6_assembly_matches_quadrature():
 
 
 def test_criterion_7_energy_exchange_identity():
-    from qbounce.channels import _betas
     p = ARC_PARAMS
     assert energy_exchange_check(8.0, p)
     e = ensemble_at_count(p, p.n_cr, 8.0)
     st = assemble_quadratic_form(e, p)
-    bx2, by2 = _betas(p, 8.0)
+    bx2, by2 = betas(p, 8.0)
     dev_xx = abs(st.a_xx - (-p.eps**2 / (2 * by2))) / abs(st.a_xx)
     dev_yy = abs(st.a_yy - (-1 / (2 * p.eps**2 * bx2))) / abs(st.a_yy)
     report(7, f"a_xx(n_cr) and a_yy(n_cr) swap roles: rel devs "
@@ -243,10 +242,10 @@ def test_criterion_9_grid_unitarity_and_convergence():
     px = GaussianPacket.initial(7.3, 1.25, 3.0, 1.0)
     py = GaussianPacket.initial(14.5, 0.35, 0.0, 25.0)
     f = grid.field_from_packets(px, py, spec, cutoff=True)
-    norms = [f.norm_sq]
+    norms = [norm_sq(f)]
     for _ in range(60):
         f = grid.evolve(f, DESK_MASSES, dt=2e-3, steps=1)
-        norms.append(f.norm_sq)
+        norms.append(norm_sq(f))
     drift = float(np.abs(np.diff(norms)).max())
     assert drift <= 1e-8
 

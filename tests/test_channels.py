@@ -9,10 +9,10 @@ from qbounce.channels import (MixedPhaseError, ScenarioParams,
                               auto_schedule, entanglement_report, mixed_phase_gate,
                               propagate_ensemble, purity_from_coefficients,
                               reference_trajectory, schmidt_entropy_from_purity,
-                              split_width, _betas)
+                              split_width)
 from qbounce.gaussian import MassPair, QuadraticFormState
 from oracles import (assemble_quadratic_form, assembled_coefficients_by_quadrature,
-                     axx_formula, axy_formula, ayy_formula, composed_marginal_variances,
+                     axx_formula, axy_formula, ayy_formula, betas, composed_marginal_variances,
                      covariance, energy_exchange_check, ensemble_at_count, events,
                      log_norm_sq, masses_from_epsilon, means, momentum_means, pair_events,
                      product_form, purity_by_quadrature)
@@ -234,7 +234,7 @@ class TestAssembleQuadraticForm:
 class TestCoefficientFormulas:
     def test_axy_zeros(self):
         p = make_params()
-        bx2, by2 = _betas(p, 3.0)
+        bx2, by2 = betas(p, 3.0)
         assert axy_formula(0, p.eps, bx2, by2) == 0
         assert abs(axy_formula(p.n_cr, p.eps, bx2, by2)) < 1e-14
 
@@ -246,7 +246,7 @@ class TestCoefficientFormulas:
             t = auto_schedule(p)[idx]
             e = propagate_ensemble(p, t)
             st = assemble_quadratic_form(e, p)
-            bx2, by2 = _betas(p, t)
+            bx2, by2 = betas(p, t)
             want = axy_formula(e.n, p.eps, bx2, by2)
             if abs(want) > 0:
                 assert st.a_xy == pytest.approx(want, rel=1e-10)
@@ -260,7 +260,7 @@ class TestCoefficientFormulas:
     def test_energy_exchange_quarter_period_structure(self):
         # cos term vanishes at 2 eps n = pi/2 in both diagonal formulas
         p = make_params()
-        bx2, by2 = _betas(p, 5.0)
+        bx2, by2 = betas(p, 5.0)
         n_cr = p.n_cr
         assert axx_formula(n_cr, p.eps, bx2, by2) == pytest.approx(
             -p.eps**2 / (2 * by2), rel=1e-12)
@@ -269,7 +269,7 @@ class TestCoefficientFormulas:
 
     def test_initial_coefficients_untransformed(self):
         p = make_params()
-        bx2, by2 = _betas(p, 0.0)
+        bx2, by2 = betas(p, 0.0)
         assert axx_formula(0, p.eps, bx2, by2) == pytest.approx(-1 / (2 * bx2))
         assert ayy_formula(0, p.eps, bx2, by2) == pytest.approx(-1 / (2 * by2))
 

@@ -54,8 +54,11 @@ class TestCollisionAngle:
 
     @pytest.mark.parametrize("eps", [1.0, 1.5, 0.0, -0.1])
     def test_domain(self, eps):
-        with pytest.raises(ValueError):
-            collision_angle(eps)
+        # max_collisions checks eps through collision_angle, before atan(1 / eps):
+        # eps = 0 is a ValueError there too, not a ZeroDivisionError
+        for fn in (collision_angle, max_collisions):
+            with pytest.raises(ValueError):
+                fn(eps)
 
 
 class TestMaxCollisions:

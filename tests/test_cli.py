@@ -8,6 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -818,6 +819,35 @@ seed     = 0
         assert rows[0]["mc_dsigma_x"] == 0.0
         assert all(row["grid_purity"] == pytest.approx(1.0, abs=5e-3) for row in rows)
 
+    def test_instants_that_share_a_snapshot_stamp_exit_before_any_work(self, tmp_path,
+                                                                       capsys, monkeypatch):
+        # 1e-7 and 4e-7 both write field_t0.000000.bin: the second would
+        # overwrite the first, so the schedule is refused while parsing
+        def fail(*args):
+            raise AssertionError("the grid was started")
+        monkeypatch.setattr(grid, "init_field", fail)
+        cfg = write_config(tmp_path, config_with(DESK_CONFIG, schedule="0.0000001,0.0000004",
+                                                 oracles="grid:n=512;l=30;dt=1e-7"))
+        out = tmp_path / "o"
+        for command in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {cfg}: oracles: grid: instants 1e-07 and 4e-07 share the "
+                f"snapshot stamp 0.000000 (field_t0.000000.bin)\n")
+        assert not out.exists()
+        # without the grid oracle no snapshot is written, and the schedule stands
+        parse_config(write_config(tmp_path, config_with(DESK_CONFIG,
+                                                        schedule="0.0000001,0.0000004")))
+
+    def test_instants_a_stamp_apart_each_get_their_snapshots(self, tmp_path):
+        cfg = write_config(tmp_path, config_with(DESK_CONFIG, schedule="0.0000004,0.0000014",
+                                                 oracles="grid:n=384;l=22;dt=1e-7"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
+            "field_t0.000000.bin", "field_t0.000001.bin",
+            "marginals_t0.000000.csv", "marginals_t0.000001.csv"]
+
     def test_memory_does_not_grow_with_the_schedule(self, tmp_path):
         # each sampled field is written and dropped: 2 and 12 instants one
         # step apart, the first at t = 0, both peak at 4.56 fields (the
@@ -930,12 +960,23 @@ def admissible_configs(draw) -> dict[str, str]:
 HEAVY_WIDTH = {"m_x": "1.0", "m_y": "2500.0", "x_m0": "25.0", "y_m0": "50.0",
                "sigma0x": "1.0", "sigma0y": "0.5", "p_x0": "190.0", "schedule": "auto"}
 SMALL_EPS = {**HEAVY_WIDTH, "m_y": "250000.0", "p_x0": "4000.0"}
+# two scenarios at the edge of the broad-heavy branch, sigma0y = eps sigma0x to
+# the last bit, on which m_x sigma0x^2 < m_y sigma0y^2 evaluated as written
+# and split_width disagree: split_width finds no blur in the first and one of
+# 6.6e-10 in the second (its purity stays 1)
+EDGE_UNSPLIT = {"m_x": "1.0", "m_y": "3.432752260020163", "x_m0": "20", "y_m0": "40",
+                "sigma0x": "0.9303116248439115", "sigma0y": "0.5021196493962683",
+                "p_x0": "10", "schedule": "1.0"}
+EDGE_SPLIT = {"m_x": "1.0", "m_y": "10.67336753881367", "x_m0": "10", "y_m0": "20",
+              "sigma0x": "0.18769898243112523", "sigma0y": "0.05745279823954253",
+              "p_x0": "10", "schedule": "auto"}
 
 
 @settings(max_examples=40, deadline=None)
 @given(keys=admissible_configs())
 @example(keys=HEAVY_WIDTH)
 @example(keys=SMALL_EPS)
+@example(keys=EDGE_UNSPLIT)
 def test_validate_predicts_run(keys):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "scenario.cfg"
@@ -947,6 +988,57 @@ def test_validate_predicts_run(keys):
         if keys["schedule"] == "auto":
             assert ran == 0
         assert out.exists() == (ran == 0)
+
+
+def test_the_edge_of_the_branch_is_decided_by_split_width(tmp_path, capsys):
+    unsplit = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in EDGE_UNSPLIT.items()),
+                           name="unsplit.cfg")
+    out = tmp_path / "unsplit"
+    for command in (["validate", str(unsplit)], ["run", str(unsplit), "--out", str(out)]):
+        assert main(command) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {unsplit}: need m_x sigma0x^2 < m_y sigma0y^2, got sigma0y^2 "
+            f"- (m_x/m_y) sigma0x^2 = 0: at 0 one channel is already non-entangling "
+            f"(single channel), below 0 the mirrored decomposition is not implemented\n")
+    assert not out.exists()
+    split = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in EDGE_SPLIT.items())
+                         + "oracles = event_driven,monte_carlo:1000\n", name="split.cfg")
+    out = tmp_path / "split"
+    assert main(["validate", str(split)]) == 0
+    assert main(["run", str(split), "--out", str(out)]) == 0
+    with open(out / "series.csv", newline="") as fh:
+        assert {float(row["purity"]) for row in csv.DictReader(fh)} == {1.0}
+
+
+@settings(max_examples=30, deadline=None)
+@given(eps=st.floats(1e-3, 0.3), sigma0x=st.floats(0.05, 1.0), k=st.integers(-4, 4))
+def test_scenarios_within_ulps_of_the_edge_are_admitted_as_split_width_splits(eps, sigma0x, k):
+    """ScenarioParams admits a scenario with sigma0y a few ulps from eps sigma0x
+    exactly when split_width splits it, and validate and run agree: exit 0 on
+    every admitted one, 2 on every other."""
+    masses = masses_from_epsilon(eps)
+    sigma0y = masses.epsilon * sigma0x * (1 + k * 2**-52)
+    try:
+        split_width(SimpleNamespace(masses=masses, sigma0x=sigma0x, sigma0y=sigma0y))
+        splits = True
+    except ValueError:
+        splits = False
+    try:
+        ScenarioParams(x_M0=20.0, y_M0=40.0, sigma0x=sigma0x, sigma0y=sigma0y, p_x0=10.0,
+                       masses=masses)
+        admitted = True
+    except ValueError:
+        admitted = False
+    assert admitted == splits
+    keys = {"m_x": repr(masses.m_x), "m_y": repr(masses.m_y), "x_m0": "20.0", "y_m0": "40.0",
+            "sigma0x": repr(sigma0x), "sigma0y": repr(sigma0y), "p_x0": "10.0"}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "scenario.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+        out = Path(tmp) / "out"
+        assert main(["validate", str(cfg)]) == main(["run", str(cfg), "--out", str(out)]) \
+            == (0 if admitted else 2)
+        assert out.exists() == admitted
 
 
 @settings(max_examples=40, deadline=None)

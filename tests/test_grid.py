@@ -14,7 +14,7 @@ from qbounce.grid import (GridSpec, evolve, field_from_packets, init_field, load
 
 from oracles import (cn_lines_dense, collide_gaussians, energy, evolve_reference,
                      field_from_packets_reference, field_from_state, free_evolve,
-                     moments, normalized, overlap,
+                     moments, norm_sq, normalized, overlap,
                      overlap_fields, product_form, purity_by_full_gram,
                      save_snapshot_reference, schmidt_by_svd, sweep_lines_reference,
                      wall_reflect, write_marginals_csv_reference)
@@ -78,7 +78,7 @@ class TestInitField:
 
     def test_discrete_norm_one(self):
         f = init_field(compliant_params(), GridSpec(n=512, length=30.0))
-        assert f.norm_sq == pytest.approx(1.0, abs=1e-12)
+        assert norm_sq(f) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_with_uncut_gaussian(self):
         p = compliant_params()
@@ -141,10 +141,10 @@ class TestEvolve:
         px = GaussianPacket.initial(3.5, 0.8, 1.5, 1.0)
         py = GaussianPacket.initial(9.0, 0.5, 0.0, 25.0)
         f = field_from_packets(px, py, spec, cutoff=True)
-        norms = [f.norm_sq]
+        norms = [norm_sq(f)]
         for _ in range(40):
             f = evolve(f, MASSES, dt=2e-3, steps=1)
-            norms.append(f.norm_sq)
+            norms.append(norm_sq(f))
         drifts = np.abs(np.diff(norms))
         assert drifts.max() < 1e-12
 
