@@ -32,7 +32,8 @@ from . import classical
 from .classical import (ClassicalTrajectory, CollisionTable, channel_rotation,
                         collision_table, critical_count, ensemble_widths,
                         max_collisions)
-from .gaussian import GaussianPacket, MassPair, QuadraticFormState, width_param
+from .gaussian import (GaussianPacket, MassPair, QuadraticFormState, scaled_coefficients,
+                       width_param)
 
 # widths must stay below this fraction of every relevant distance
 WIDTH_RATIO_GATE = 0.05
@@ -258,27 +259,12 @@ def channel_integral(e: ChannelEnsemble, params: ScenarioParams) -> QuadraticFor
         a_xy=2 * lam_x * lam_y / denom,
         b_x=p * e.x_center + 1j * e.p_xn + 2 * lam_x * lam_1 / denom,
         b_y=q * e.y_center + 1j * e.p_yn + 2 * lam_y * lam_1 / denom,
-        log_norm=(-p * (e.x_center * e.x_center) / 2 - q * (e.y_center * e.y_center) / 2
-                  + lam_1 * lam_1 / denom),
+        log_norm=(-p * e.x_center * e.x_center / 2 - q * e.y_center * e.y_center / 2
+                  + lam_1 * lam_1 / denom),     # no centre squared: it overflows first
     )
     if np.ndim(e.t) == 0:
         coefficients = {key: value[0] for key, value in coefficients.items()}
     return QuadraticFormState(**coefficients)
-
-
-def purity_from_coefficients(a_xx, a_yy, a_xy):
-    """Closed-form purity of the reduced x state of a pure Gaussian pair.
-
-    With A = -2 Re a_xx, D = -2 Re a_yy, g = a_xy the four-fold Gaussian
-    integral for Tr rho_x^2 collapses to sqrt[(AD - (Re g)^2)/(AD + (Im g)^2)].
-    Displacements and global phase drop out.  Elementwise over arrays.
-    """
-    a = -2 * np.real(a_xx)
-    d = -2 * np.real(a_yy)
-    num = a * d - np.square(np.real(a_xy))
-    if np.any((a <= 0) | (d <= 0) | (num <= 0)):
-        raise ValueError("state is not normalizable")
-    return np.sqrt(num / (a * d + np.square(np.imag(a_xy))))
 
 
 def schmidt_entropy_from_purity(purity):
@@ -292,7 +278,14 @@ def schmidt_entropy_from_purity(purity):
 
 
 def entanglement_report(state: QuadraticFormState) -> EntanglementReport:
-    """Cross coefficient, purity and Schmidt entropy of a pure Gaussian pair, elementwise."""
-    purity = purity_from_coefficients(state.a_xx, state.a_yy, state.a_xy)
+    """Cross coefficient, purity and Schmidt entropy of a pure Gaussian pair, elementwise.
+
+    With A = -2 Re a_xx, D = -2 Re a_yy, g = a_xy the four-fold Gaussian
+    integral for Tr rho_x^2 collapses to sqrt[(AD - (Re g)^2)/(AD + (Im g)^2)].
+    Displacements and global phase drop out.  It reads the state's
+    scaled_coefficients, on which the state passed the normalizability rule.
+    """
+    a, d, g, h = scaled_coefficients(state.a_xx, state.a_yy, state.a_xy)
+    purity = np.sqrt((a * d - g * g) / (a * d + h * h))
     return EntanglementReport(a_xy=state.a_xy, purity=purity,
                               schmidt_entropy=schmidt_entropy_from_purity(purity))

@@ -171,11 +171,13 @@ def parse_config(path) -> ScenarioConfig:
     where = f"{path}: oracles"
     names: set[str] = set()
     for spec in (s.strip() for s in raw.get("oracles", "").split(",") if s.strip()):
-        name, _, arg = spec.partition(":")
+        name, sep, arg = spec.partition(":")
         if name in names:
             raise ConfigError(f"{where}: repeated oracle {name!r}")
         names.add(name)
         if name == "event_driven":
+            if sep:
+                raise ConfigError(f"{where}: event_driven takes no argument, got {spec!r}")
             cfg.event_driven = True
         elif name == "monte_carlo":
             count = _number(int, arg or "10000", f"{where}: monte_carlo sample count")
@@ -203,6 +205,28 @@ def parse_config(path) -> ScenarioConfig:
              MAX_GRID_STEPS)):
         if need > limit:
             raise ConfigError(f"{where}: {what}: {need:,.0f}, over the limit of {limit:,}")
+    return cfg
+
+
+def admit(path) -> ScenarioConfig:
+    """parse_config, then the check that needs the collision sequence: the
+    analytic state at an explicit schedule's latest instant must pass the
+    state's normalizability rule, with no overflow.  After the last event A
+    and D fall like 1/t^2, so the latest instant fails first; an unsafe one
+    lies before that event's window ends, far from failing, and exits 3 in
+    run.  An auto schedule ends half a gap after the last event."""
+    cfg = parse_config(path)
+    if cfg.raw.get("schedule", "auto").strip() == "auto":
+        return cfg
+    last = cfg.schedule[-1]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            channels.channel_integral(channels.propagate_ensemble(cfg.params, last), cfg.params)
+    except MixedPhaseError:
+        pass
+    except (ValueError, FloatingPointError) as exc:
+        raise ConfigError(f"{path}: schedule: instant {last!r} is too late: its analytic "
+                          f"state is not representable in floating point ({exc})") from None
     return cfg
 
 
@@ -259,18 +283,21 @@ def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, np.nda
         offset = 0.0
         # grid purity, and with purity_source grid the entropy of the same Gram matrix
         measures = np.empty((len(ts), 2))
-        for k, (t, f) in enumerate(zip(cfg.schedule, grid.sample(
-                grid.init_field(params, cfg.grid_oracle), params.masses, cfg.grid_dt,
-                cfg.schedule))):
+        fields = grid.sample(grid.init_field(params, cfg.grid_oracle), params.masses,
+                             cfg.grid_dt, cfg.schedule)
+        for k, t in enumerate(cfg.schedule):
+            f = next(fields)
             offset = max(offset, abs(f.t - t))
             grid.save_snapshot(f, snap_dir / f"field_t{_stamp(t)}.bin")
             grid.write_marginals_csv(f, snap_dir / f"marginals_t{_stamp(t)}.csv")
             measures[k] = (grid.schmidt_measures(f) if cfg.purity_source == "grid"
                            else (grid.schmidt_purity(f), math.nan))
+            sampled = f.t
+            del f       # before the first step it is the start: not held through that step
         columns["grid_purity"] = measures[:, 0]
         if cfg.purity_source == "grid":
             columns["purity"], columns["schmidt_entropy"] = measures.T
-        details["grid"] = {"steps": round(f.t / cfg.grid_dt), "max_t_offset": offset}
+        details["grid"] = {"steps": round(sampled / cfg.grid_dt), "max_t_offset": offset}
     return {c: columns[c] for c in SERIES_COLUMNS + OPTIONAL_COLUMNS if c in columns}, details
 
 
@@ -309,7 +336,7 @@ def write_series(columns: dict[str, np.ndarray], out_dir: Path) -> None:
 
 def cmd_run(args) -> int:
     try:
-        cfg = parse_config(args.config)
+        cfg = admit(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -435,7 +462,7 @@ def cmd_compare(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        cfg = parse_config(args.config)
+        cfg = admit(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -110,7 +110,8 @@ class QuadraticFormState:
     """Two-particle Gaussian wave function as a complex quadratic form.
 
     Normalizability requires Re a_xx < 0, Re a_yy < 0 and the real quadratic
-    form -Re(a_xx) x^2 - Re(a_yy) y^2 - Re(a_xy) x y to be positive definite.
+    form -Re(a_xx) x^2 - Re(a_yy) y^2 - Re(a_xy) x y to be positive definite:
+    the one test of it, on scaled_coefficients, raises at construction.
     The state factorizes exactly when a_xy = 0.  The coefficients may be
     arrays, one state per element; every element must be normalizable.
     """
@@ -123,11 +124,24 @@ class QuadraticFormState:
     log_norm: complex = 0.0
 
     def __post_init__(self):
-        a = -2 * np.real(self.a_xx)
-        d = -2 * np.real(self.a_yy)
-        g = -np.real(self.a_xy)
-        if np.any((a <= 0) | (d <= 0) | (a * d - g * g <= 0)):
+        a, d, g, _ = scaled_coefficients(self.a_xx, self.a_yy, self.a_xy)
+        if not np.all((a > 0) & (d > 0) & (a * d > g * g)):     # a NaN fails too
             raise ValueError("quadratic form is not normalizable")
+
+
+def scaled_coefficients(a_xx, a_yy, a_xy):
+    """(A, D, Re a_xy, Im a_xy), A = -2 Re a_xx and D = -2 Re a_yy, times
+    s = 2**-e, e the np.frexp exponent of sqrt(A) sqrt(D), elementwise.
+
+    The normalizability rule and the purity (channels.entanglement_report)
+    read these: A D s^2 lies in [1/4, 1), so no product underflows, and the
+    scaling is exact where A D is a normal float, so no bit changes there.
+    Where sqrt(A) sqrt(D) is subnormal s overflows, and the rule rejects."""
+    a = -2 * np.real(a_xx)
+    d = -2 * np.real(a_yy)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf s or a NaN fails the rule
+        s = np.ldexp(1.0, -np.frexp(np.sqrt(a) * np.sqrt(d))[1])
+        return a * s, d * s, np.real(a_xy) * s, np.imag(a_xy) * s
 
 
 def collide_velocities(v_x: float, v_y: float, masses: MassPair) -> tuple[float, float]:

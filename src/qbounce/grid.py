@@ -292,9 +292,9 @@ class _Stepper:
     coefficients and four field-sized arrays, one role each.  psi: the
     start's support window, carried without its closing Y(dt/2); mirrored:
     the y sweeps' scratch; work: the elimination's array and row; out: the
-    last field handed out.  psi and out are lazily zeroed and every array is
-    written on the field's window alone, so a run's resident memory follows
-    the field, not the grid."""
+    last closed field handed out.  psi and out are lazily zeroed and every
+    array is written on the field's window alone, so a run's resident memory
+    follows the field, not the grid."""
 
     def __init__(self, field: GridField, masses: MassPair, dt: float):
         if dt <= 0:
@@ -312,8 +312,7 @@ class _Stepper:
         box = _box(*self.window)
         self.psi = np.zeros((n + 1, n + 1), dtype=complex)
         self.psi[box] = field.psi[box]
-        # made at their first use, after sample has dropped the start (out
-        # sooner at a zero-step instant, which copies the start into it)
+        # made at their first use, after sample has dropped the start
         self.mirrored = self.work = self.out = None
         self.closed = (range(0), range(0))   # where out may be nonzero
 
@@ -358,18 +357,13 @@ class _Stepper:
         self.window = self._sweep_y(y, self.psi, self.window)
         _sweep_lines(self.psi, *self.x, *self.work, *self.window)
 
-    def close(self, start: np.ndarray | None = None) -> np.ndarray:
+    def close(self) -> np.ndarray:
         """out = Y(dt/2) psi, psi left as it is, on the support window of psi,
-        which becomes self.closed; or, before the first step, out = start,
-        every byte of it.  out is made at the first call, and each call
-        rewrites it: closing adds no field."""
+        which becomes self.closed.  out is made at the first call, and each
+        call rewrites it: closing adds no field."""
         if self.out is None:
             self.out = np.zeros(self.psi.shape, dtype=complex)
-        if start is None:
-            self.closed = self._sweep_y(self.y_half, self.out, self.closed)
-        else:
-            self.out[...] = start
-            self.closed = (range(self.n + 1), range(self.n + 1))
+        self.closed = self._sweep_y(self.y_half, self.out, self.closed)
         return self.out
 
 
@@ -385,9 +379,10 @@ def sample(field: GridField, masses: MassPair, dt: float, times):
     in x, as the heavy particle makes them.  The stepper carries the start's
     support window without the closing Y(dt/2) across the whole schedule,
     and each sampled field is that closing written to the stepper's output
-    array, so sampling leaves the later fields as they are.  A zero-step
-    instant yields a copy of the start in that array; the start is held
-    until the first step and no longer.
+    array, so sampling leaves the later fields as they are.  An instant
+    before the first step yields the start itself, which sample holds until
+    the first step and no longer: a caller that keeps it past its next
+    request keeps it beside the stepper's arrays.
 
     Accuracy is second order in dt and h; choose dt so the largest kinetic
     phase per step stays small (dt <~ m_x h^2 is comfortable).
@@ -412,11 +407,12 @@ def sample(field: GridField, masses: MassPair, dt: float, times):
                         f"norm drift {drift:.2e} per step exceeds "
                         f"{NORM_DRIFT_LIMIT:.0e} at step {k}: unstable configuration")
                 last, last_k = now, k
-        yield GridField(psi=stepper.close(start), spec=spec, t=t)
+        yield GridField(psi=start if start is not None else stepper.close(), spec=spec, t=t)
 
 
 def evolve(field: GridField, masses: MassPair, dt: float, steps: int) -> GridField:
-    """Propagate the field by steps * dt: sample's one-instant case."""
+    """Propagate the field by steps * dt: sample's one-instant case, so zero
+    steps give the field's own array."""
     return next(sample(field, masses, dt, [field.t + steps * dt]))
 
 
@@ -466,13 +462,40 @@ def schmidt_measures(field: GridField) -> tuple[float, float]:
     return purity, float(-np.sum(lam * np.log(lam)))
 
 
+def _sum_in_place(values: np.ndarray, offset: int, size: int, start: int = 0) -> float:
+    """np.sum, bit for bit, of the size values from start of a flat array that
+    is zero but for values at offset ... offset + len(values) - 1.  numpy sums
+    pairwise: up to 128 values as one block, more as two halves split at a
+    multiple of 8.  A half off values sums to an exact zero, one inside it is
+    summed there, and only a half across one of its ends is split further."""
+    lo, hi = start - offset, start + size - offset     # [start, start + size) in values
+    if hi <= 0 or lo >= len(values):
+        return 0.0
+    if 0 <= lo and hi <= len(values):
+        return values[lo:hi].sum()
+    if size <= 128:
+        block = np.zeros(size)
+        block[max(0, -lo):min(size, len(values) - lo)] = values[max(0, lo):hi]
+        return block.sum()
+    half = size // 2 - size // 2 % 8
+    return (_sum_in_place(values, offset, half, start)
+            + _sum_in_place(values, offset, size - half, start + half))
+
+
 def marginals(field: GridField) -> tuple[np.ndarray, np.ndarray]:
-    """Position densities over x and over y; each integrates to one."""
-    h = field.h
-    dens = np.abs(field.psi)
+    """Position densities over x and over y; each integrates to one.
+
+    |psi|^2 is formed on the rows from the first to the last nonzero one
+    alone, and each sum adds what it adds over the whole field, in its order."""
+    h, psi = field.h, field.psi
+    nonzero = np.flatnonzero((psi != 0).any(axis=1))      # a NaN is nonzero
+    rows = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
+    dens = np.abs(psi[rows])
     dens **= 2
-    total = dens.sum() * h * h
-    return dens.sum(axis=1) * h / total, dens.sum(axis=0) * h / total
+    total = _sum_in_place(dens.reshape(-1), rows.start * psi.shape[1], psi.size) * h * h
+    px = np.zeros(psi.shape[0])
+    px[rows] = dens.sum(axis=1)
+    return px * h / total, dens.sum(axis=0) * h / total
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,15 @@ def write_series_reference(columns: dict, out_dir) -> None:
         fh.write("\n")
 
 
+def marginals_reference(field: GridField) -> tuple[np.ndarray, np.ndarray]:
+    """grid.marginals with |psi|^2 formed over the whole grid."""
+    h = field.h
+    dens = np.abs(field.psi)
+    dens **= 2
+    total = dens.sum() * h * h
+    return dens.sum(axis=1) * h / total, dens.sum(axis=0) * h / total
+
+
 def write_marginals_csv_reference(field: GridField, path) -> None:
     """grid.write_marginals_csv by csv.writer (CRLF line ends), values as .17g."""
     xs, _ = field.spec.axes()

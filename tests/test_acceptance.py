@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qbounce.channels import (ScenarioParams, auto_schedule, entanglement_report,
-                              propagate_ensemble, purity_from_coefficients, split_width)
+                              propagate_ensemble, split_width)
 from qbounce.classical import collision_table, event_driven_trajectory, max_collisions
 from qbounce.gaussian import GaussianPacket, MassPair
 from qbounce import grid
@@ -220,7 +220,7 @@ def test_criterion_8_grid_cross_validation():
     f_gen, st_gen = _desk_run(sigma0y=0.7)
     ov_gen = abs(overlap(f_gen, st_gen))
     p_grid = grid.schmidt_purity(f_gen)
-    p_ana = purity_from_coefficients(st_gen.a_xx, st_gen.a_yy, st_gen.a_xy)
+    p_ana = entanglement_report(st_gen).purity
     assert ov_gen >= 0.95
     assert abs(p_grid - p_ana) <= 0.05
 

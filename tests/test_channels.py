@@ -7,8 +7,7 @@ from scipy.integrate import quad
 
 from qbounce.channels import (MixedPhaseError, ScenarioParams,
                               auto_schedule, entanglement_report, mixed_phase_gate,
-                              propagate_ensemble, purity_from_coefficients,
-                              reference_trajectory, schmidt_entropy_from_purity,
+                              propagate_ensemble, reference_trajectory, schmidt_entropy_from_purity,
                               split_width)
 from qbounce.gaussian import MassPair, QuadraticFormState
 from oracles import (assemble_quadratic_form, assembled_coefficients_by_quadrature,
@@ -316,8 +315,30 @@ class TestEntanglementReport:
         assert ents[-1] == 0.0
 
     def test_non_normalizable_rejected(self):
-        with pytest.raises(ValueError):
-            purity_from_coefficients(-1.0, -1.0, 2.5)
+        # the state's own rule rejects it before any report reads it
+        with pytest.raises(ValueError, match="not normalizable"):
+            entanglement_report(QuadraticFormState(a_xx=-1.0, a_yy=-1.0, a_xy=2.5,
+                                                   b_x=0.0, b_y=0.0))
+
+    @pytest.mark.parametrize("k", [-1000, -600, -1, 0, 1, 600, 1000])
+    def test_purity_is_the_same_at_every_power_of_two_scale(self, k):
+        # one power of two scales A, D and a_xy alike and leaves the purity,
+        # bit for bit, also where A D itself underflows or overflows
+        st = QuadraticFormState(a_xx=-0.3 + 0.2j, a_yy=-1.7 - 0.4j, a_xy=0.25 + 0.6j,
+                                b_x=0.0, b_y=0.0)
+        scaled = QuadraticFormState(a_xx=st.a_xx * 2.0**k, a_yy=st.a_yy * 2.0**k,
+                                    a_xy=st.a_xy * 2.0**k, b_x=0.0, b_y=0.0)
+        want = entanglement_report(st)
+        got = entanglement_report(scaled)
+        assert 0 < want.purity < 1
+        assert got.purity == want.purity
+        assert got.schmidt_entropy == want.schmidt_entropy
+
+    def test_subnormal_widths_are_rejected(self):
+        # once A or D is subnormal the scaling overflows: the one rule rejects
+        # the state instead of reporting a purity from a few bits
+        with pytest.raises(ValueError, match="not normalizable"):
+            QuadraticFormState(a_xx=-1e-310, a_yy=-1e-310, a_xy=0.0, b_x=0.0, b_y=0.0)
 
 
 class TestEntanglementArc:

@@ -229,11 +229,11 @@ class TestRun:
     def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, monkeypatch):
         # a config that parses, then an error while the series is computed
         def fail(cfg, out_dir):
-            raise ValueError("state is not normalizable")
+            raise ValueError("quadratic form is not normalizable")
         monkeypatch.setattr(cli, "compute_series", fail)
         cfg = write_config(tmp_path)
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "error: state is not normalizable\n"
+        assert capsys.readouterr().err == "error: quadratic form is not normalizable\n"
         assert list(tmp_path.iterdir()) == [cfg]     # no temporary directory either
 
     def test_grid_failing_part_way_exits_4(self, tmp_path, capsys, monkeypatch):
@@ -316,6 +316,8 @@ class TestRun:
          "oracles: repeated oracle 'monte_carlo'$"),
         (BASE_CONFIG, {"oracles": "event_driven,event_driven"},
          "oracles: repeated oracle 'event_driven'$"),
+        (BASE_CONFIG, {"oracles": "event_driven:5000,monte_carlo:20"},
+         "oracles: event_driven takes no argument, got 'event_driven:5000'$"),
         (DESK_CONFIG, {"oracles": "grid:n=64;n=512;l=30;dt=2e-3"},
          "oracles: grid: repeated option 'n'$"),
         (DESK_CONFIG, {"oracles": "grid:n=512;l=30;dt=2e-3;l=40"},
@@ -347,6 +349,13 @@ class TestRun:
         (BASE_CONFIG, {"schedule": "nan"}, "instants must be finite and non-negative, got nan"),
         (BASE_CONFIG, {"schedule": "0.1,inf"}, "non-negative, got inf"),
         (BASE_CONFIG, {"schedule": "-1.0"}, "non-negative, got -1.0"),
+        # its widths underflow: A and D are subnormal, and the latest instant is named
+        (BASE_CONFIG, {"schedule": "1e300"}, "schedule: instant 1e\\+300 is too late: its "
+         "analytic state is not representable in floating point "
+         "\\(quadratic form is not normalizable\\)$"),
+        (BASE_CONFIG, {"schedule": "1e156,100.0,1e160"}, "schedule: instant 1e\\+160 is too late"),
+        # a centre overflows
+        (BASE_CONFIG, {"schedule": "1.7e308"}, "schedule: instant 1.7e\\+308 is too late"),
         (BASE_CONFIG, {"m_y": "inf"}, "masses must be positive and finite, got m_x=1, m_y=inf"),
         (BASE_CONFIG, {"m_y": "nan"}, "masses must be positive and finite, got m_x=1, m_y=nan"),
         (BASE_CONFIG, {"m_y": "1.0"}, "need m_x < m_y"),
@@ -356,11 +365,13 @@ class TestRun:
         (BASE_CONFIG, {"out": "x"}, "unknown key 'out'"),
     ], ids=["seed", "mc-count", "mc-zero", "mc-negative", "mc-one", "grid-n", "grid-dt",
             "oracle-unknown", "oracle-repeated-mc", "oracle-repeated-event-driven",
+            "event-driven-argument",
             "grid-n-repeated", "grid-l-repeated", "grid-dt-repeated", "oracle-repeated-grid",
             "seed-negative", "grid-dt-zero", "grid-dt-negative",
             "grid-dt-nan", "grid-unknown-option", "grid-n-small", "grid-l-negative",
             "grid-under-resolved", "grid-domain-cuts-packet", "p_x0-nan", "p_x0-inf",
             "sigma0x-nan", "schedule-nan", "schedule-inf", "schedule-negative",
+            "schedule-too-late", "schedule-latest-too-late", "schedule-centre-overflows",
             "m_y-inf", "m_y-nan", "m_y-equal", "formats-key", "out-key"])
     def test_malformed_value_exit_code(self, tmp_path, capsys, base, keys, match):
         text = config_with("\n".join(line for line in base.splitlines()
@@ -928,11 +939,13 @@ seed     = 0
 
 
 @st.composite
-def admissible_configs(draw) -> dict[str, str]:
+def admissible_configs(draw, far_instant: bool = False) -> dict[str, str]:
     """Config keys of a scenario that passes ScenarioParams.
 
     eps in [1e-3, 0.3], widths up to WIDTH_RATIO_GATE of the gaps, and either
-    the auto schedule or up to five instants anywhere in the collision phase.
+    the auto schedule or up to five instants anywhere in the collision phase;
+    with far_instant, sometimes one more far past the last event, log-uniform
+    up to 1e300, where the latest ones are past what floating point holds.
     """
     eps = draw(st.floats(1e-3, 0.3))
     x_m0 = draw(st.floats(1.0, 50.0))
@@ -949,7 +962,10 @@ def admissible_configs(draw) -> dict[str, str]:
     if draw(st.booleans()):
         t_end = 1.1 * float(reference_trajectory(params).t[-1])
         fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
-        schedule = ",".join(repr(f * t_end) for f in fractions)
+        instants = [f * t_end for f in fractions]
+        if far_instant and draw(st.booleans()):
+            instants.append(10 ** draw(st.floats(math.log10(t_end), 300.0)))
+        schedule = ",".join(map(repr, instants))
     return {"m_x": repr(params.masses.m_x), "m_y": repr(params.masses.m_y),
             "x_m0": repr(x_m0), "y_m0": repr(y_m0), "sigma0x": repr(sigma0x),
             "sigma0y": repr(sigma0y), "p_x0": repr(params.p_x0), "schedule": schedule}
@@ -973,7 +989,7 @@ EDGE_SPLIT = {"m_x": "1.0", "m_y": "10.67336753881367", "x_m0": "10", "y_m0": "2
 
 
 @settings(max_examples=40, deadline=None)
-@given(keys=admissible_configs())
+@given(keys=admissible_configs(far_instant=True))
 @example(keys=HEAVY_WIDTH)
 @example(keys=SMALL_EPS)
 @example(keys=EDGE_UNSPLIT)
@@ -988,6 +1004,29 @@ def test_validate_predicts_run(keys):
         if keys["schedule"] == "auto":
             assert ran == 0
         assert out.exists() == (ran == 0)
+
+
+def test_purity_after_the_last_event_is_the_tail_midpoints(tmp_path):
+    # free flight after the last event is a local unitary: purity and entropy
+    # cannot change, however late the instant; 1e81 and 1e82 are where A D
+    # underflows (a purity off in its sixth digit, then a false purity 1)
+    params = parse_config(write_config(tmp_path)).params
+    tail = auto_schedule(params)[-1]
+    assert reference_trajectory(params).t[-1] < tail < 1e3
+    late = [tail, 1e3, 1e81, 1e82, 1e100]
+    cfg = write_config(tmp_path, config_with(BASE_CONFIG, schedule=",".join(map(repr, late))),
+                       name="late.cfg")
+    out = tmp_path / "out"
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    with open(out / "series.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["t"]) for row in rows] == late
+    for column in ("purity", "schmidt_entropy"):
+        want = float(rows[0][column])
+        assert 0 < want < 1
+        for row in rows[1:]:
+            assert float(row[column]) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_the_edge_of_the_branch_is_decided_by_split_width(tmp_path, capsys):
