@@ -198,13 +198,13 @@ def mixed_phase_gate(params: ScenarioParams, t):
     return safe if np.ndim(t) else bool(safe)
 
 
-def auto_schedule(params: ScenarioParams) -> list[float]:
+def auto_schedule(params: ScenarioParams) -> np.ndarray:
     """Safe reporting instants: of the midpoints between the reference events
     (wall bounces included) and one tail instant after the last, those that
     pass mixed_phase_gate."""
     ts = reference_trajectory(params).t          # at least one collision: two rows
     out = np.append((ts[:-1] + ts[1:]) / 2, ts[-1] + (ts[-1] - ts[-2]) / 2)
-    return out[mixed_phase_gate(params, out)].tolist()
+    return out[mixed_phase_gate(params, out)]
 
 
 def propagate_ensemble(params: ScenarioParams, t) -> ChannelEnsemble:

@@ -306,7 +306,8 @@ def sample_spreads(ts, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
     mean and spread follow from its count and its sums of u and u^2.  The
     channels are sorted once and those sums kept as prefix sums: O(N log N)
     once, then O(log N) numpy calls per SPREAD_CHUNK instants.  Each block's
-    coefficients are its positions (_positions) at u = 0 and u = centre.  The
+    coefficients are its position (_positions) at u = 0 and its slope, from
+    u = 0 and u = centre at t = 0, where no position is large.  The
     variance sums each block's squared distance from the mean and its spread
     about its own mean: no cancellation between blocks, so a vanishing spread
     stays accurate (exactly 0.0 while every channel is in free flight).  An
@@ -322,7 +323,7 @@ def sample_spreads(ts, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
     np.cumsum(u, out=s1[1:])
     np.cumsum(np.square(u, out=u), out=s2[1:])
     del u
-    refs = np.array([centre, 2 * centre])[:, None, None]
+    refs = np.array([centre, centre, 2 * centre])[:, None, None]
     ts = np.asarray(ts, dtype=float)
     out = np.empty((2, len(ts)))
     for j in range(0, len(ts), SPREAD_CHUNK):
@@ -330,15 +331,19 @@ def sample_spreads(ts, y_m0, x_m0: float, v_x0: float, table: CollisionTable):
         edges, pairs = channel_blocks(t, y_sorted, x_m0, v_x0, table)
         start, stop = edges[:, :-1], edges[:, 1:]
         count, S1, S2 = stop - start, s1[stop] - s1[start], s2[stop] - s2[start]
-        x_m, y_m, _ = _positions(t[:, None], pairs, refs, x_m0, v_x0, table)
+        # u = 0 at t, then u = 0 and centre at t = 0, where no position cancels the slope
+        x_m, y_m, _ = _positions(np.stack((t, 0 * t, 0 * t))[..., None], pairs, refs,
+                                 x_m0, v_x0, table)
         x_m[..., ::2] *= -1                                   # past the bounce: fold
-        at0, at1 = np.stack((x_m, y_m), axis=1)               # (x, y) at u = 0, centre
-        slope = (at1 - at0) / centre
+        at, leg0, leg1 = np.stack((x_m, y_m), axis=1)
+        slope = (leg1 - leg0) / centre
         u_mean = S1 / np.maximum(count, 1)
-        block_mean = at0 + slope * u_mean
+        block_mean = at + slope * u_mean
         mean = np.cumsum(count / n * block_mean, axis=-1)[..., -1]
-        var = np.cumsum(count * (block_mean - mean[..., None]) ** 2
-                        + slope * slope * (S2 - S1 * u_mean), axis=-1)[..., -1]
+        # an empty block's offset is zeroed, not squared: at a far instant it may overflow
+        offset = np.where(count > 0, block_mean - mean[..., None], 0.0)
+        var = np.cumsum(count * offset ** 2 + slope * slope * (S2 - S1 * u_mean),
+                        axis=-1)[..., -1]
         out[:, j:j + SPREAD_CHUNK] = np.sqrt(np.maximum(var / (n - 1), 0.0))
     return out
 

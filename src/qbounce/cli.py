@@ -12,13 +12,13 @@ the manifest records config, versions, seed and wall-clock.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import shutil
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -53,10 +53,10 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     params: ScenarioParams
-    schedule: list[float]
+    schedule: np.ndarray        # sorted, read-only float64
     event_driven: bool = False
     monte_carlo: int = 0
     grid_oracle: grid.GridSpec | None = None
@@ -108,7 +108,8 @@ def _grid_oracle(arg: str, params: ScenarioParams, where: str) -> tuple[grid.Gri
 
 
 def parse_config(path) -> ScenarioConfig:
-    """Parse and validate a key=value scenario file; unknown keys are errors."""
+    """The one admission of `run` and `validate`: a key=value scenario file (unknown
+    keys are errors), every check before any work, in order, and the frozen config."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -148,7 +149,7 @@ def parse_config(path) -> ScenarioConfig:
 
     sched = raw.get("schedule", "auto").strip()
     if sched == "auto":
-        instants = channels.auto_schedule(params)
+        schedule = channels.auto_schedule(params)
     else:
         try:
             instants = sorted(float(s) for s in sched.split(",") if s.strip())
@@ -160,74 +161,65 @@ def parse_config(path) -> ScenarioConfig:
         if bad:
             raise ConfigError(f"{path}: schedule: instants must be finite and "
                               f"non-negative, got {bad[0]!r}")
-    cfg = ScenarioConfig(params=params, schedule=instants, raw=dict(raw))
-    cfg.seed = _number(int, raw.get("seed", "0"), f"{path}: key 'seed'")
-    if cfg.seed < 0:    # numpy's generators reject negative seeds
-        raise ConfigError(f"{path}: key 'seed': must be non-negative, got {cfg.seed}")
-    cfg.purity_source = raw.get("purity_source", "analytic").strip()
-    if cfg.purity_source not in ("analytic", "grid"):
+        schedule = np.array(instants)
+    schedule.flags.writeable = False
+    seed = _number(int, raw.get("seed", "0"), f"{path}: key 'seed'")
+    if seed < 0:    # numpy's generators reject negative seeds
+        raise ConfigError(f"{path}: key 'seed': must be non-negative, got {seed}")
+    purity_source = raw.get("purity_source", "analytic").strip()
+    if purity_source not in ("analytic", "grid"):
         raise ConfigError(f"{path}: purity_source must be analytic or grid")
 
     where = f"{path}: oracles"
-    names: set[str] = set()
+    oracles: dict = {}      # by name, also ScenarioConfig's field for all but grid
     for spec in (s.strip() for s in raw.get("oracles", "").split(",") if s.strip()):
         name, sep, arg = spec.partition(":")
-        if name in names:
+        if name in oracles:
             raise ConfigError(f"{where}: repeated oracle {name!r}")
-        names.add(name)
         if name == "event_driven":
             if sep:
                 raise ConfigError(f"{where}: event_driven takes no argument, got {spec!r}")
-            cfg.event_driven = True
+            oracles[name] = True
         elif name == "monte_carlo":
-            count = _number(int, arg or "10000", f"{where}: monte_carlo sample count")
-            if count < 2:       # a sample spread (ddof = 1) needs two samples
+            oracles[name] = _number(int, arg or "10000", f"{where}: monte_carlo sample count")
+            if oracles[name] < 2:       # a sample spread (ddof = 1) needs two samples
                 raise ConfigError(f"{where}: monte_carlo sample count must be "
-                                  f"at least 2, got {count}")
-            cfg.monte_carlo = count
+                                  f"at least 2, got {oracles[name]}")
         elif name == "grid":
-            cfg.grid_oracle, cfg.grid_dt = _grid_oracle(arg, params, f"{where}: grid")
+            oracles[name] = _grid_oracle(arg, params, f"{where}: grid")
         else:
             raise ConfigError(f"{where}: unknown oracle {name!r}")
-    if cfg.purity_source == "grid" and cfg.grid_oracle is None:
+    grid_oracle, grid_dt = oracles.pop("grid", (None, 0.0))
+    if purity_source == "grid" and grid_oracle is None:
         raise ConfigError(f"{path}: purity_source=grid requires the grid oracle")
-    if cfg.grid_oracle is not None:     # sorted: instants that share a stamp are neighbours
-        for a, b in zip(cfg.schedule, cfg.schedule[1:]):
+    if grid_oracle is not None:     # sorted: instants that share a stamp are neighbours
+        for a, b in zip(schedule.tolist(), schedule[1:].tolist()):
             if _stamp(a) == _stamp(b):
                 raise ConfigError(f"{where}: grid: instants {a!r} and {b!r} share the "
                                   f"snapshot stamp {_stamp(a)} (field_t{_stamp(a)}.bin)")
-    cells = (cfg.grid_oracle.n + 1) ** 2 if cfg.grid_oracle is not None else 0
+    cells = (grid_oracle.n + 1) ** 2 if grid_oracle is not None else 0
     for what, need, limit in (
-            ("monte_carlo samples", cfg.monte_carlo, MAX_MC_SAMPLES),
+            ("monte_carlo samples", oracles.get("monte_carlo", 0), MAX_MC_SAMPLES),
             ("grid MiB of fields", grid.RUN_FIELDS * cells * 16 / 2**20, MAX_GRID_MIB),
             ("grid work in n = 512 steps",
-             max(cfg.schedule) / cfg.grid_dt * (cells / 513**2) if cells else 0,
-             MAX_GRID_STEPS)):
+             schedule[-1] / grid_dt * (cells / 513**2) if cells else 0, MAX_GRID_STEPS)):
         if need > limit:
             raise ConfigError(f"{where}: {what}: {need:,.0f}, over the limit of {limit:,}")
-    return cfg
-
-
-def admit(path) -> ScenarioConfig:
-    """parse_config, then the check that needs the collision sequence: the
-    analytic state at an explicit schedule's latest instant must pass the
-    state's normalizability rule, with no overflow.  After the last event A
-    and D fall like 1/t^2, so the latest instant fails first; an unsafe one
-    lies before that event's window ends, far from failing, and exits 3 in
-    run.  An auto schedule ends half a gap after the last event."""
-    cfg = parse_config(path)
-    if cfg.raw.get("schedule", "auto").strip() == "auto":
-        return cfg
-    last = cfg.schedule[-1]
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            channels.channel_integral(channels.propagate_ensemble(cfg.params, last), cfg.params)
-    except MixedPhaseError:
-        pass
-    except (ValueError, FloatingPointError) as exc:
-        raise ConfigError(f"{path}: schedule: instant {last!r} is too late: its analytic "
-                          f"state is not representable in floating point ({exc})") from None
-    return cfg
+    # an explicit schedule's latest instant is the first to fail the normalizability rule
+    # (after the last event A and D fall like 1/t^2), and an overflow fails it too; an
+    # unsafe one is left to run's exit 3.  An auto schedule ends half a gap after the last event.
+    if sched != "auto":
+        last = schedule[-1].item()
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                channels.channel_integral(channels.propagate_ensemble(params, last), params)
+        except MixedPhaseError:
+            pass
+        except (ValueError, FloatingPointError) as exc:
+            raise ConfigError(f"{path}: schedule: instant {last!r} is too late: its analytic "
+                              f"state is not representable in floating point ({exc})") from None
+    return ScenarioConfig(params, schedule, grid_oracle=grid_oracle, grid_dt=grid_dt,
+                          purity_source=purity_source, seed=seed, raw=raw, **oracles)
 
 
 def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, np.ndarray], dict]:
@@ -244,7 +236,7 @@ def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, np.nda
     and only its measures kept.
     """
     params = cfg.params
-    ts = np.array(cfg.schedule, dtype=float)
+    ts = cfg.schedule
     dsigma_y0, _ = split_width(params)
     e = channels.propagate_ensemble(params, ts)
     rep = channels.entanglement_report(channels.channel_integral(e, params))
@@ -284,8 +276,8 @@ def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, np.nda
         # grid purity, and with purity_source grid the entropy of the same Gram matrix
         measures = np.empty((len(ts), 2))
         fields = grid.sample(grid.init_field(params, cfg.grid_oracle), params.masses,
-                             cfg.grid_dt, cfg.schedule)
-        for k, t in enumerate(cfg.schedule):
+                             cfg.grid_dt, ts)
+        for k, t in enumerate(ts):
             f = next(fields)
             offset = max(offset, abs(f.t - t))
             grid.save_snapshot(f, snap_dir / f"field_t{_stamp(t)}.bin")
@@ -336,7 +328,7 @@ def write_series(columns: dict[str, np.ndarray], out_dir: Path) -> None:
 
 def cmd_run(args) -> int:
     try:
-        cfg = admit(args.config)
+        cfg = parse_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -372,7 +364,6 @@ def cmd_run(args) -> int:
             "validity_warning": cfg.params.validity_figure < 1.0,
             "n_max": cfg.params.n_max,
             "n_cr": cfg.params.n_cr,
-            "schedule": cfg.schedule,
             "columns": list(columns),
             **details,      # the oracle checks, and the grid's sampling
         }
@@ -393,15 +384,17 @@ def _read_series(run: str) -> tuple[list[str], np.ndarray]:
     (or of the CSV file itself)."""
     path = Path(run) / "series.csv" if Path(run).is_dir() else Path(run)
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = [[float(v) for v in row] for row in reader]
-    except (OSError, ValueError) as exc:      # unreadable, or a value that is no number
-        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
-    if "t" not in header or any(len(row) != len(header) for row in rows):
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # a header alone is zero rows
+            header = fh.readline().rstrip("\n").split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        if "number of columns changed" not in str(exc):   # unreadable, or no number
+            raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+        data = None                                         # a ragged row
+    if "t" not in header or data is None or data.size and data.shape[1] != len(header):
         raise ConfigError(f"{path}: not a series file (needs a 't' column and full rows)")
-    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
+    return header, data.reshape(len(data), len(header))
 
 
 def _tolerances(items, columns) -> dict[str, float]:
@@ -462,7 +455,7 @@ def cmd_compare(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        cfg = admit(args.config)
+        cfg = parse_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -484,7 +477,7 @@ def cmd_validate(args) -> int:
         "auto_schedule_dropped": len(channels.reference_trajectory(params).t) - len(auto),
     }
     # run gates every scheduled instant and exits 3 at the first that fails
-    unsafe = np.array(cfg.schedule)[~channels.mixed_phase_gate(params, cfg.schedule)].tolist()
+    unsafe = cfg.schedule[~channels.mixed_phase_gate(params, cfg.schedule)].tolist()
     info["schedule_unsafe"] = len(unsafe)
     info["first_unsafe_instant"] = unsafe[0] if unsafe else "none"
     for key, value in info.items():

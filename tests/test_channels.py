@@ -389,7 +389,7 @@ class TestNearestSafeInstants:
         mids.append(ts[-1] + (ts[-1] - ts[-2]) / 2)
         unsafe = [i for i, t in enumerate(mids) if not mixed_phase_gate(p, t)]
         assert unsafe == list(range(18, 61))
-        assert auto_schedule(p) == mids[:18] + mids[61:]
+        assert auto_schedule(p).tolist() == mids[:18] + mids[61:]
         for t in mids[18], mids[60]:
             with pytest.raises(MixedPhaseError) as err:
                 propagate_ensemble(p, t)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from qbounce import channels, classical, cli, grid
 from qbounce.channels import (WIDTH_RATIO_GATE, MixedPhaseError, ScenarioParams,
@@ -22,6 +23,7 @@ from qbounce.classical import (ClassicalTrajectory, collision_table, ensemble_wi
                                event_driven_trajectory)
 from qbounce.cli import (ConfigError, compute_series, main, parse_config,
                          OPTIONAL_COLUMNS, SERIES_COLUMNS)
+from qbounce.gaussian import MassPair
 
 from oracles import (assemble_quadratic_form, channel_event_times, ensemble_at_count, events,
                      masses_from_epsilon, monte_carlo_spreads, pair_events,
@@ -77,7 +79,7 @@ class TestParseConfig:
     def test_roundtrip(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
         assert cfg.params.y_M0 == 50.0
-        assert cfg.schedule == auto_schedule(cfg.params)
+        assert np.array_equal(cfg.schedule, auto_schedule(cfg.params))
         assert cfg.seed == 0
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -105,7 +107,14 @@ class TestParseConfig:
         path = write_config(tmp_path, BASE_CONFIG.replace(
             "schedule = auto", "schedule = 0.3,0.1,0.2"))
         cfg = parse_config(path)
-        assert cfg.schedule == [0.1, 0.2, 0.3]
+        assert cfg.schedule.tolist() == [0.1, 0.2, 0.3]
+
+    def test_the_admitted_config_cannot_change(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.schedule[0] = 1.0
 
     def test_oracle_flags(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG.replace(
@@ -279,8 +288,9 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == [
             "manifest.json", "notes.txt", "series.csv", "series.json", "snapshots"]
         assert (out / "notes.txt").read_text() == "keep\n"
-        assert json.loads((out / "manifest.json").read_text())["schedule"] == [0.004]
-        assert len((out / "series.csv").read_text().splitlines()) == 2
+        assert "schedule" not in json.loads((out / "manifest.json").read_text())
+        with open(out / "series.csv", newline="") as fh:
+            assert [float(row["t"]) for row in csv.DictReader(fh)] == [0.004]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o", "scenario.cfg"]
 
     def test_out_that_cannot_be_created_fails_before_any_work(self, tmp_path, capsys,
@@ -464,10 +474,10 @@ class TestRun:
                 f"config error: {cfg}: eps = 1e-07 gives up to 15,707,964 reference events, "
                 f"over the limit of {cli.MAX_EVENTS:,}\n")
         assert not out.exists()
-        # eps = 7.9e-7 (up to 1,986,918 events) is just inside the limit; an
-        # explicit schedule needs no table, where an auto one is built in parsing
-        assert parse_config(write_config(tmp_path, config_with(
-            BASE_CONFIG, m_y="1.6e12", p_x0="4000.0", schedule="0.1"))).params.n_max == 993458
+        # eps = 7.9e-7 (up to 1,986,918 events) is just inside the limit, counted
+        # from the scenario alone
+        assert ScenarioParams(x_M0=25.0, y_M0=50.0, sigma0x=1.0, sigma0y=0.5, p_x0=4000.0,
+                              masses=MassPair(m_x=1.0, m_y=1.6e12)).n_max == 993458
 
     @pytest.mark.parametrize("text, message", [
         (config_with(BASE_CONFIG, oracles="monte_carlo:1000000000000"),
@@ -683,6 +693,34 @@ class TestCompare:
         report = json.loads(text.splitlines()[-1])
         assert report["purity"]["at_t"] == t
         assert report["x_M"]["at_t"] is None
+
+    def test_ragged_or_non_numeric_input_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = (out / "series.csv").read_text().splitlines()
+        ragged, words = tmp_path / "ragged.csv", tmp_path / "words.csv"
+        ragged.write_text("\n".join([*lines[:3], lines[3].rsplit(",", 1)[0], *lines[4:]]) + "\n")
+        words.write_text("\n".join([*lines[:3], "abc" + lines[3][lines[3].index(","):],
+                                     *lines[4:]]) + "\n")
+        assert main(["compare", str(out), str(ragged)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {ragged}: not a series file (needs a 't' column and full rows)\n")
+        assert main(["compare", str(out), str(words)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {words}: ") and "'abc'" in err and err.count("\n") == 1
+
+    def test_header_only_input_is_zero_rows(self, tmp_path, capsys):
+        # no UserWarning either: the suite turns warnings into errors
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        header = tmp_path / "header.csv"
+        header.write_text((out / "series.csv").read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert main(["compare", str(header), str(header), "--json"]) == 0
+        assert capsys.readouterr().out == "{}\n"
+        assert main(["compare", str(out), str(header)]) == 2
+        assert capsys.readouterr().err == "error: runs have different numbers of instants\n"
 
     def test_missing_input_is_one_line(self, tmp_path, capsys):
         out, missing = tmp_path / "out", tmp_path / "absent"
@@ -1011,7 +1049,7 @@ def test_purity_after_the_last_event_is_the_tail_midpoints(tmp_path):
     # cannot change, however late the instant; 1e81 and 1e82 are where A D
     # underflows (a purity off in its sixth digit, then a false purity 1)
     params = parse_config(write_config(tmp_path)).params
-    tail = auto_schedule(params)[-1]
+    tail = auto_schedule(params)[-1].item()
     assert reference_trajectory(params).t[-1] < tail < 1e3
     late = [tail, 1e3, 1e81, 1e82, 1e100]
     cfg = write_config(tmp_path, config_with(BASE_CONFIG, schedule=",".join(map(repr, late))),
@@ -1142,7 +1180,7 @@ def test_auto_schedule_keeps_the_midpoints_where_the_end_channels_agree(keys):
     mids = reference_midpoints(params)
     pairs, walls = end_channels_agree(params, mids)
     assert np.array_equal(mixed_phase_gate(params, mids), pairs & walls)
-    assert auto_schedule(params) == mids[pairs & walls].tolist()
+    assert np.array_equal(auto_schedule(params), mids[pairs & walls])
 
 
 @pytest.mark.parametrize("keys, wall_only", [
@@ -1280,23 +1318,32 @@ def mc_event_times(cfg) -> np.ndarray:
 
 
 @settings(max_examples=30, deadline=None)
-@given(keys=admissible_configs(), samples=st.integers(2, 5000),
+@given(keys=admissible_configs(far_instant=True), samples=st.integers(2, 5000),
        seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_monte_carlo_spreads_equal_the_per_sample_statistic(keys, samples, seed, data):
+    """The series' spreads, always at its latest instant, against the
+    per-sample statistic.  Past the last sample's last event the channels
+    move in parallel and the spreads stop changing, so at a far instant, where
+    the positions are too large to subtract, the statistic is taken just
+    after that event."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.cfg"
         path.write_text(config_with("", **keys, oracles=f"monte_carlo:{samples}", seed=str(seed)))
-        cfg = parse_config(path)
+        try:
+            cfg = parse_config(path)
+        except ConfigError as err:      # a far instant too late for the analytic state
+            assert "is too late" in str(err)
+            reject()
         # the gated instants, as a run would need them
-        cfg.schedule = ([t for t in cfg.schedule if mixed_phase_gate(cfg.params, t)]
-                        or auto_schedule(cfg.params))
+        gated = [t for t in cfg.schedule if mixed_phase_gate(cfg.params, t)]
+        cfg = dataclasses.replace(cfg, schedule=np.array(gated or auto_schedule(cfg.params)))
         columns, _ = compute_series(cfg, Path(tmp))
-    some = sorted(set(data.draw(st.lists(st.integers(0, len(columns["t"]) - 1), min_size=1,
-                                         max_size=4))))
-    assert_mc_spreads_match(cfg, *(columns[c][some] for c in ("t", "mc_dsigma_x",
-                                                             "mc_dsigma_y")))
-    # the samples' own collision and bounce times, one ulp either side of them
     times = mc_event_times(cfg)
+    latest = len(columns["t"]) - 1
+    some = sorted({latest, *data.draw(st.lists(st.integers(0, latest), min_size=1, max_size=4))})
+    assert_mc_spreads_match(cfg, np.minimum(columns["t"][some], np.nextafter(times[-1], np.inf)),
+                            columns["mc_dsigma_x"][some], columns["mc_dsigma_y"][some])
+    # the samples' own collision and bounce times, one ulp either side of them
     ts = [float(f(t)) for t in data.draw(st.lists(st.sampled_from(times), min_size=1,
                                                   max_size=3))
           for f in (lambda t: t, lambda t: np.nextafter(t, 0), lambda t: np.nextafter(t, np.inf))]
@@ -1325,8 +1372,27 @@ def test_monte_carlo_x_spread_is_zero_before_the_first_collision(tmp_path):
     cfg = parse_config(write_config(tmp_path, config_with(BASE_CONFIG,
                                                           oracles="monte_carlo:10000")))
     first = mc_event_times(cfg)[0]
-    cfg.schedule = [0.0, first / 2, math.nextafter(first, 0)]
+    cfg = dataclasses.replace(cfg, schedule=np.array([0.0, first / 2, math.nextafter(first, 0)]))
     columns, _ = compute_series(cfg, tmp_path)
     assert columns["mc_dsigma_x"].tolist() == [0.0, 0.0, 0.0]
     assert columns["mc_dsigma_y"][0] == pytest.approx(np.std(mc_samples(cfg), ddof=1),
                                                       rel=1e-12)
+
+
+def test_monte_carlo_spreads_at_far_instants_run_under_warnings_as_errors(tmp_path):
+    # at 1e100 and 1e155 the positions lie near 1e102 and 1e157: the spreads
+    # are those just after the last event, neither cancelled to 0 nor overflowed
+    cfg = write_config(tmp_path, config_with(BASE_CONFIG, schedule="100,1e100,1e155",
+                                             oracles="event_driven,monte_carlo:1000"))
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "qbounce.cli", "run", str(cfg),
+                           "--out", str(out)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    with open(out / "series.csv", newline="") as fh:
+        far = [{c: float(row[c]) for c in ("mc_dsigma_x", "mc_dsigma_y")}
+               for row in csv.DictReader(fh)][1:]
+    assert far[0] == far[1]
+    config = parse_config(cfg)
+    after = [np.nextafter(mc_event_times(config)[-1], np.inf)]
+    assert_mc_spreads_match(config, after, [far[0]["mc_dsigma_x"]], [far[0]["mc_dsigma_y"]])
