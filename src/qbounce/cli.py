@@ -6,7 +6,8 @@ _KNOWN_KEYS; README's CLI section documents them, and a test keeps the two
 equal.  The config alone decides what `run` computes: `--out` only names the
 output directory, built in a temporary one and moved into place whole.
 Natural units (hbar = 1).  Identical configs give byte-identical series.csv;
-the manifest records config, versions, seed and wall-clock.
+the manifest records config, versions, seed, wall-clock and the report that
+`validate` prints.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,6 +59,7 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     params: ScenarioParams
     schedule: np.ndarray        # sorted, read-only float64
+    report: MappingProxyType    # what validate prints and run's manifest records, read-only
     event_driven: bool = False
     monte_carlo: int = 0
     grid_oracle: grid.GridSpec | None = None
@@ -109,7 +112,8 @@ def _grid_oracle(arg: str, params: ScenarioParams, where: str) -> tuple[grid.Gri
 
 def parse_config(path) -> ScenarioConfig:
     """The one admission of `run` and `validate`: a key=value scenario file (unknown
-    keys are errors), every check before any work, in order, and the frozen config."""
+    keys are errors), every check before any work, in order, and the frozen config
+    with its report, which `validate` prints and `run` records in the manifest."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -205,21 +209,33 @@ def parse_config(path) -> ScenarioConfig:
              schedule[-1] / grid_dt * (cells / 513**2) if cells else 0, MAX_GRID_STEPS)):
         if need > limit:
             raise ConfigError(f"{where}: {what}: {need:,.0f}, over the limit of {limit:,}")
-    # an explicit schedule's latest instant is the first to fail the normalizability rule
-    # (after the last event A and D fall like 1/t^2), and an overflow fails it too; an
-    # unsafe one is left to run's exit 3.  An auto schedule ends half a gap after the last event.
-    if sched != "auto":
+    # run gates every scheduled instant and exits 3 at the first that fails.  An explicit
+    # schedule's latest instant is the first to fail the normalizability rule (after the
+    # last event A and D fall like 1/t^2), and an overflow fails it too; an unsafe one is
+    # left to that exit 3.  An auto schedule ends half a gap after the last event.
+    safe = channels.mixed_phase_gate(params, schedule)
+    if sched != "auto" and safe[-1]:
         last = schedule[-1].item()
         try:
             with np.errstate(over="raise", invalid="raise"):
                 channels.channel_integral(channels.propagate_ensemble(params, last), params)
-        except MixedPhaseError:
-            pass
         except (ValueError, FloatingPointError) as exc:
             raise ConfigError(f"{path}: schedule: instant {last!r} is too late: its analytic "
                               f"state is not representable in floating point ({exc})") from None
-    return ScenarioConfig(params, schedule, grid_oracle=grid_oracle, grid_dt=grid_dt,
-                          purity_source=purity_source, seed=seed, raw=raw, **oracles)
+    auto = schedule if sched == "auto" else channels.auto_schedule(params)
+    unsafe = schedule[~safe].tolist()
+    dsigma_y0, sigma_yT = split_width(params)
+    report = {
+        "epsilon": params.eps, "v_x0": params.v_x0, "n_max": params.n_max, "n_cr": params.n_cr,
+        "dsigma_y0": dsigma_y0, "sigma_yT": sigma_yT, "validity_figure": params.validity_figure,
+        "validity_warning": params.validity_figure < 1.0, "auto_schedule_len": len(auto),
+        # of the reference midpoints: one per event, plus the tail instant
+        "auto_schedule_dropped": len(channels.reference_trajectory(params).t) - len(auto),
+        "schedule_unsafe": len(unsafe), "first_unsafe_instant": unsafe[0] if unsafe else "none",
+    }
+    return ScenarioConfig(params, schedule, MappingProxyType(report), grid_oracle=grid_oracle,
+                          grid_dt=grid_dt, purity_source=purity_source, seed=seed, raw=raw,
+                          **oracles)
 
 
 def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, np.ndarray], dict]:
@@ -252,11 +268,16 @@ def compute_series(cfg: ScenarioConfig, out_dir: Path) -> tuple[dict[str, np.nda
     details: dict = {"oracle_checks": {}}
     if cfg.event_driven:
         # the event-driven simulator re-derives the series' centres and momenta
-        # without the collision table: record its largest deviations from them
-        o = classical.event_driven_trajectory(
-            params.x_M0, params.y_M0, params.v_x0, params.masses).states_at(ts)
+        # without the collision table: record its largest deviations from them.
+        # Centres are compared no later than the last event: past it both move
+        # freely, so a far instant's deviation would be the positions' rounding.
+        sim = classical.event_driven_trajectory(params.x_M0, params.y_M0, params.v_x0,
+                                                params.masses)
+        ref = channels.reference_trajectory(params)
+        o, at = sim.states_at(ts), np.minimum(ts, ref.t[-1])
+        c, r = sim.states_at(at), ref.states_at(at)
         m = params.masses
-        dev = np.abs([o.x - e.x_center, o.y - e.y_center, m.m_x * o.v_x - e.p_xn,
+        dev = np.abs([c.x - r.x, c.y - r.y, m.m_x * o.v_x - e.p_xn,
                       m.m_y * o.v_y - e.p_yn]).max(axis=1, initial=0.0)
         details["oracle_checks"].update(event_driven_max_center_dev=float(dev[:2].max()),
                                         event_driven_max_p_dev=float(dev[2:].max()))
@@ -327,43 +348,25 @@ def write_series(columns: dict[str, np.ndarray], out_dir: Path) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_config(args.config)
     out_dir = Path(args.out)
     # made first: an --out that cannot be made fails before any work, a failed run leaves nothing
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     try:
         work_dir = tempfile.TemporaryDirectory(prefix=".qbounce-run-", dir=existing)
     except OSError as exc:      # a file on the path, or no permission to write there
-        print(f"error: --out {out_dir}: {existing}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--out {out_dir}: {existing}: {exc.strerror or exc}") from None
     started = time.time()
     with work_dir as tmp:
         work = Path(tmp)
-        try:
-            columns, details = compute_series(cfg, work)
-        except MixedPhaseError as exc:
-            print(f"mixed-phase instant: {exc}", file=sys.stderr)
-            return 3
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except RuntimeError as exc:     # the grid's unitarity guard, the simulator's event cap
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
+        columns, details = compute_series(cfg, work)   # an error here removes tmp
         write_series(columns, work)
         manifest = {
             "config": cfg.raw,
             "seed": cfg.seed,
             "versions": {"qbounce": __version__, "numpy": np.__version__},
             "wall_clock_s": time.time() - started,
-            "validity_figure": cfg.params.validity_figure,
-            "validity_warning": cfg.params.validity_figure < 1.0,
-            "n_max": cfg.params.n_max,
-            "n_cr": cfg.params.n_cr,
+            **cfg.report,
             "columns": list(columns),
             **details,      # the oracle checks, and the grid's sampling
         }
@@ -454,35 +457,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    params = cfg.params
-    dsigma_y0, sigma_yT = split_width(params)
-    auto = (cfg.schedule if cfg.raw.get("schedule", "auto").strip() == "auto"  # parse_config's
-            else channels.auto_schedule(params))
-    info = {
-        "epsilon": params.eps,
-        "v_x0": params.v_x0,
-        "n_max": params.n_max,
-        "n_cr": params.n_cr,
-        "dsigma_y0": dsigma_y0,
-        "sigma_yT": sigma_yT,
-        "validity_figure": params.validity_figure,
-        "validity_warning": params.validity_figure < 1.0,
-        "auto_schedule_len": len(auto),
-        # of the reference midpoints: one per event, plus the tail instant
-        "auto_schedule_dropped": len(channels.reference_trajectory(params).t) - len(auto),
-    }
-    # run gates every scheduled instant and exits 3 at the first that fails
-    unsafe = cfg.schedule[~channels.mixed_phase_gate(params, cfg.schedule)].tolist()
-    info["schedule_unsafe"] = len(unsafe)
-    info["first_unsafe_instant"] = unsafe[0] if unsafe else "none"
-    for key, value in info.items():
+    cfg = parse_config(args.config)
+    for key, value in cfg.report.items():
         print(f"{key} = {value}")
-    return 3 if unsafe else 0
+    return 3 if cfg.report["schedule_unsafe"] else 0
 
 
 def main(argv=None) -> int:
@@ -509,7 +487,22 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    if args.func is cmd_compare:        # its own `error:` lines
+        return cmd_compare(args)
+    try:        # run and validate: ConfigError and MixedPhaseError are ValueErrors, so first
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MixedPhaseError as exc:
+        print(f"mixed-phase instant: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:     # the grid's unitarity guard, the simulator's event cap
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

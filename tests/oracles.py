@@ -416,12 +416,25 @@ def channel_event_times(y_m0, x_m0: float, v_x0: float, table) -> np.ndarray:
 
 def monte_carlo_spreads(times, n_samples: int, seed: int, *, y_M0: float,
                         dsigma_y0: float, x_M0: float, v_x0: float, eps: float):
-    """np.std(ddof=1) of monte_carlo_positions' x_m and y_m at each instant,
-    one instant at a time: two arrays shaped like times."""
-    spreads = [[np.std(pos, ddof=1) for pos in monte_carlo_positions(
-        [t], n_samples, seed, y_M0=y_M0, dsigma_y0=dsigma_y0, x_M0=x_M0,
-        v_x0=v_x0, eps=eps)[:2]] for t in times]
-    return np.array(spreads).reshape(-1, 2).T
+    """np.std(ddof=1) of x_m and y_m over monte_carlo_positions' samples at
+    each instant, one instant at a time: two arrays shaped like times.  Each
+    position is the sample's on its leg at channel_kinematics' pair count,
+    written out and evaluated in np.longdouble: after a late last event they lie near 1e4
+    and beyond, and float64 rounding of a few samples' positions alone moves
+    their spread by about an ulp of that, more than the tests allow."""
+    wide = np.longdouble
+    table = collision_table(eps)
+    y0 = np.random.default_rng(seed).normal(y_M0, dsigma_y0, size=n_samples)
+    x0, v0, y0_wide = wide(x_M0), wide(v_x0), y0.astype(wide)
+    spreads = []
+    for t in times:
+        k = channel_kinematics(float(t), y0, x_M0, v_x0, table)[2]
+        t_k, pos_k, vx_k, vy_k, _ = after_collision(np.maximum(k - 1, 0), y0_wide, x0, v0, table)
+        tau = wide(t) - t_k
+        x_m = np.where(k == 0, x0 + v0 * wide(t), np.abs(pos_k - tau * vx_k))
+        y_m = np.where(k == 0, y0_wide, pos_k + tau * vy_k)
+        spreads.append([np.std(pos, ddof=1) for pos in (x_m, y_m)])
+    return np.array(spreads, dtype=float).reshape(-1, 2).T
 
 
 def monte_carlo_positions(times, n_samples: int, seed: int, *, y_M0: float,

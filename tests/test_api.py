@@ -4,9 +4,10 @@ A top-level package function must be referenced by the package or named in
 backticks in README; one that only tests call belongs in tests/oracles.py,
 and one that nothing calls belongs nowhere.  A public method or property of a
 package class must be referenced somewhere in the package or its tests.  A
-public oracle must be used by a test module or by another oracle, and every
+public oracle must be used by a test module or by another oracle, every
 package attribute README names (`qbounce.grid.load_snapshot`,
-`cli.MAX_EVENTS`) must exist.
+`cli.MAX_EVENTS`) must exist, and README must name every key of the report
+that `validate` prints and `run` records.
 """
 
 import ast
@@ -108,3 +109,13 @@ def test_readme_names_exactly_the_admission_bounds():
     cli = importlib.import_module("qbounce.cli")
     assert set(re.findall(r"\bMAX_\w+", README)) == {
         name for name in vars(cli) if name.startswith("MAX_")}
+
+
+def test_readme_names_every_report_key(tmp_path):
+    # validate prints parse_config's report and run's manifest records it:
+    # a key added to it cannot go undocumented
+    cli = importlib.import_module("qbounce.cli")
+    config = tmp_path / "scenario.cfg"
+    config.write_text("m_y = 400\nx_m0 = 25\ny_m0 = 50\nsigma0x = 1\nsigma0y = 0.5\np_x0 = 190\n")
+    spans = set(_readme_spans())
+    assert [key for key in cli.parse_config(config).report if key not in spans] == []

@@ -115,6 +115,8 @@ class TestParseConfig:
             cfg.seed = 1
         with pytest.raises(ValueError, match="read-only"):
             cfg.schedule[0] = 1.0
+        with pytest.raises(TypeError):
+            cfg.report["epsilon"] = 0
 
     def test_oracle_flags(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG.replace(
@@ -233,7 +235,7 @@ class TestRun:
         window = re.search(r"channels straddle an event from (\S+) until (\S+)$",
                            capsys.readouterr().err)
         assert float(window[1]) <= t_wall < float(window[2])
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg", "wall.cfg"]
 
     def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, monkeypatch):
         # a config that parses, then an error while the series is computed
@@ -458,6 +460,18 @@ class TestRun:
         cfg = write_config(tmp_path, name="plain.cfg")
         assert main(["run", str(cfg), "--out", str(plain)]) == 0
         assert (out / "series.csv").read_bytes() == (plain / "series.csv").read_bytes()
+
+    def test_event_driven_centres_are_compared_up_to_the_last_event(self, tmp_path):
+        # past the last event both runs move freely: at 1e100 and 1e155 the
+        # positions lie near 1e102 and 1e157, and their rounding alone read
+        # 2.95e141 as a centre deviation; the momenta are still compared there
+        cfg = write_config(tmp_path, config_with(BASE_CONFIG, schedule="100,1e100,1e155",
+                                                 oracles="event_driven"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        checks = json.loads((out / "manifest.json").read_text())["oracle_checks"]
+        assert 0 <= checks["event_driven_max_center_dev"] <= 1e-10 * 50.0
+        assert 0 <= checks["event_driven_max_p_dev"] <= 1e-10 * 190.0
 
     def test_over_the_event_limit_exits_before_any_work(self, tmp_path, capsys, monkeypatch):
         # eps = 1e-7 gives 15.7 million reference events: rejected from n_max
@@ -764,6 +778,22 @@ class TestValidate:
         cfg = write_config(tmp_path, config_with(
             DESK_CONFIG, oracles=f"grid:n=512;l={length};dt=2e-3"))
         assert main(["validate", str(cfg)]) == code
+
+    @pytest.mark.parametrize("text", [
+        BASE_CONFIG,
+        config_with(DESK_CONFIG, oracles="grid:n=384;l=22;dt=2e-3"),
+        BASE_CONFIG.replace("m_y      = 400.0", "m_y      = 2500.0"),
+    ], ids=["base", "desk-grid", "eps-0.02"])
+    def test_prints_what_run_records(self, tmp_path, capsys, text):
+        # one report from parse_config: validate's lines are the manifest's keys
+        cfg = write_config(tmp_path, text)
+        assert main(["validate", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        keys = [line.partition(" = ")[0] for line in lines]
+        assert len(keys) == 12
+        assert lines == [f"{key} = {manifest[key]}" for key in keys]
 
     def test_builds_and_gates_the_auto_schedule_once(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -1351,6 +1381,23 @@ def test_monte_carlo_spreads_equal_the_per_sample_statistic(keys, samples, seed,
     # before the earliest sample's first collision every x_m is x_m0 + v_x0 t
     t = data.draw(st.floats(0.0, 0.999)) * times[0]
     assert mc_spreads_at(cfg, [t])[0][0] == 0.0
+
+
+def test_monte_carlo_spreads_of_two_samples_after_a_late_last_event(tmp_path):
+    # eps = 1/256: the last event falls at t = 4.68e6 with the positions near
+    # 1.83e4, where float64 rounding of two positions alone moves their spread
+    # by 3.4e-12, about an ulp of 1.83e4, over the bound of 1e-9 dsigma_y0 =
+    # 1.65e-12.  Hypothesis drew this scenario; the reference is now exact enough.
+    cfg = parse_config(write_config(tmp_path, config_with(
+        "", m_y="65536", x_m0="1", y_m0="9", sigma0x="0.025",
+        sigma0y="0.0016571044921875001", p_x0="1", schedule="auto",
+        oracles="monte_carlo:2", seed="0")))
+    columns, _ = compute_series(cfg, tmp_path)
+    after = np.nextafter(mc_event_times(cfg)[-1], np.inf)
+    assert columns["t"][-1] > after > 4.6e6
+    assert_mc_spreads_match(cfg, [after], columns["mc_dsigma_x"][-1:],
+                            columns["mc_dsigma_y"][-1:])
+    assert_mc_spreads_match(cfg, [after], *mc_spreads_at(cfg, [after]))
 
 
 def test_monte_carlo_spreads_on_the_benchmark_arc(tmp_path, monkeypatch):
