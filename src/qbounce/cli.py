@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import shutil
+import stat
 import sys
 import tempfile
 import time
@@ -69,13 +71,13 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _number(kind, text: str, what: str):
-    """text converted by kind (int or float); ConfigError naming `what` if malformed."""
+def _number(kind, text: str, what: str, error=ConfigError):
+    """text converted by kind (int or float); error naming `what` if malformed."""
     try:
         return kind(text)
     except ValueError:
         expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{what}: expected {expected}, got {text!r}") from None
+        raise error(f"{what}: expected {expected}, got {text!r}") from None
 
 
 def _grid_oracle(arg: str, params: ScenarioParams, where: str) -> tuple[grid.GridSpec, float]:
@@ -350,7 +352,16 @@ def write_series(columns: dict[str, np.ndarray], out_dir: Path) -> None:
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     out_dir = Path(args.out)
-    # made first: an --out that cannot be made fails before any work, a failed run leaves nothing
+    # what admission or --out already predicts fails before the first side effect
+    if cfg.report["schedule_unsafe"]:   # the gate's own error, naming the event window
+        channels.propagate_ensemble(cfg.params, cfg.report["first_unsafe_instant"])
+    snapshots = ["snapshots"] if cfg.grid_oracle is not None else []
+    for name in ["series.csv", "series.json", "manifest.json", *snapshots]:
+        part = out_dir / name       # as the move below sees it: a link is not its target
+        if os.path.lexists(part) and stat.S_ISDIR(part.lstat().st_mode) != (name in snapshots):
+            kind = "not a" if name in snapshots else "a"
+            raise ValueError(f"--out {out_dir}: {name} is {kind} directory")
+    # the first side effect: an --out that cannot be made fails here, a failed run leaves nothing
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     try:
         work_dir = tempfile.TemporaryDirectory(prefix=".qbounce-run-", dir=existing)
@@ -384,7 +395,8 @@ def cmd_run(args) -> int:
 
 def _read_series(run: str) -> tuple[list[str], np.ndarray]:
     """Header and values, one column per header name, of a run's series.csv
-    (or of the CSV file itself)."""
+    (or of the CSV file itself): distinct names, a 't' column of finite
+    instants and full rows."""
     path = Path(run) / "series.csv" if Path(run).is_dir() else Path(run)
     try:
         with open(path) as fh, warnings.catch_warnings():
@@ -393,11 +405,16 @@ def _read_series(run: str) -> tuple[list[str], np.ndarray]:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         if "number of columns changed" not in str(exc):   # unreadable, or no number
-            raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+            raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
         data = None                                         # a ragged row
     if "t" not in header or data is None or data.size and data.shape[1] != len(header):
-        raise ConfigError(f"{path}: not a series file (needs a 't' column and full rows)")
-    return header, data.reshape(len(data), len(header))
+        raise ValueError(f"{path}: not a series file (needs a 't' column and full rows)")
+    if len(set(header)) < len(header):
+        raise ValueError(f"{path}: not a series file (a column name repeats)")
+    data = data.reshape(len(data), len(header))
+    if not np.isfinite(data[:, header.index("t")]).all():
+        raise ValueError(f"{path}: not a series file (an instant t is not finite)")
+    return header, data
 
 
 def _tolerances(items, columns) -> dict[str, float]:
@@ -406,30 +423,26 @@ def _tolerances(items, columns) -> dict[str, float]:
     for item in items or []:
         col, eq, val = item.partition("=")
         if not eq:
-            raise ConfigError(f"--tol {item}: expected COL=VAL")
+            raise ValueError(f"--tol {item}: expected COL=VAL")
         if col not in columns:
-            raise ConfigError(f"--tol {item}: {col!r} is not a column of both runs")
-        tol[col] = _number(float, val, f"--tol {item}")
+            raise ValueError(f"--tol {item}: {col!r} is not a column of both runs")
+        tol[col] = _number(float, val, f"--tol {item}", ValueError)
         if not 0 <= tol[col] < math.inf:
-            raise ConfigError(f"--tol {item}: must be non-negative and finite")
+            raise ValueError(f"--tol {item}: must be non-negative and finite")
     return tol
 
 
 def cmd_compare(args) -> int:
-    try:
-        head_a, data_a = _read_series(args.run_a)
-        head_b, data_b = _read_series(args.run_b)
-        shared = [c for c in head_a if c in head_b]
-        tol = _tolerances(args.tol, shared)
-        if len(data_a) != len(data_b):
-            raise ConfigError("runs have different numbers of instants")
-        t_a = data_a[:, head_a.index("t")]
-        limit = tol.get("t", 1e-12 * np.maximum(1.0, np.abs(t_a)))   # --tol t= bounds it too
-        if np.any(np.abs(t_a - data_b[:, head_b.index("t")]) > limit):
-            raise ConfigError("runs do not share a schedule")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    head_a, data_a = _read_series(args.run_a)
+    head_b, data_b = _read_series(args.run_b)
+    shared = [c for c in head_a if c in head_b]
+    tol = _tolerances(args.tol, shared)
+    if len(data_a) != len(data_b):
+        raise ValueError("runs have different numbers of instants")
+    t_a = data_a[:, head_a.index("t")]
+    limit = tol.get("t", 1e-12 * np.maximum(1.0, np.abs(t_a)))   # --tol t= bounds it too
+    if np.any(np.abs(t_a - data_b[:, head_b.index("t")]) > limit):
+        raise ValueError("runs do not share a schedule")
     status = 0
     report = {}
     for col in shared:
@@ -487,9 +500,7 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)
-    if args.func is cmd_compare:        # its own `error:` lines
-        return cmd_compare(args)
-    try:        # run and validate: ConfigError and MixedPhaseError are ValueErrors, so first
+    try:        # every command's errors: ConfigError and MixedPhaseError are ValueErrors, so first
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -500,7 +511,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:     # the grid's unitarity guard, the simulator's event cap
+    except (RuntimeError, OSError) as exc:  # a computation or a write stopped part-way
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -462,39 +462,19 @@ def schmidt_measures(field: GridField) -> tuple[float, float]:
     return purity, float(-np.sum(lam * np.log(lam)))
 
 
-def _sum_in_place(values: np.ndarray, offset: int, size: int, start: int = 0) -> float:
-    """np.sum, bit for bit, of the size values from start of a flat array that
-    is zero but for values at offset ... offset + len(values) - 1.  numpy sums
-    pairwise: up to 128 values as one block, more as two halves split at a
-    multiple of 8.  A half off values sums to an exact zero, one inside it is
-    summed there, and only a half across one of its ends is split further."""
-    lo, hi = start - offset, start + size - offset     # [start, start + size) in values
-    if hi <= 0 or lo >= len(values):
-        return 0.0
-    if 0 <= lo and hi <= len(values):
-        return values[lo:hi].sum()
-    if size <= 128:
-        block = np.zeros(size)
-        block[max(0, -lo):min(size, len(values) - lo)] = values[max(0, lo):hi]
-        return block.sum()
-    half = size // 2 - size // 2 % 8
-    return (_sum_in_place(values, offset, half, start)
-            + _sum_in_place(values, offset, size - half, start + half))
-
-
 def marginals(field: GridField) -> tuple[np.ndarray, np.ndarray]:
     """Position densities over x and over y; each integrates to one.
 
     |psi|^2 is formed on the rows from the first to the last nonzero one
-    alone, and each sum adds what it adds over the whole field, in its order."""
+    alone; the total is the sum of the row sums."""
     h, psi = field.h, field.psi
     nonzero = np.flatnonzero((psi != 0).any(axis=1))      # a NaN is nonzero
     rows = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
     dens = np.abs(psi[rows])
     dens **= 2
-    total = _sum_in_place(dens.reshape(-1), rows.start * psi.shape[1], psi.size) * h * h
     px = np.zeros(psi.shape[0])
     px[rows] = dens.sum(axis=1)
+    total = px.sum() * h * h
     return px * h / total, dens.sum(axis=0) * h / total
 
 

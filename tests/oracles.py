@@ -97,12 +97,14 @@ def write_series_reference(columns: dict, out_dir) -> None:
 
 
 def marginals_reference(field: GridField) -> tuple[np.ndarray, np.ndarray]:
-    """grid.marginals with |psi|^2 formed over the whole grid."""
+    """grid.marginals with |psi|^2 formed over the whole grid; the total is
+    the sum of the row sums."""
     h = field.h
     dens = np.abs(field.psi)
     dens **= 2
-    total = dens.sum() * h * h
-    return dens.sum(axis=1) * h / total, dens.sum(axis=0) * h / total
+    px = dens.sum(axis=1)
+    total = px.sum() * h * h
+    return px * h / total, dens.sum(axis=0) * h / total
 
 
 def write_marginals_csv_reference(field: GridField, path) -> None:

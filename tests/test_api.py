@@ -7,7 +7,7 @@ package class must be referenced somewhere in the package or its tests.  A
 public oracle must be used by a test module or by another oracle, every
 package attribute README names (`qbounce.grid.load_snapshot`,
 `cli.MAX_EVENTS`) must exist, and README must name every key of the report
-that `validate` prints and `run` records.
+that `validate` prints and `run` records.  Only `cli.main` writes to stderr.
 """
 
 import ast
@@ -88,6 +88,15 @@ def unresolved_readme_names() -> list[str]:
     return missing
 
 
+def stderr_writers() -> set[str]:
+    """module.function of each top-level function (or class) that names sys.stderr."""
+    return {f"{module}.{getattr(node, 'name', '<module>')}"
+            for module, tree in _trees(PACKAGE).items() for node in tree.body
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr == "stderr"
+            and isinstance(sub.value, ast.Name) and sub.value.id == "sys"}
+
+
 def test_every_public_function_is_used_or_documented():
     assert unused_public_functions() == []
 
@@ -119,3 +128,8 @@ def test_readme_names_every_report_key(tmp_path):
     config.write_text("m_y = 400\nx_m0 = 25\ny_m0 = 50\nsigma0x = 1\nsigma0y = 0.5\np_x0 = 190\n")
     spans = set(_readme_spans())
     assert [key for key in cli.parse_config(config).report if key not in spans] == []
+
+
+def test_only_main_writes_to_stderr():
+    # cli.main alone turns a command's error into a line and an exit code
+    assert stderr_writers() == {"cli.main"}

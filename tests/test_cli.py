@@ -412,6 +412,57 @@ class TestRun:
             assert err == f"error: --out {out}: {taken}: Not a directory\n"
         assert taken.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("text, clash, message", [
+        (BASE_CONFIG, "series.csv", "series.csv is a directory"),
+        (config_with(DESK_CONFIG, oracles="grid:n=384;l=22;dt=2e-3"), "snapshots",
+         "snapshots is not a directory"),
+    ], ids=["series-csv-a-directory", "snapshots-a-file"])
+    def test_out_entry_of_the_wrong_kind_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                               text, clash, message):
+        # a rerun would move its outputs in over these: one of the wrong kind
+        # stops it before the temporary directory, with --out as it was
+        def fail(cfg, out_dir):
+            raise AssertionError("the series was computed")
+        monkeypatch.setattr(cli, "compute_series", fail)
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in {"series.csv", "series.json", "manifest.json", "note.txt"} - {clash}:
+            (out / name).write_text(f"old {name}\n")
+        if clash == "snapshots":
+            (out / clash).write_text("a file\n")
+        else:
+            (out / clash).mkdir()
+            (out / clash / "inside.txt").write_text("keep\n")
+        before = {p: p.is_dir() or p.read_bytes() for p in out.rglob("*")}
+        assert main(["run", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {message}\n"
+        assert {p: p.is_dir() or p.read_bytes() for p in out.rglob("*")} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o", "scenario.cfg"]
+
+    def test_unsafe_schedule_exits_3_before_a_temporary_directory(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a temporary directory was made")
+        base = parse_config(write_config(tmp_path))
+        t_bad = pair_events(reference_trajectory(base.params))[3].t
+        bad = write_config(tmp_path, config_with(BASE_CONFIG, schedule=f"1,{t_bad!r}"), "bad.cfg")
+        cfg = parse_config(bad)
+        with pytest.raises(MixedPhaseError) as gate:      # what compute_series raises
+            propagate_ensemble(cfg.params, cfg.schedule)
+        monkeypatch.setattr(tempfile, "TemporaryDirectory", refuse)
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"mixed-phase instant: {gate.value}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "scenario.cfg"]
+
+    def test_failed_write_is_one_line_with_exit_4(self, tmp_path, capsys, monkeypatch):
+        def full(columns, out_dir):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli, "write_series", full)
+        cfg = write_config(tmp_path)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_missing_config_is_one_line(self, tmp_path, capsys, command):
         missing = tmp_path / "absent.cfg"
@@ -735,6 +786,21 @@ class TestCompare:
         assert capsys.readouterr().out == "{}\n"
         assert main(["compare", str(out), str(header)]) == 2
         assert capsys.readouterr().err == "error: runs have different numbers of instants\n"
+
+    @pytest.mark.parametrize("header, row, message", [
+        ("t,t,x", "1,1,2", "a column name repeats"),
+        ("t,x", "nan,0", "an instant t is not finite"),
+        ("t,x", "inf,0", "an instant t is not finite"),
+    ], ids=["repeated-column", "nan-instant", "infinite-instant"])
+    def test_not_a_series_is_one_line(self, tmp_path, capsys, header, row, message):
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text(f"{header}\n{row}\n")
+        good.write_text("t,x\n5,0\n")
+        for a, b in ((bad, good), (good, bad)):
+            assert main(["compare", str(a), str(b)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {bad}: not a series file ({message})\n"
+            assert captured.out == ""
 
     def test_missing_input_is_one_line(self, tmp_path, capsys):
         out, missing = tmp_path / "out", tmp_path / "absent"

@@ -484,11 +484,12 @@ class TestMarginals:
         dx, _ = marginals(f)
         assert dx[0] == 0.0
 
-    def test_bit_for_bit_the_whole_grid_sums(self):
-        # numpy sums |psi|^2 pairwise over the whole grid: a total over the
-        # nonzero rows alone moved by an ulp on the desk fields at 0.04 and
-        # 0.08; stepped desk fields, then rows cut at the start, across the
-        # middle split, at the end, one row, a NaN and no nonzero row
+    def test_bit_for_bit_the_whole_grid_row_sums(self):
+        # |psi|^2 on the nonzero rows alone gives the whole grid's row sums,
+        # column sums and total (the sum of the row sums) to the last bit: a
+        # row's sum does not depend on the rows around it, and a zero row adds
+        # an exact zero; stepped desk fields, then rows cut at the start,
+        # across the middle, at the end, one row, a NaN and no nonzero row
         p = compliant_params()
         fields = list(sample(init_field(p, DESK_SPEC), MASSES, 2e-3, [0.0, 0.04, 0.08, 0.5]))
         fields = [grid.GridField(psi=f.psi.copy(), spec=f.spec, t=f.t) for f in fields]
